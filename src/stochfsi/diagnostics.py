@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, PicardDivergence, SolverFailure
+from .errors import ConfigError, DegenerateJacobian, PicardDivergence, SolverFailure
 from .scheme import PathProblem, Trajectory, run_path
 
 
@@ -278,12 +278,16 @@ class EnsembleReport:
         }
 
 
+# failures of one path that leave the rest of an ensemble meaningful
+_PATH_FAILURES = (PicardDivergence, SolverFailure, DegenerateJacobian)
+
+
 def _run_one(args):
     problem, idx = args
     try:
         traj = run_path(problem, idx)
         return idx, path_statistics(traj), None
-    except (PicardDivergence, SolverFailure) as exc:
+    except _PATH_FAILURES as exc:
         return idx, None, f"{type(exc).__name__}: {exc}"
 
 
@@ -297,7 +301,11 @@ def ensemble_run(problem: PathProblem, M: int, keep: str = "none"):
     """
     if M < 1:
         raise ConfigError(f"run.M: must be >= 1, got {M}")
-    workers = int(os.environ.get("STOCHFSI_THREADS", "1") or "1")
+    raw = os.environ.get("STOCHFSI_THREADS", "1") or "1"
+    try:
+        workers = int(raw)
+    except ValueError:
+        raise ConfigError(f"STOCHFSI_THREADS: must be an integer, got {raw!r}") from None
     results = []
     trajectories = []
     if workers > 1 and keep == "none":
@@ -310,7 +318,7 @@ def ensemble_run(problem: PathProblem, M: int, keep: str = "none"):
                     traj = run_path(problem, i)
                     trajectories.append(traj)
                     results.append((i, path_statistics(traj), None))
-                except (PicardDivergence, SolverFailure) as exc:
+                except _PATH_FAILURES as exc:
                     trajectories.append(None)
                     results.append((i, None, f"{type(exc).__name__}: {exc}"))
             else:

@@ -102,18 +102,11 @@ class FluidSpace:
         cz, cr = cz.ravel(), cr.ravel()
         n00 = cr * (nz + 1) + cz
         self.cells = np.stack([n00, n00 + 1, n00 + nz + 2, n00 + nz + 1], axis=1)
-        self.ncell = nz * nr
         self._cell_z0 = cz * self.hz
         self._cell_r0 = cr * self.hr
 
         self.q_full = self._make_quad(2)
         self.q_reduced = self._make_quad(1)
-
-        # scatter pattern for one scalar 4x4 block per cell
-        ca = self.cells[:, :, None]
-        cb = self.cells[:, None, :]
-        self._rows_s = np.broadcast_to(ca, (self.ncell, 4, 4)).ravel()
-        self._cols_s = np.broadcast_to(cb, (self.ncell, 4, 4)).ravel()
 
     def _make_quad(self, rule: int) -> _QuadCache:
         xi, ze, wq, N, dNdxi, dNdze = _q1_tables(rule)
@@ -128,9 +121,6 @@ class FluidSpace:
             z=zq,
             r=rq,
         )
-
-    def dof(self, node: int, comp: int) -> int:
-        return 2 * node + comp
 
     def top_interior_vr_free(self) -> np.ndarray:
         """Free-DOF indices of vertical velocity at interior top-row nodes,
@@ -163,12 +153,6 @@ class FluidSpace:
         return R + profile.value(q.z), profile.slope(q.z)
 
 
-def _scatter_blocks(fs: FluidSpace, local: np.ndarray, comp_row: int, comp_col: int):
-    rows = 2 * fs._rows_s + comp_row
-    cols = 2 * fs._cols_s + comp_col
-    return rows, cols, local.ravel()
-
-
 def _transformed_basis(fs: FluidSpace, w_q, s_q, reduced: bool):
     """Pulled-back basis derivatives Gz, Gr, shape (ncell, 4, nq)."""
     if np.any(w_q <= 0.0):
@@ -183,24 +167,24 @@ def _transformed_basis(fs: FluidSpace, w_q, s_q, reduced: bool):
     return q, Gz, Gr
 
 
-def assemble_weighted_mass_full(fs: FluidSpace, w_q: np.ndarray) -> sp.csr_matrix:
-    """Mass with scalar weight w(z) sampled at the full-rule points; the
-    same block acts on each velocity component."""
+def _both_components(local: np.ndarray) -> np.ndarray:
+    """A scalar block acting alike on each velocity component, as the
+    (2, 2, ncell, 4, 4) element blocks of the vector form."""
+    zero = np.zeros_like(local)
+    return np.array([[local, zero], [zero, local]])
+
+
+def element_mass(fs: FluidSpace, w_q: np.ndarray) -> np.ndarray:
+    """Element blocks of the mass with scalar weight w(z) sampled at the
+    full-rule points; the same block acts on each velocity component."""
     q = fs.q_full
     local = np.einsum("q,cq,aq,bq->cab", q.wq, w_q, q.N, q.N, optimize=True)
-    data, rows, cols = [], [], []
-    for c in (0, 1):
-        r_, c_, d_ = _scatter_blocks(fs, local, c, c)
-        rows.append(r_), cols.append(c_), data.append(d_)
-    A = sp.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(fs.ndof, fs.ndof),
-    )
-    return A.tocsr()
+    return _both_components(local)
 
 
-def assemble_viscous_full(fs: FluidSpace, w_q, s_q) -> sp.csr_matrix:
-    """Pulled-back viscous form 2*Int (R+eta) D^eta(phi_j) : D^eta(phi_i).
+def element_viscous(fs: FluidSpace, w_q, s_q) -> np.ndarray:
+    """Element blocks of the pulled-back viscous form
+    2*Int (R+eta) D^eta(phi_j) : D^eta(phi_i).
 
     The kinematic viscosity is applied by the caller, so the assembled
     operator is exactly twice the weighted symmetric-gradient Gram matrix.
@@ -215,55 +199,31 @@ def assemble_viscous_full(fs: FluidSpace, w_q, s_q) -> sp.csr_matrix:
     kzr = g(Gr, Gz)
     krz = g(Gz, Gr)
     krr = 2 * g(Gr, Gr) + g(Gz, Gz)
-    data, rows, cols = [], [], []
-    for (cr_, cc_, loc) in ((0, 0, kzz), (0, 1, kzr), (1, 0, krz), (1, 1, krr)):
-        r_, c_, d_ = _scatter_blocks(fs, loc, cr_, cc_)
-        rows.append(r_), cols.append(c_), data.append(d_)
-    A = sp.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(fs.ndof, fs.ndof),
-    )
-    return A.tocsr()
+    return np.array([[kzz, kzr], [krz, krr]])
 
 
-def assemble_penalty_full(fs: FluidSpace, w1_q, s1_q) -> sp.csr_matrix:
-    """div^eta . div^eta Gram matrix with the reduced (1-point) rule."""
+def element_penalty(fs: FluidSpace, w1_q, s1_q) -> np.ndarray:
+    """Element blocks of the div^eta . div^eta Gram matrix with the
+    reduced (1-point) rule."""
     q, Gz, Gr = _transformed_basis(fs, w1_q, s1_q, reduced=True)
-    div = {0: Gz, 1: Gr}
-    data, rows, cols = [], [], []
-    for cr_ in (0, 1):
-        for cc_ in (0, 1):
-            loc = np.einsum("q,ciq,cjq->cij", q.wq, div[cr_], div[cc_], optimize=True)
-            r_, c_, d_ = _scatter_blocks(fs, loc, cr_, cc_)
-            rows.append(r_), cols.append(c_), data.append(d_)
-    A = sp.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(fs.ndof, fs.ndof),
-    )
-    return A.tocsr()
+    div = (Gz, Gr)
+    return np.array([[np.einsum("q,ciq,cjq->cij", q.wq, div[cr_], div[cc_], optimize=True)
+                      for cc_ in (0, 1)] for cr_ in (0, 1)])
 
 
-def assemble_advection_full(fs: FluidSpace, w_q, s_q, a_z_q, a_r_q) -> sp.csr_matrix:
-    """Skew advection ½ Int (R+eta) [(a . grad^eta) u . q - (a . grad^eta) q . u]
+def element_advection(fs: FluidSpace, w_q, s_q, a_z_q, a_r_q) -> np.ndarray:
+    """Element blocks of the skew advection
+    ½ Int (R+eta) [(a . grad^eta) u . q - (a . grad^eta) q . u]
     for a frozen transport field a sampled at the full-rule points.
 
-    Skew-symmetry holds by construction: the matrix is ½(Ns - Ns^T)
+    Skew-symmetry holds by construction: each block is ½(Ns - Ns^T)
     replicated over the two components.
     """
     q, Gz, Gr = _transformed_basis(fs, w_q, s_q, reduced=False)
     ww = q.wq[None, :] * w_q
     adv = a_z_q[:, None, :] * Gz + a_r_q[:, None, :] * Gr      # (ncell, 4, nq)
     Ns = np.einsum("cq,ciq,cjq->cij", ww, np.broadcast_to(fs.q_full.N[None], adv.shape), adv, optimize=True)
-    local = 0.5 * (Ns - np.swapaxes(Ns, 1, 2))
-    data, rows, cols = [], [], []
-    for c in (0, 1):
-        r_, c_, d_ = _scatter_blocks(fs, local, c, c)
-        rows.append(r_), cols.append(c_), data.append(d_)
-    A = sp.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(fs.ndof, fs.ndof),
-    )
-    return A.tocsr()
+    return _both_components(0.5 * (Ns - np.swapaxes(Ns, 1, 2)))
 
 
 def assemble_flux_vectors_full(fs: FluidSpace):
@@ -276,10 +236,6 @@ def assemble_flux_vectors_full(fs: FluidSpace):
         f_in[2 * (ir * (nz + 1) + 0)] += w
         f_out[2 * (ir * (nz + 1) + nz)] += w
     return f_in, f_out
-
-
-def restrict(mat: sp.csr_matrix, free: np.ndarray) -> sp.csr_matrix:
-    return mat[free][:, free].tocsr()
 
 
 # ----------------------------------------------------------------------
@@ -332,8 +288,7 @@ class StructureSpace:
         self.free = np.flatnonzero(free)
         self.n_free = self.free.size
 
-        xi, wq, H, dH, ddH = _hermite_tables(self.h)
-        self._quad = (xi, wq, H, dH, ddH)
+        _, wq, H, dH, ddH = _hermite_tables(self.h)
         M = np.zeros((self.ndof_full, self.ndof_full))
         S1 = np.zeros_like(M)
         S2 = np.zeros_like(M)
@@ -345,7 +300,6 @@ class StructureSpace:
             M[sl, sl] += m_loc
             S1[sl, sl] += s1_loc
             S2[sl, sl] += s2_loc
-        self.M_full, self.S1_full, self.S2_full = M, S1, S2
         self.M = M[np.ix_(self.free, self.free)]
         self.S1 = S1[np.ix_(self.free, self.free)]
         self.S2 = S2[np.ix_(self.free, self.free)]
@@ -379,8 +333,14 @@ class StructureSpace:
         return float(np.sqrt(l2sq + e @ self.S1 @ e + e @ self.S2 @ e))
 
 
+def _indptr(major: np.ndarray, n: int) -> np.ndarray:
+    """Compressed-row (or -column) pointers of sorted major indices."""
+    return np.concatenate([[0], np.cumsum(np.bincount(major, minlength=n))]).astype(np.int32)
+
+
 class CoupledLayout:
-    """Index maps realizing the kinematic coupling.
+    """Index maps realizing the kinematic coupling, and the sparsity
+    patterns of every matrix the fluid substep uses.
 
     The wall velocity lives in the clamped Hermite space.  Its interior
     nodal *values* are identified with the fluid's interior top-row
@@ -392,6 +352,12 @@ class CoupledLayout:
 
     and ``beam_to_x`` maps beam-free indices into x, value DOFs landing on
     the shared fluid entries.
+
+    Every fluid form lives on the reference mesh, so the wall moves its
+    coefficients but never its sparsity.  Both patterns are built once
+    here: the CSR pattern (``indptr``, ``indices``) of the free-DOF fluid
+    forms, filled from element blocks by ``fluid_csr``, and the CSC
+    pattern of the coupled matrices on x, filled by ``coupled_csc``.
     """
 
     def __init__(self, fluid: FluidSpace, structure: StructureSpace):
@@ -403,17 +369,59 @@ class CoupledLayout:
         self.structure = structure
         self.shared_free = fluid.top_interior_vr_free()
         n_int = structure.n_el - 1          # interior beam nodes
-        self.n_trace = n_int
-        self.n_x = fluid.n_free + n_int
+        n_free = fluid.n_free
+        self.n_x = n_free + n_int
         # beam free ordering is (value, slope) per interior node
         beam_to_x = np.empty(structure.n_free, dtype=int)
         beam_to_x[0::2] = self.shared_free
-        beam_to_x[1::2] = fluid.n_free + np.arange(n_int)
+        beam_to_x[1::2] = n_free + np.arange(n_int)
         self.beam_to_x = beam_to_x
-        # interpolation: beam DOFs -> top-boundary fluid nodal values
-        sel = np.zeros((n_int, structure.n_free))
-        sel[np.arange(n_int), 2 * np.arange(n_int)] = 1.0
-        self.beam_to_trace = sel
+
+        # fluid pattern: entry [p, q, c, a, b] of the (2, 2, ncell, 4, 4)
+        # element blocks couples component p of node cells[c, a] with
+        # component q of node cells[c, b]; entries on masked DOFs drop out
+        dof = fluid.full_to_free[2 * fluid.cells + np.arange(2)[:, None, None]]
+        rows, cols = (a.ravel() for a in np.broadcast_arrays(
+            dof[:, None, :, :, None], dof[None, :, :, None, :]))
+        self._keep = np.flatnonzero((rows >= 0) & (cols >= 0))
+        keys, self._slot = np.unique(rows[self._keep] * n_free + cols[self._keep],
+                                     return_inverse=True)
+        f_rows, f_cols = np.divmod(keys, n_free)
+        self.indices = f_cols.astype(np.int32)
+        self.indptr = _indptr(f_rows, n_free)
+
+        # coupled pattern on x, column-major for the sparse LU: the fluid
+        # entries plus the beam mass at the wall-velocity positions
+        b_rows, b_cols = np.nonzero(structure.M)
+        x_keys, inv = np.unique(
+            np.concatenate([f_cols, beam_to_x[b_cols]]) * self.n_x
+            + np.concatenate([f_rows, beam_to_x[b_rows]]),
+            return_inverse=True,
+        )
+        x_cols, x_rows = np.divmod(x_keys, self.n_x)
+        self._x_indices = x_rows.astype(np.int32)
+        self._x_indptr = _indptr(x_cols, self.n_x)
+        self._fluid_to_x = inv[:keys.size]
+        self._beam_data = np.zeros(x_keys.size)
+        self._beam_data[inv[keys.size:]] = structure.M[b_rows, b_cols]
+        for pattern in (self.indices, self.indptr, self._x_indices, self._x_indptr):
+            pattern.setflags(write=False)  # shared by every matrix built on it
+
+    def fluid_csr(self, blocks: np.ndarray) -> sp.csr_matrix:
+        """Sum (2, 2, ncell, 4, 4) element blocks, indexed [row component,
+        column component, cell, row node, column node], into the free-DOF
+        matrix on the fixed fluid pattern."""
+        data = np.bincount(self._slot, weights=blocks.ravel()[self._keep],
+                           minlength=self.indices.size)
+        n = self.fluid.n_free
+        return sp.csr_matrix((data, self.indices, self.indptr), shape=(n, n))
+
+    def coupled_csc(self, fluid_data: np.ndarray) -> sp.csc_matrix:
+        """Matrix on x: a fluid-pattern data array plus the beam mass."""
+        data = self._beam_data.copy()
+        data[self._fluid_to_x] += fluid_data
+        return sp.csc_matrix((data, self._x_indices, self._x_indptr),
+                             shape=(self.n_x, self.n_x))
 
     def extract_v(self, x: np.ndarray) -> np.ndarray:
         """Wall-velocity beam vector from a coupled solution vector."""
@@ -423,13 +431,6 @@ class CoupledLayout:
         out = np.zeros(self.n_x)
         np.add.at(out, self.beam_to_x, b)
         return out
-
-    def embed_beam_matrix(self, M: np.ndarray) -> sp.csr_matrix:
-        if M.shape[0] == 0:
-            return sp.csr_matrix((self.n_x, self.n_x))
-        ii = np.repeat(self.beam_to_x, M.shape[1])
-        jj = np.tile(self.beam_to_x, M.shape[0])
-        return sp.coo_matrix((M.ravel(), (ii, jj)), shape=(self.n_x, self.n_x)).tocsr()
 
 
 def build_spaces(domain: ReferenceDomain, n_struct: int):
@@ -490,16 +491,18 @@ def assemble_all(
     points, so equal profiles produce bit-identical matrices.
     """
     free = fluid.free
-    w_q, s_q = fluid.wall_samples(profile_star_n, R=_R_of(layout), reduced=False)
-    w1_q, s1_q = fluid.wall_samples(profile_star_n, R=_R_of(layout), reduced=True)
-    w_next = _R_of(layout) + profile_star_np1.value(fluid.q_full.z)
+    R = fluid.domain.R
+    w_q, s_q = fluid.wall_samples(profile_star_n, R=R, reduced=False)
+    w1_q, s1_q = fluid.wall_samples(profile_star_n, R=R, reduced=True)
+    w_next = R + profile_star_np1.value(fluid.q_full.z)
     delta_q = w_next - w_q
 
-    M_eta = restrict(assemble_weighted_mass_full(fluid, w_q), free)
-    M_delta = restrict(assemble_weighted_mass_full(fluid, delta_q), free)
-    M_sq = restrict(assemble_weighted_mass_full(fluid, w_q * w_q), free)
-    K = restrict(assemble_viscous_full(fluid, w_q, s_q), free)
-    P = restrict(assemble_penalty_full(fluid, w1_q, s1_q), free)
+    csr = layout.fluid_csr
+    M_eta = csr(element_mass(fluid, w_q))
+    M_delta = csr(element_mass(fluid, delta_q))
+    M_sq = csr(element_mass(fluid, w_q * w_q))
+    K = csr(element_viscous(fluid, w_q, s_q))
+    P = csr(element_penalty(fluid, w1_q, s1_q))
     f_in_full, f_out_full = assemble_flux_vectors_full(fluid)
 
     return AssembledForms(
@@ -516,10 +519,6 @@ def assemble_all(
         w_q=w_q,
         s_q=s_q,
     )
-
-
-def _R_of(layout: CoupledLayout) -> float:
-    return layout.fluid.domain.R
 
 
 def assemble_advection(
@@ -539,8 +538,7 @@ def assemble_advection(
     a_r = np.einsum("aq,ca->cq", q.N, nodal[:, :, 1])
     v_profile = layout.structure.profile(v_beam)
     a_r = a_r - v_profile.value(q.z.ravel()).reshape(q.z.shape) * q.r
-    A = assemble_advection_full(fluid, forms.w_q, forms.s_q, a_z, a_r)
-    return restrict(A, fluid.free)
+    return layout.fluid_csr(element_advection(fluid, forms.w_q, forms.s_q, a_z, a_r))
 
 
 # ----------------------------------------------------------------------

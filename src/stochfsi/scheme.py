@@ -31,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import cho_factor, cho_solve
 
@@ -141,12 +140,6 @@ def structure_step(eta: np.ndarray, v: np.ndarray, dt: float,
     return eta_half, v_half
 
 
-def _pad_fluid(mat: sp.spmatrix, n_x: int) -> sp.csr_matrix:
-    out = sp.lil_matrix((n_x, n_x))
-    out[: mat.shape[0], : mat.shape[1]] = mat
-    return out.tocsr()
-
-
 def fluid_step(
     fluid: FluidSpace,
     layout: CoupledLayout,
@@ -165,6 +158,8 @@ def fluid_step(
     Unknown vector x = [fluid free DOFs | interior wall slopes]; the wall
     velocity block is tested with the Hermite functions, so the mass
     coupling is the beam mass embedded at the shared/slope positions.
+    All fluid forms share one sparsity pattern, so each system matrix is
+    arithmetic on their data arrays, placed on the layout's coupled one.
     Picard freezes the transport field a = u - v r e_r at the previous
     iterate; every other term is implicit.  Initial iterate: u_n with the
     wall-velocity block overwritten by the half-step wall velocity.
@@ -172,12 +167,10 @@ def fluid_step(
     dt = params.dt
     n_free, n_x = fluid.n_free, layout.n_x
 
-    Ms_emb = layout.embed_beam_matrix(forms.M_s)
-    A_fluid = (forms.M_eta + 0.5 * forms.M_delta
-               + params.nu * dt * forms.K
-               + (dt / params.epsilon) * forms.P)
-    A0 = (_pad_fluid(A_fluid, n_x) + Ms_emb).tocsr()
-    M_norm = (_pad_fluid(forms.M_eta, n_x) + Ms_emb).tocsr()
+    A_fluid = (forms.M_eta.data + 0.5 * forms.M_delta.data
+               + params.nu * dt * forms.K.data
+               + (dt / params.epsilon) * forms.P.data)
+    M_norm = layout.coupled_csc(forms.M_eta.data)
 
     xi = float(spec.amplitude @ dW) if spec.K else 0.0
     rhs = np.zeros(n_x)
@@ -193,7 +186,7 @@ def fluid_step(
     rel = np.inf
     for it in range(1, params.max_picard + 1):
         B = assemble_advection(fluid, layout, forms, x[:n_free], layout.extract_v(x))
-        A = (A0 + dt * _pad_fluid(B, n_x)).tocsc()
+        A = layout.coupled_csc(A_fluid + dt * B.data)
         try:
             x_new = spla.splu(A).solve(rhs)
         except RuntimeError as exc:
@@ -221,9 +214,9 @@ def trace_dissipation_constant(forms: AssembledForms, params: SchemeParams) -> f
 
     The numerator is rank two, so the maximum is the top eigenvalue of the
     2x2 Gram matrix of the two flux functionals in the dissipation inner
-    product - two sparse solves, computed per step because the form moves
-    with eta*.  Used to absorb the pressure work into half the dissipation
-    with an explicit constant.
+    product - two sparse solves, computed once per assembly because the
+    form moves with eta*.  Used to absorb the pressure work into half the
+    dissipation with an explicit constant.
     """
     A = (params.nu * forms.K + (1.0 / params.epsilon) * forms.P).tocsc()
     try:
@@ -492,6 +485,8 @@ def run_path(problem: PathProblem, path_index: int = 0) -> Trajectory:
             forms = assemble_all(fl, st, lay,
                                  st.profile(eta_star[n]), st.profile(eta_star[n + 1]))
             cache_key = key
+            trace_const = (trace_dissipation_constant(forms, prm)
+                           if prm.compute_trace_constant else np.nan)
 
         if n == 0:
             led.E[0] = _energy(u[0], v[0], eta[0], forms, S)
@@ -538,10 +533,7 @@ def run_path(problem: PathProblem, path_index: int = 0) -> Trajectory:
             - Pout * float(forms.flux_out @ u_new)
         led.P_in[n], led.P_out[n] = Pin, Pout
         led.picard_iters[n] = stats.iterations
-        if prm.compute_trace_constant:
-            led.trace_const[n] = trace_dissipation_constant(forms, prm)
-        else:
-            led.trace_const[n] = np.nan
+        led.trace_const[n] = trace_const
 
         M_next = forms.M_eta + forms.M_delta
         led.E[n + 1] = 0.5 * float(u_new @ (M_next @ u_new)) \

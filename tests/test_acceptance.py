@@ -27,12 +27,7 @@ from stochfsi.diagnostics import (
     summed_inequality_violations,
     sweep,
 )
-from stochfsi.discretization import (
-    assemble_all,
-    assemble_weighted_mass_full,
-    build_spaces,
-    restrict,
-)
+from stochfsi.discretization import assemble_all, build_spaces, element_mass
 from stochfsi.geometry import ReferenceDomain
 from stochfsi.noise import NoiseSpec, sample_path
 from stochfsi.scheme import SchemeParams, fluid_step, run_path, structure_step
@@ -248,8 +243,7 @@ def test_criterion_08_deterministic_reduction_and_temporal_order():
     prob_ref = build_problem(make_config(time={"T": 0.5, "N": 1024}, **det))
     ref = run_path(prob_ref, 0)
     fl, st = prob_ref.fluid, prob_ref.structure
-    G_u = restrict(assemble_weighted_mass_full(fl, np.ones_like(fl.q_full.z)),
-                   fl.free)
+    G_u = prob_ref.layout.fluid_csr(element_mass(fl, np.ones_like(fl.q_full.z)))
     S = st.S1 + st.S2
 
     def err(traj):

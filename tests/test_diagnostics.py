@@ -3,6 +3,7 @@ import pytest
 
 import oracle_dense as od
 from conftest import make_config, make_problem
+from stochfsi import scheme
 from stochfsi.cli import build_problem
 from stochfsi.diagnostics import (
     Welford,
@@ -15,9 +16,9 @@ from stochfsi.diagnostics import (
     tightness_diagnostic,
     time_shift_norm,
 )
-from stochfsi.discretization import assemble_all, assemble_weighted_mass_full, build_spaces
+from stochfsi.discretization import assemble_all, build_spaces, element_mass
 from stochfsi.errors import ConfigError
-from stochfsi.geometry import ReferenceDomain
+from stochfsi.geometry import ReferenceDomain, WallProfile
 from stochfsi.noise import NoiseSpec, sample_path
 from stochfsi.scheme import EnergyLedger, Trajectory, run_path
 
@@ -35,14 +36,11 @@ class TestEnergy:
 
     def test_uniform_axial_field_half_c_squared_L(self):
         # u == (c, 0) on every node, masks ignored: E = 1/2 c^2 L; evaluated
-        # through the full (unrestricted) weighted mass
+        # through the element blocks of the weighted mass, summed over cells
         fl, st, lay, forms = self._forms(4, 3)
-        M_full = assemble_weighted_mass_full(fl, fl.wall_samples(
-            st.profile(np.zeros(st.n_free)), 1.0)[0])
+        blocks = element_mass(fl, fl.wall_samples(st.profile(np.zeros(st.n_free)), 1.0)[0])
         c = 0.7
-        u = np.zeros(fl.ndof)
-        u[0::2] = c
-        E = 0.5 * float(u @ (M_full @ u))
+        E = 0.5 * c * c * float(blocks[0, 0].sum())
         assert E == pytest.approx(0.5 * c * c * 1.0, rel=1e-13)
 
     def test_random_state_matches_dense_oracle(self, rng):
@@ -114,8 +112,7 @@ class TestTightness:
         traj = run_path(prob, 0)
         fl, lay = prob.fluid, prob.layout
         prof = prob.structure.profile(np.zeros(prob.structure.n_free))
-        from stochfsi.discretization import restrict
-        G_u = restrict(assemble_weighted_mass_full(fl, fl.wall_samples(prof, 1.0)[0] * 0 + 1.0), fl.free)
+        G_u = lay.fluid_csr(element_mass(fl, fl.wall_samples(prof, 1.0)[0] * 0 + 1.0))
         out = tightness_diagnostic(traj, G_u, prob.structure.M, k_max=4)
         assert out["sup_scaled"] == 0.0
 
@@ -124,9 +121,8 @@ class TestTightness:
         traj = run_path(prob, 0)
         fl, lay = prob.fluid, prob.layout
         prof = prob.structure.profile(np.zeros(prob.structure.n_free))
-        from stochfsi.discretization import restrict
         ones = fl.wall_samples(prof, 1.0)[0] * 0 + 1.0
-        G_u = restrict(assemble_weighted_mass_full(fl, ones), fl.free)
+        G_u = lay.fluid_csr(element_mass(fl, ones))
         out = tightness_diagnostic(traj, G_u, prob.structure.M, k_max=4)
         assert np.isfinite(out["sup_scaled"]) and out["sup_scaled"] > 0
 
@@ -319,3 +315,29 @@ class TestMoreCoverage:
         rep = ensemble_run(prob, 3)
         assert len(rep.failures) == 3
         assert all("PicardDivergence" in f["error"] for f in rep.failures)
+
+    def test_non_integer_thread_count_is_config_error(self, monkeypatch):
+        monkeypatch.setenv("STOCHFSI_THREADS", "abc")
+        prob = make_problem(domain={"nz": 4, "nr": 2}, time={"T": 0.25, "N": 4})
+        with pytest.raises(ConfigError,
+                           match="STOCHFSI_THREADS: must be an integer, got 'abc'"):
+            ensemble_run(prob, 1)
+
+    def test_degenerate_jacobian_recorded_per_path(self, monkeypatch):
+        # assembly sees the wall sunk below the axis, so the pull-back
+        # raises DegenerateJacobian; each path records it, in both modes
+        real = scheme.assemble_all
+
+        def sunk(fl, st, lay, prof_n, prof_np1):
+            return real(fl, st, lay, WallProfile(prof_n.L, prof_n.vals - 2.0, prof_n.slopes),
+                        prof_np1)
+
+        monkeypatch.setattr(scheme, "assemble_all", sunk)
+        monkeypatch.delenv("STOCHFSI_THREADS", raising=False)
+        prob = make_problem(domain={"nz": 4, "nr": 2}, time={"T": 0.25, "N": 4})
+        rep = ensemble_run(prob, 2)
+        rep_kept, trajs = ensemble_run(prob, 2, keep="trajectory")
+        assert trajs == [None, None]
+        for r in (rep, rep_kept):
+            assert [f["path"] for f in r.failures] == [0, 1]
+            assert all(f["error"].startswith("DegenerateJacobian") for f in r.failures)

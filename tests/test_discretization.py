@@ -8,12 +8,11 @@ from stochfsi.discretization import (
     assemble_advection,
     assemble_all,
     assemble_flux_vectors_full,
-    assemble_penalty_full,
-    assemble_viscous_full,
-    assemble_weighted_mass_full,
     build_spaces,
+    element_mass,
+    element_penalty,
+    element_viscous,
     hs_norm,
-    restrict,
 )
 from stochfsi.errors import ConfigError
 from stochfsi.geometry import ReferenceDomain, WallProfile
@@ -40,7 +39,7 @@ class TestBuildSpaces:
         free_nodes = [(d // 2 % 2, d // 2 // 2, d % 2) for d in fl.free]
         assert free_nodes == [(0, 0, 0), (1, 0, 0)]
         assert st.n_free == 0
-        assert lay.n_trace == 0
+        assert lay.n_x == fl.n_free
 
     def test_top_row_dofs_all_in_layout(self):
         fl, st, lay = spaces(8, 4)
@@ -51,6 +50,19 @@ class TestBuildSpaces:
             assert full_dof % 2 == 1
             assert node // (fl.nz + 1) == fl.nr
             assert node % (fl.nz + 1) == i + 1
+
+    def test_one_pattern_per_mesh(self, rng):
+        # every fluid form on any wall lives on the layout's CSR pattern
+        fl, st, lay = spaces(4, 2)
+        walls = [random_wall(rng, 4), random_wall(rng, 4, scale=0.05)]
+        for prof in walls:
+            forms = assemble_all(fl, st, lay, prof, walls[0])
+            B = assemble_advection(fl, lay, forms, rng.normal(size=fl.n_free),
+                                   rng.normal(size=st.n_free))
+            for mat in (forms.M_eta, forms.M_delta, forms.M_sq, forms.K, forms.P, B):
+                assert mat.shape == (fl.n_free, fl.n_free)
+                assert np.array_equal(mat.indices, lay.indices)
+                assert np.array_equal(mat.indptr, lay.indptr)
 
     def test_inconsistent_counts_rejected(self):
         with pytest.raises(ConfigError):
@@ -63,7 +75,11 @@ class TestWeightedMass:
         # bilinear pattern with diagonal 1/9
         fl, st, lay = spaces(1, 1)
         prof = WallProfile.zero(1.0, 1)
-        M = assemble_weighted_mass_full(fl, fl.wall_samples(prof, 1.0)[0]).toarray()
+        blocks = element_mass(fl, fl.wall_samples(prof, 1.0)[0])
+        M = np.zeros((fl.ndof, fl.ndof))
+        for p in (0, 1):
+            for q in (0, 1):
+                M[np.ix_(2 * fl.cells[0] + p, 2 * fl.cells[0] + q)] += blocks[p, q, 0]
         Mz = M[0::2, 0::2]
         # global node order (0,0), (1,0), (0,1), (1,1): tensor product of
         # the 1D mass h/6 [[2,1],[1,2]] with itself
@@ -79,16 +95,16 @@ class TestWeightedMass:
         fl, st, lay = spaces(6, 3)
         eta = 0.3 * rng.uniform(-1, 1, st.n_free)
         prof = st.profile(eta)
-        M = assemble_weighted_mass_full(fl, fl.wall_samples(prof, 1.2)[0])
-        ones = np.zeros(fl.ndof)
-        ones[0::2] = 1.0
+        blocks = element_mass(fl, fl.wall_samples(prof, 1.2)[0])
+        # 1^T M 1 of the axial component, summed cell by cell
+        total = blocks[0, 0].sum()
         exact = 1.2 * 1.0 + st.lin @ eta  # height-1 channel
-        assert ones @ (M @ ones) == pytest.approx(exact, rel=1e-13)
+        assert total == pytest.approx(exact, rel=1e-13)
 
     def test_positive_definite_for_positive_weight(self, rng):
         fl, st, lay = spaces(3, 2)
         prof = random_wall(rng, 3, scale=0.2)
-        M = restrict(assemble_weighted_mass_full(fl, fl.wall_samples(prof, 1.0)[0]), fl.free)
+        M = lay.fluid_csr(element_mass(fl, fl.wall_samples(prof, 1.0)[0]))
         w = np.linalg.eigvalsh(M.toarray())
         assert w.min() > 0
 
@@ -108,16 +124,16 @@ class TestViscousAndPenalty:
     def test_viscous_kills_rigid_fields(self, rng):
         fl, st, lay = spaces(4, 3)
         prof = random_wall(rng, 4)
-        K = assemble_viscous_full(fl, *fl.wall_samples(prof, 1.0))
-        const = np.zeros(fl.ndof)
-        const[0::2] = 0.7
-        const[1::2] = -1.3
-        assert np.abs(K @ const).max() <= 1e-12
+        blocks = element_viscous(fl, *fl.wall_samples(prof, 1.0))
+        # a rigid translation has zero strain in every cell
+        const = np.array([0.7, -1.3])
+        per_cell = np.einsum("pqcab,q->pca", blocks, const)
+        assert np.abs(per_cell).max() <= 1e-12
 
     def test_viscous_spsd(self, rng):
         fl, st, lay = spaces(3, 2)
         prof = random_wall(rng, 3)
-        K = restrict(assemble_viscous_full(fl, *fl.wall_samples(prof, 1.0)), fl.free)
+        K = lay.fluid_csr(element_viscous(fl, *fl.wall_samples(prof, 1.0)))
         w = np.linalg.eigvalsh(K.toarray())
         assert w.min() >= -1e-12
 
@@ -127,8 +143,8 @@ class TestViscousAndPenalty:
         # produce zero penalty residual
         fl, st, lay = spaces(nz, nr)
         prof = WallProfile.zero(1.0, nz)
-        P = restrict(assemble_penalty_full(fl, *fl.wall_samples(prof, 1.0, reduced=True)),
-                     fl.free).toarray()
+        P = lay.fluid_csr(element_penalty(fl, *fl.wall_samples(prof, 1.0, reduced=True))
+                          ).toarray()
         w, V = np.linalg.eigh(P)
         null = V[:, w < 1e-12]
         if null.size:

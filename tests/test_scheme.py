@@ -110,7 +110,7 @@ class TestFluidStep:
         assert np.all(u == 0.0) and np.all(v == 0.0)
         assert stats.iterations == 1
 
-    @pytest.mark.parametrize("nz,nr", [(1, 1), (2, 2)])
+    @pytest.mark.parametrize("nz,nr", [(1, 1), (2, 2), (4, 2), (3, 3)])
     def test_dense_mirror_equivalence(self, nz, nr, rng):
         L = R = 1.0
         fl, st, lay = tiny_spaces(nz, nr)
