@@ -218,8 +218,7 @@ def with_axis_value(cfg: RunConfig, axis: str, value) -> RunConfig:
     else:
         data["physics"]["epsilon"] = float(value)
     data["run"]["mode"] = "ensemble"
-    merged = _merge(_DEFAULTS, data, "")
-    return RunConfig(**merged)
+    return parse_config(data)
 
 
 # ----------------------------------------------------------------------

@@ -66,8 +66,75 @@ class _QuadCache:
     r: np.ndarray       # (ncell, nq)
 
 
+def _products(q: _QuadCache, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Weighted products wq A_i B_j of two (4, nq) shape tables, (nq, 16)."""
+    return q.wq[:, None] * (A.T[:, :, None] * B.T[:, None, :]).reshape(-1, 16)
+
+
+# The pulled-back gradients Gz = dz - t dr and Gr = dr / w, with
+# t = r eta'/(R + eta), make every product G_i G_j of a Gram form linear in
+# six per-point coefficients b * (1, t, t^2, 1/w^2, 1/w, t/w), b the form's
+# weight.  A form's component blocks are sums of the four gradient Grams
+# (Gz Gz, Gz Gr, Gr Gz, Gr Gr), indexed [row component, column component,
+# Gram]: 2 D(u):D(q) for the viscous form, div u div q for the penalty.
+_VISCOUS = np.array([[[2, 0, 0, 1], [0, 0, 1, 0]],
+                     [[0, 1, 0, 0], [1, 0, 0, 2]]])
+_PENALTY = np.array([[[1, 0, 0, 0], [0, 1, 0, 0]],
+                     [[0, 0, 1, 0], [0, 0, 0, 1]]])
+
+
+def _gram_table(q: _QuadCache, combine: np.ndarray) -> np.ndarray:
+    """(6 nq, 64) table taking the six pull-back coefficients at each point
+    to the (2, 2, 4, 4) element blocks of a gradient Gram form."""
+    zz, zr, rz, rr = (_products(q, A, B) for A, B in (
+        (q.dNdz, q.dNdz), (q.dNdz, q.dNdr), (q.dNdr, q.dNdz), (q.dNdr, q.dNdr)))
+    o = np.zeros_like(zz)
+    grams = np.array([
+        [zz, -(zr + rz), rr, o, o, o],   # Gz_i Gz_j
+        [o, o, o, o, zr, -rr],           # Gz_i Gr_j
+        [o, o, o, o, rz, -rr],           # Gr_i Gz_j
+        [o, o, o, rr, o, o],             # Gr_i Gr_j
+    ])                                   # (4, 6, nq, 16)
+    table = np.einsum("pqg,gkxe->kxpqe", combine, grams)
+    return table.reshape(-1, 64)
+
+
+def _advection_table(q: _QuadCache, hz: float) -> np.ndarray:
+    """(4 nq, 192) table taking per-point coefficients (w, w t, 1, r) to
+    the map from a cell's 12 transport inputs to its 16 entries of
+    Int w N_i (a . grad^eta) N_j, before the skew part is taken.
+
+    The inputs are u_z and u_r at the four nodes, then the four Hermite
+    DOFs of the wall element above the cell, whose velocity v enters the
+    transport as a_r = u_r - v r.  The wall element spans the cell column
+    and the 2x2 rule's axial abscissae are the Hermite 2-point ones, so the
+    Hermite shapes at the points are the same on every element.
+    """
+    _, _, H, _, _ = _hermite_tables(hz, 2)
+    Hq = np.repeat(H, 2, axis=1)                 # point k has axial index k // 2
+    nq = q.wq.size
+    a_z, a_r, a_wall = np.zeros((3, nq, 12))
+    a_z[:, :4] = q.N.T
+    a_r[:, 4:8] = q.N.T
+    a_wall[:, 8:] = -Hq.T
+    n_dz, n_dr = _products(q, q.N, q.dNdz), _products(q, q.N, q.dNdr)
+    table = np.array([                           # (4, nq, 16, 12)
+        n_dz[:, :, None] * a_z[:, None, :],      # w   : a_z dz
+        -n_dr[:, :, None] * a_z[:, None, :],     # w t : -a_z t dr
+        n_dr[:, :, None] * a_r[:, None, :],      # 1   : u_r dr (w cancels)
+        n_dr[:, :, None] * a_wall[:, None, :],   # r   : -v r dr
+    ])
+    return table.reshape(4 * nq, 16 * 12)
+
+
 class FluidSpace:
-    """Q1 velocity space with boundary masks on the reference channel."""
+    """Q1 velocity space with boundary masks on the reference channel.
+
+    The mesh is uniform, so the products of shape functions and their
+    derivatives at the quadrature points are the same in every cell; each
+    form's table of them is built here once, and an element kernel is one
+    matmul of per-point coefficients against it.
+    """
 
     def __init__(self, domain: ReferenceDomain):
         self.domain = domain
@@ -107,6 +174,10 @@ class FluidSpace:
 
         self.q_full = self._make_quad(2)
         self.q_reduced = self._make_quad(1)
+        self.mass_table = _products(self.q_full, self.q_full.N, self.q_full.N)
+        self.viscous_table = _gram_table(self.q_full, _VISCOUS)
+        self.penalty_table = _gram_table(self.q_reduced, _PENALTY)
+        self.advection_table = _advection_table(self.q_full, self.hz)
 
     def _make_quad(self, rule: int) -> _QuadCache:
         xi, ze, wq, N, dNdxi, dNdze = _q1_tables(rule)
@@ -132,11 +203,6 @@ class FluidSpace:
             out.append(self.full_to_free[2 * node + 1])
         return np.asarray(out, dtype=int)
 
-    def scatter(self, u_free: np.ndarray) -> np.ndarray:
-        full = np.zeros(self.ndof)
-        full[self.free] = u_free
-        return full
-
     def interpolate(self, f_z, f_r) -> np.ndarray:
         """Nodal interpolation of a velocity field, masked DOFs zeroed;
         returns the free-DOF vector."""
@@ -153,33 +219,39 @@ class FluidSpace:
         return R + profile.value(q.z), profile.slope(q.z)
 
 
-def _transformed_basis(fs: FluidSpace, w_q, s_q, reduced: bool):
-    """Pulled-back basis derivatives Gz, Gr, shape (ncell, 4, nq)."""
+def _pullback_coefficients(w_q, s_q, r_q, weight) -> np.ndarray:
+    """The six per-point coefficients of a gradient Gram form (see
+    ``_gram_table``), (ncell, 6 nq); ``weight`` is the form's own weight."""
     if np.any(w_q <= 0.0):
         raise DegenerateJacobian(
             f"R + eta <= 0 at a quadrature point (min {w_q.min():.6g}); "
             "the cutoff should have prevented this geometry"
         )
-    q = fs.q_reduced if reduced else fs.q_full
-    ratio = s_q / w_q                               # (ncell, nq)
-    Gz = q.dNdz[None, :, :] - q.r[:, None, :] * ratio[:, None, :] * q.dNdr[None, :, :]
-    Gr = q.dNdr[None, :, :] / w_q[:, None, :]
-    return q, Gz, Gr
+    inv = 1.0 / w_q
+    t = r_q * s_q * inv
+    b = np.broadcast_to(weight, w_q.shape)
+    return np.concatenate([b, b * t, b * t * t, b * inv * inv, b * inv, b * t * inv], axis=1)
+
+
+def _blocks(cell_major: np.ndarray) -> np.ndarray:
+    """(ncell, 64) element entries as (2, 2, ncell, 4, 4) blocks, indexed
+    [row component, column component, cell, row node, column node]; a view,
+    so the cell-major memory order ``fluid_csr`` reads is kept."""
+    return cell_major.reshape(-1, 2, 2, 4, 4).transpose(1, 2, 0, 3, 4)
 
 
 def _both_components(local: np.ndarray) -> np.ndarray:
-    """A scalar block acting alike on each velocity component, as the
-    (2, 2, ncell, 4, 4) element blocks of the vector form."""
-    zero = np.zeros_like(local)
-    return np.array([[local, zero], [zero, local]])
+    """A scalar (ncell, 16) block acting alike on each velocity component,
+    as the element blocks of the vector form."""
+    out = np.zeros((local.shape[0], 2, 2, 16))
+    out[:, 0, 0] = out[:, 1, 1] = local
+    return _blocks(out)
 
 
 def element_mass(fs: FluidSpace, w_q: np.ndarray) -> np.ndarray:
     """Element blocks of the mass with scalar weight w(z) sampled at the
     full-rule points; the same block acts on each velocity component."""
-    q = fs.q_full
-    local = np.einsum("q,cq,aq,bq->cab", q.wq, w_q, q.N, q.N, optimize=True)
-    return _both_components(local)
+    return _both_components(w_q @ fs.mass_table)
 
 
 def element_viscous(fs: FluidSpace, w_q, s_q) -> np.ndarray:
@@ -189,41 +261,15 @@ def element_viscous(fs: FluidSpace, w_q, s_q) -> np.ndarray:
     The kinematic viscosity is applied by the caller, so the assembled
     operator is exactly twice the weighted symmetric-gradient Gram matrix.
     """
-    q, Gz, Gr = _transformed_basis(fs, w_q, s_q, reduced=False)
-    ww = q.wq[None, :] * w_q                        # (ncell, nq)
-
-    def g(Ai, Bj):
-        return np.einsum("cq,ciq,cjq->cij", ww, Ai, Bj, optimize=True)
-
-    kzz = 2 * g(Gz, Gz) + g(Gr, Gr)
-    kzr = g(Gr, Gz)
-    krz = g(Gz, Gr)
-    krr = 2 * g(Gr, Gr) + g(Gz, Gz)
-    return np.array([[kzz, kzr], [krz, krr]])
+    coef = _pullback_coefficients(w_q, s_q, fs.q_full.r, w_q)
+    return _blocks(coef @ fs.viscous_table)
 
 
 def element_penalty(fs: FluidSpace, w1_q, s1_q) -> np.ndarray:
     """Element blocks of the div^eta . div^eta Gram matrix with the
     reduced (1-point) rule."""
-    q, Gz, Gr = _transformed_basis(fs, w1_q, s1_q, reduced=True)
-    div = (Gz, Gr)
-    return np.array([[np.einsum("q,ciq,cjq->cij", q.wq, div[cr_], div[cc_], optimize=True)
-                      for cc_ in (0, 1)] for cr_ in (0, 1)])
-
-
-def element_advection(fs: FluidSpace, w_q, s_q, a_z_q, a_r_q) -> np.ndarray:
-    """Element blocks of the skew advection
-    ½ Int (R+eta) [(a . grad^eta) u . q - (a . grad^eta) q . u]
-    for a frozen transport field a sampled at the full-rule points.
-
-    Skew-symmetry holds by construction: each block is ½(Ns - Ns^T)
-    replicated over the two components.
-    """
-    q, Gz, Gr = _transformed_basis(fs, w_q, s_q, reduced=False)
-    ww = q.wq[None, :] * w_q
-    adv = a_z_q[:, None, :] * Gz + a_r_q[:, None, :] * Gr      # (ncell, 4, nq)
-    Ns = np.einsum("cq,ciq,cjq->cij", ww, np.broadcast_to(fs.q_full.N[None], adv.shape), adv, optimize=True)
-    return _both_components(0.5 * (Ns - np.swapaxes(Ns, 1, 2)))
+    coef = _pullback_coefficients(w1_q, s1_q, fs.q_reduced.r, 1.0)
+    return _blocks(coef @ fs.penalty_table)
 
 
 def assemble_flux_vectors_full(fs: FluidSpace):
@@ -377,18 +423,33 @@ class CoupledLayout:
         beam_to_x[1::2] = n_free + np.arange(n_int)
         self.beam_to_x = beam_to_x
 
-        # fluid pattern: entry [p, q, c, a, b] of the (2, 2, ncell, 4, 4)
-        # element blocks couples component p of node cells[c, a] with
-        # component q of node cells[c, b]; entries on masked DOFs drop out
-        dof = fluid.full_to_free[2 * fluid.cells + np.arange(2)[:, None, None]]
+        # fluid pattern: entry [c, p, q, a, b] of the cell-major element
+        # blocks couples component p of node cells[c, a] with component q
+        # of node cells[c, b]; entries on masked DOFs drop out
+        dof = fluid.full_to_free[2 * fluid.cells[:, None, :] + np.arange(2)[:, None]]
         rows, cols = (a.ravel() for a in np.broadcast_arrays(
-            dof[:, None, :, :, None], dof[None, :, :, None, :]))
+            dof[:, :, None, :, None], dof[:, None, :, None, :]))
         self._keep = np.flatnonzero((rows >= 0) & (cols >= 0))
         keys, self._slot = np.unique(rows[self._keep] * n_free + cols[self._keep],
                                      return_inverse=True)
         f_rows, f_cols = np.divmod(keys, n_free)
         self.indices = f_cols.astype(np.int32)
         self.indptr = _indptr(f_rows, n_free)
+        # the slots of a scalar (ncell, 16) block put on both components
+        c, p, q, ab = np.unravel_index(self._keep, (len(fluid.cells), 2, 2, 16))
+        self._diag_slot = self._slot[p == q]
+        self._diag_src = (16 * c + ab)[p == q]
+
+        # inputs of a cell's advection map in x padded by one zero: u_z and
+        # u_r at its nodes, then the Hermite DOFs of the wall element above
+        # it; masked fluid and clamped wall DOFs read the padded zero
+        x_pad = np.where(fluid.masked, self.n_x, fluid.full_to_free)
+        beam_pad = np.full(structure.ndof_full, self.n_x)
+        beam_pad[structure.free] = beam_to_x
+        column = np.arange(len(fluid.cells)) % fluid.nz
+        self._adv_inputs = np.concatenate([
+            x_pad[2 * fluid.cells], x_pad[2 * fluid.cells + 1],
+            beam_pad[2 * column[:, None] + np.arange(4)]], axis=1)
 
         # coupled pattern on x, column-major for the sparse LU: the fluid
         # entries plus the beam mass at the wall-velocity positions
@@ -407,14 +468,27 @@ class CoupledLayout:
         for pattern in (self.indices, self.indptr, self._x_indices, self._x_indptr):
             pattern.setflags(write=False)  # shared by every matrix built on it
 
+    def csr(self, data: np.ndarray) -> sp.csr_matrix:
+        """The free-DOF fluid matrix with a data array on the fluid pattern."""
+        n = self.fluid.n_free
+        return sp.csr_matrix((data, self.indices, self.indptr), shape=(n, n))
+
     def fluid_csr(self, blocks: np.ndarray) -> sp.csr_matrix:
         """Sum (2, 2, ncell, 4, 4) element blocks, indexed [row component,
         column component, cell, row node, column node], into the free-DOF
         matrix on the fixed fluid pattern."""
-        data = np.bincount(self._slot, weights=blocks.ravel()[self._keep],
+        entries = blocks.transpose(2, 0, 1, 3, 4).reshape(-1)
+        return self.csr(np.bincount(self._slot, weights=entries[self._keep],
+                                    minlength=self.indices.size))
+
+    def advection_data(self, adv: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """Fluid-pattern data of the skew advection operator for the
+        transport field of the coupled vector x, from the per-step map
+        ``adv`` built by ``assemble_advection``."""
+        inputs = np.append(x, 0.0)[self._adv_inputs]
+        local = adv @ inputs[:, :, None]
+        return np.bincount(self._diag_slot, weights=local.ravel()[self._diag_src],
                            minlength=self.indices.size)
-        n = self.fluid.n_free
-        return sp.csr_matrix((data, self.indices, self.indptr), shape=(n, n))
 
     def coupled_csc(self, fluid_data: np.ndarray) -> sp.csc_matrix:
         """Matrix on x: a fluid-pattern data array plus the beam mass."""
@@ -521,24 +595,23 @@ def assemble_all(
     )
 
 
-def assemble_advection(
-    fluid: FluidSpace,
-    layout: CoupledLayout,
-    forms: AssembledForms,
-    u_free: np.ndarray,
-    v_beam: np.ndarray,
-) -> sp.csr_matrix:
-    """Skew transport operator for the frozen field a = u - v r e_r, with
-    the wall velocity evaluated from its Hermite representation at the
-    quadrature abscissae."""
+def assemble_advection(fluid: FluidSpace, forms: AssembledForms) -> np.ndarray:
+    """The skew transport operator of one fluid substep as a linear map of
+    the transport field, (ncell, 16, 12).
+
+    The form  ½ Int (R+eta) [(a . grad^eta) u . q - (a . grad^eta) q . u]
+    is linear in a = u - v r e_r, and the pull-back is frozen for the
+    whole step, so the map from a cell's 12 transport inputs (see
+    ``CoupledLayout.advection_data``) to its scalar element block is built
+    once per step; each Picard iterate then only applies it.  Taking the
+    skew part here makes every applied block skew by construction; the
+    same block acts on each velocity component.
+    """
     q = fluid.q_full
-    u_full = fluid.scatter(u_free)
-    nodal = u_full.reshape(-1, 2)[fluid.cells]            # (ncell, 4, 2)
-    a_z = np.einsum("aq,ca->cq", q.N, nodal[:, :, 0])
-    a_r = np.einsum("aq,ca->cq", q.N, nodal[:, :, 1])
-    v_profile = layout.structure.profile(v_beam)
-    a_r = a_r - v_profile.value(q.z.ravel()).reshape(q.z.shape) * q.r
-    return layout.fluid_csr(element_advection(fluid, forms.w_q, forms.s_q, a_z, a_r))
+    t = q.r * forms.s_q / forms.w_q
+    coef = np.concatenate([forms.w_q, forms.w_q * t, np.ones_like(t), q.r], axis=1)
+    ns = (coef @ fluid.advection_table).reshape(-1, 4, 4, 12)
+    return (0.5 * (ns - ns.transpose(0, 2, 1, 3))).reshape(-1, 16, 12)
 
 
 # ----------------------------------------------------------------------
@@ -643,7 +716,7 @@ class HsForm:
             wz = wz.ravel()
             D = Bo[i][None, :] - dbasis(zeta)
             kern = wz / np.abs(zi - zeta) ** (1 + 2 * sigma)
-            Q += wo[i] * np.einsum("j,ja,jb->ab", kern, D, D, optimize=True)
+            Q += wo[i] * ((D.T * kern) @ D)
 
         # band correction: quadrature with breakpoints at element nodes
         # and at h_band, L - h_band where the weight has kinks
@@ -658,7 +731,7 @@ class HsForm:
         corr_w = (np.minimum(h_band, zc) ** (2 - 2 * sigma)
                   + np.minimum(h_band, L - zc) ** (2 - 2 * sigma)) / (2 - 2 * sigma)
         Bc = ddbasis(zc)
-        Q += np.einsum("j,ja,jb->ab", wc * corr_w, Bc, Bc, optimize=True)
+        Q += (Bc.T * (wc * corr_w)) @ Bc
 
         fr = st.free
         self.Q = Q[np.ix_(fr, fr)]

@@ -161,7 +161,9 @@ def fluid_step(
     All fluid forms share one sparsity pattern, so each system matrix is
     arithmetic on their data arrays, placed on the layout's coupled one.
     Picard freezes the transport field a = u - v r e_r at the previous
-    iterate; every other term is implicit.  Initial iterate: u_n with the
+    iterate; every other term is implicit.  The advection form is linear
+    in a on the frozen geometry, so its map is built once per step and
+    each iterate only applies it.  Initial iterate: u_n with the
     wall-velocity block overwritten by the half-step wall velocity.
     """
     dt = params.dt
@@ -183,10 +185,10 @@ def fluid_step(
     x[:n_free] = u_n
     x[layout.beam_to_x] = v_half
 
+    adv = assemble_advection(fluid, forms)
     rel = np.inf
     for it in range(1, params.max_picard + 1):
-        B = assemble_advection(fluid, layout, forms, x[:n_free], layout.extract_v(x))
-        A = layout.coupled_csc(A_fluid + dt * B.data)
+        A = layout.coupled_csc(A_fluid + dt * layout.advection_data(adv, x))
         try:
             x_new = spla.splu(A).solve(rhs)
         except RuntimeError as exc:

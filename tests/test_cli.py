@@ -217,3 +217,13 @@ class TestAxisOverride:
         assert c2.time["N"] == 8 and c2.run["mode"] == "ensemble"
         c3 = with_axis_value(cfg, "epsilon", 1e-4)
         assert c3.physics["epsilon"] == 1e-4
+
+    @pytest.mark.parametrize("axis,value,field", [
+        ("epsilon", 0.0, "physics.epsilon"),
+        ("epsilon", -1e-3, "physics.epsilon"),
+        ("N", 0, "time.N"),
+    ])
+    def test_axis_value_validated(self, axis, value, field):
+        cfg = parse_config(dict(MINIMAL))
+        with pytest.raises(ConfigError, match=field):
+            with_axis_value(cfg, axis, value)

@@ -28,6 +28,12 @@ def random_wall(rng, n_el, scale=0.15, L=1.0):
     return WallProfile(L, vals, slopes)
 
 
+def advection_matrix(fl, lay, forms, x):
+    """The advection operator fluid_step applies at the coupled iterate x:
+    the step's map from assemble_advection, applied by the layout."""
+    return lay.csr(lay.advection_data(assemble_advection(fl, forms), x))
+
+
 class TestBuildSpaces:
     def test_smallest_mesh_hand_count(self):
         # 1x1 mesh: 4 nodes, 8 DOFs; masked: u_z on both top nodes, u_r on
@@ -57,8 +63,7 @@ class TestBuildSpaces:
         walls = [random_wall(rng, 4), random_wall(rng, 4, scale=0.05)]
         for prof in walls:
             forms = assemble_all(fl, st, lay, prof, walls[0])
-            B = assemble_advection(fl, lay, forms, rng.normal(size=fl.n_free),
-                                   rng.normal(size=st.n_free))
+            B = advection_matrix(fl, lay, forms, rng.normal(size=lay.n_x))
             for mat in (forms.M_eta, forms.M_delta, forms.M_sq, forms.K, forms.P, B):
                 assert mat.shape == (fl.n_free, fl.n_free)
                 assert np.array_equal(mat.indices, lay.indices)
@@ -154,10 +159,10 @@ class TestViscousAndPenalty:
         fl, st, lay = spaces(4, 2)
         prof = random_wall(rng, 4)
         forms = assemble_all(fl, st, lay, prof, prof)
-        u = rng.normal(size=fl.n_free)
-        v = rng.normal(size=st.n_free)
-        B = assemble_advection(fl, lay, forms, u, v)
+        adv = assemble_advection(fl, forms)
         for _ in range(100):
+            # a fresh transport field (u, v) for each test vector
+            B = lay.csr(lay.advection_data(adv, rng.normal(size=lay.n_x)))
             x = rng.normal(size=fl.n_free)
             assert abs(x @ (B @ x)) <= 1e-12 * (x @ x)
 
@@ -253,15 +258,17 @@ def test_operator_oracle_equivalence(nz, nr, rng):
     assert np.allclose(forms.S2, S2_o[np.ix_(free_o, free_o)], atol=1e-10)
 
 
-def test_advection_oracle_equivalence(rng):
-    nz = nr = 2
+@pytest.mark.parametrize("nz,nr", [(2, 2), (4, 2), (3, 3)])
+def test_advection_oracle_equivalence(nz, nr, rng):
+    # (4, 2) and (3, 3) add wall elements with both ends interior, beside
+    # the end elements whose clamped DOFs drop out of the transport
     fl, st, lay = spaces(nz, nr)
     eta = 0.1 * rng.uniform(-1, 1, st.n_free)
     prof = st.profile(eta)
     forms = assemble_all(fl, st, lay, prof, prof)
-    u = rng.normal(size=fl.n_free)
-    v = rng.normal(size=st.n_free)
-    B = assemble_advection(fl, lay, forms, u, v).toarray()
+    x = rng.normal(size=lay.n_x)
+    u, v = x[:fl.n_free], x[lay.beam_to_x]
+    B = advection_matrix(fl, lay, forms, x).toarray()
 
     df = od.DenseFluid(1.0, 1.0, nz, nr)
 

@@ -4,7 +4,7 @@ import pytest
 import oracle_dense as od
 from conftest import make_config, make_problem
 from stochfsi.cli import build_problem
-from stochfsi.discretization import HsForm, assemble_all, build_spaces
+from stochfsi.discretization import HsForm, assemble_advection, assemble_all, build_spaces
 from stochfsi.errors import InitialDataError, PicardDivergence
 from stochfsi.geometry import ReferenceDomain
 from stochfsi.noise import NoiseSpec
@@ -135,6 +135,28 @@ class TestFluidStep:
         assert np.abs(u1 - u1_o).max() <= 1e-10 * scale
         if v1.size:
             assert np.abs(v1 - v1_o).max() <= 1e-10 * scale
+
+    def test_advection_map_built_once_per_step(self, rng, monkeypatch):
+        import stochfsi.scheme as scheme
+
+        fl, st, lay = tiny_spaces(4, 2)
+        prof = st.profile(0.05 * rng.uniform(-1, 1, st.n_free))
+        forms = assemble_all(fl, st, lay, prof, prof)
+        calls = []
+
+        def counting(*args):
+            calls.append(1)
+            return assemble_advection(*args)
+
+        monkeypatch.setattr(scheme, "assemble_advection", counting)
+        spec = NoiseSpec(K=0, q=np.zeros(0), amplitude=np.zeros(0), seed=1)
+        u_n = rng.normal(size=fl.n_free)
+        v_n = rng.normal(size=st.n_free)
+        u_n[lay.shared_free] = v_n[0::2]
+        _, _, stats = fluid_step(fl, lay, forms, self._params(), u_n, v_n, v_n,
+                                 np.zeros(0), 1.0, 0.0, spec)
+        assert stats.iterations > 1
+        assert len(calls) == 1
 
     def test_picard_divergence_raises(self, rng):
         fl, st, lay = tiny_spaces(4, 2)
