@@ -30,7 +30,7 @@ import numpy as np
 
 from . import __version__
 from .discretization import HsForm, build_spaces
-from .errors import ConfigError, InitialDataError, PicardDivergence, SolverFailure
+from .errors import ConfigError, InitialDataError
 from .geometry import ReferenceDomain
 from .noise import NoiseSpec
 from .scheme import PathProblem, SchemeParams, Trajectory, run_path
@@ -65,7 +65,7 @@ _DEFAULTS = {
         "halt_at_stop": False,
     },
     "solver": {"tol_picard": 1e-10, "max_picard": 50, "damping": 0.5, "damping_after": 20},
-    "output": {"directory": "out", "formats": ["csv", "json"]},
+    "output": {"directory": "out"},
 }
 
 
@@ -390,7 +390,7 @@ def run(cfg: RunConfig, out_dir: str | None = None) -> int:
         write_manifest(os.path.join(out, "manifest.json"), cfg, {"mode": "path"})
         try:
             traj = run_path(problem, 0)
-        except (PicardDivergence, SolverFailure, InitialDataError) as exc:
+        except diagnostics.PATH_FAILURES + (InitialDataError,) as exc:
             print(f"path failed: {exc}", file=sys.stderr)
             return 1
         write_ledger_csv(os.path.join(out, "ledger.csv"), traj)

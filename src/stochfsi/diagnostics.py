@@ -27,15 +27,6 @@ from .errors import ConfigError, DegenerateJacobian, PicardDivergence, SolverFai
 from .scheme import PathProblem, Trajectory, run_path
 
 
-def energy(u_free, v_beam, eta_free, forms) -> float:
-    """Kinetic + elastic energy of one state against assembled forms:
-    1/2 ( Int (R+eta*)|u|^2 + ||v||^2 + ||d_z eta||^2 + ||d_zz eta||^2 )."""
-    S = forms.S1 + forms.S2
-    return 0.5 * float(u_free @ (forms.M_eta @ u_free)) \
-        + 0.5 * float(v_beam @ (forms.M_s @ v_beam)) \
-        + 0.5 * float(eta_free @ (S @ eta_free))
-
-
 # ----------------------------------------------------------------------
 # inequality checks (all return signed violations; <= 0 means satisfied)
 
@@ -279,16 +270,17 @@ class EnsembleReport:
 
 
 # failures of one path that leave the rest of an ensemble meaningful
-_PATH_FAILURES = (PicardDivergence, SolverFailure, DegenerateJacobian)
+PATH_FAILURES = (PicardDivergence, SolverFailure, DegenerateJacobian)
 
 
 def _run_one(args):
-    problem, idx = args
+    """Run one path: (index, statistics, error, trajectory if kept)."""
+    problem, idx, keep = args
     try:
         traj = run_path(problem, idx)
-        return idx, path_statistics(traj), None
-    except _PATH_FAILURES as exc:
-        return idx, None, f"{type(exc).__name__}: {exc}"
+    except PATH_FAILURES as exc:
+        return idx, None, f"{type(exc).__name__}: {exc}", None
+    return idx, path_statistics(traj), None, traj if keep else None
 
 
 def ensemble_run(problem: PathProblem, M: int, keep: str = "none"):
@@ -306,30 +298,18 @@ def ensemble_run(problem: PathProblem, M: int, keep: str = "none"):
         workers = int(raw)
     except ValueError:
         raise ConfigError(f"STOCHFSI_THREADS: must be an integer, got {raw!r}") from None
-    results = []
-    trajectories = []
+    tasks = [(problem, i, keep != "none") for i in range(M)]
     if workers > 1 and keep == "none":
         with ProcessPoolExecutor(max_workers=workers) as ex:
-            results = list(ex.map(_run_one, [(problem, i) for i in range(M)]))
+            results = list(ex.map(_run_one, tasks))
     else:
-        for i in range(M):
-            if keep != "none":
-                try:
-                    traj = run_path(problem, i)
-                    trajectories.append(traj)
-                    results.append((i, path_statistics(traj), None))
-                except _PATH_FAILURES as exc:
-                    trajectories.append(None)
-                    results.append((i, None, f"{type(exc).__name__}: {exc}"))
-            else:
-                results.append(_run_one((problem, i)))
-    results.sort(key=lambda r: r[0])
+        results = list(map(_run_one, tasks))
 
     acc = {name: Welford() for name in _STAT_NAMES}
     stopped = Welford()
     tau = Welford()
     failures = []
-    for idx, stats, err in results:
+    for idx, stats, err, _ in results:
         if err is not None:
             failures.append({"path": idx, "error": err})
             continue
@@ -345,7 +325,7 @@ def ensemble_run(problem: PathProblem, M: int, keep: str = "none"):
         failures=failures,
     )
     if keep != "none":
-        return report, trajectories
+        return report, [traj for *_, traj in results]
     return report
 
 

@@ -25,14 +25,13 @@ degree-6 products of two cubics).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConfigError, DegenerateJacobian
-from .geometry import ReferenceDomain, WallProfile
+from .geometry import ReferenceDomain, WallProfile, hermite_shapes, locate
 
 _GAUSS = {n: np.polynomial.legendre.leggauss(n) for n in (1, 2, 3, 4, 5, 6, 8)}
 
@@ -293,26 +292,8 @@ def _hermite_tables(h: float, rule: int = 4):
     points of [0,1], scaled to an element of width h."""
     x1, w1 = _GAUSS[rule]
     xi = (x1 + 1) / 2
-    wq = w1 * h / 2
-    H = np.stack([
-        1 + xi * xi * (2 * xi - 3),
-        h * xi * (1 + xi * (xi - 2)),
-        xi * xi * (3 - 2 * xi),
-        h * xi * xi * (xi - 1),
-    ])
-    dH = np.stack([
-        6 * xi * (xi - 1) / h,
-        1 + xi * (3 * xi - 4),
-        6 * xi * (1 - xi) / h,
-        xi * (3 * xi - 2),
-    ])
-    ddH = np.stack([
-        (12 * xi - 6) / (h * h),
-        (6 * xi - 4) / h,
-        (6 - 12 * xi) / (h * h),
-        (6 * xi - 2) / h,
-    ])
-    return xi, wq, H, dH, ddH
+    H, dH, ddH = (np.stack(hermite_shapes(xi, h, deriv)) for deriv in range(3))
+    return xi, w1 * h / 2, H, dH, ddH
 
 
 class StructureSpace:
@@ -618,6 +599,12 @@ def assemble_advection(fluid: FluidSpace, forms: AssembledForms) -> np.ndarray:
 # fractional Sobolev norm of the wall gap
 
 
+# Gauss orders of the outer and inner rules of the Gagliardo double
+# integral, the number of halvings grading the inner rule toward the
+# excluded diagonal band, and the element width over the band half-width
+_HS_OUTER, _HS_INNER, _HS_GRADED, _HS_BAND = 6, 8, 16, 32
+
+
 class HsForm:
     """Quadratic form computing || R + eta ||_{H^s(0,L)}^2 on one beam mesh.
 
@@ -633,57 +620,29 @@ class HsForm:
     construction, evaluating the norm is a single small mat-vec.
     """
 
-    def __init__(self, structure: StructureSpace, s: float, h_band: float | None = None,
-                 n_outer: int = 6, n_inner: int = 8, n_graded: int = 16):
+    def __init__(self, structure: StructureSpace, s: float):
         if not (1.5 < s < 2.0):
             raise ConfigError(f"physics.s: must lie in (3/2, 2), got {s}")
-        self.s = s
         sigma = s - 1.0
-        self.sigma = sigma
         st = structure
         L, n_el, h_el = st.L, st.n_el, st.h
-        if h_band is None:
-            h_band = h_el / 32.0
-        self.h_band = h_band
+        h_band = h_el / _HS_BAND
 
-        def dbasis(z):
-            """phi'_a(z) for all full DOFs; (len(z), ndof_full)."""
-            z = np.atleast_1d(np.asarray(z, dtype=float))
-            idx = np.clip(np.floor(z / h_el).astype(int), 0, n_el - 1)
-            xi = z / h_el - idx
+        def basis(z, deriv):
+            """Derivative ``deriv`` of every full-DOF shape at z; (len(z), ndof_full)."""
+            idx, xi = locate(z, h_el, n_el)
             out = np.zeros((z.size, st.ndof_full))
-            d = np.stack([
-                6 * xi * (xi - 1) / h_el,
-                1 + xi * (3 * xi - 4),
-                6 * xi * (1 - xi) / h_el,
-                xi * (3 * xi - 2),
-            ], axis=1)
-            for a in range(4):
-                out[np.arange(z.size), 2 * idx + a] = d[:, a]
+            out[np.arange(z.size)[:, None], 2 * idx[:, None] + np.arange(4)] = \
+                np.stack(hermite_shapes(xi, h_el, deriv), axis=1)
             return out
 
-        def ddbasis(z):
-            z = np.atleast_1d(np.asarray(z, dtype=float))
-            idx = np.clip(np.floor(z / h_el).astype(int), 0, n_el - 1)
-            xi = z / h_el - idx
-            out = np.zeros((z.size, st.ndof_full))
-            d = np.stack([
-                (12 * xi - 6) / (h_el * h_el),
-                (6 * xi - 4) / h_el,
-                (6 - 12 * xi) / (h_el * h_el),
-                (6 * xi - 2) / h_el,
-            ], axis=1)
-            for a in range(4):
-                out[np.arange(z.size), 2 * idx + a] = d[:, a]
-            return out
-
-        gx, gw = _GAUSS[n_outer]
+        gx, gw = _GAUSS[_HS_OUTER]
         zo = ((gx + 1) / 2)[None, :] * h_el + np.arange(n_el)[:, None] * h_el
         wo = np.tile(gw * h_el / 2, n_el)
         zo = zo.ravel()
-        Bo = dbasis(zo)
+        Bo = basis(zo, 1)
 
-        gxi, gwi = _GAUSS[n_inner]
+        gxi, gwi = _GAUSS[_HS_INNER]
         Q = np.zeros((st.ndof_full, st.ndof_full))
         breaks = np.linspace(0.0, L, n_el + 1)
         for i in range(zo.size):
@@ -699,7 +658,7 @@ class HsForm:
                 for a, b in zip(pts[:-1], pts[1:]):
                     if (hi <= zi and b == edge) or (lo >= zi and a == edge):
                         width = b - a
-                        fracs = width * 0.5 ** np.arange(n_graded, 0, -1)
+                        fracs = width * 0.5 ** np.arange(_HS_GRADED, 0, -1)
                         sub = [a] + list(a + fracs) + [b] if lo >= zi else \
                               [a] + list(b - fracs[::-1]) + [b]
                         sub = sorted(set(sub))
@@ -714,7 +673,7 @@ class HsForm:
             wz = (b_arr - a_arr)[:, None] / 2 * gwi[None, :]
             zeta = zeta.ravel()
             wz = wz.ravel()
-            D = Bo[i][None, :] - dbasis(zeta)
+            D = Bo[i][None, :] - basis(zeta, 1)
             kern = wz / np.abs(zi - zeta) ** (1 + 2 * sigma)
             Q += wo[i] * ((D.T * kern) @ D)
 
@@ -730,7 +689,7 @@ class HsForm:
         wc = np.concatenate(wc)
         corr_w = (np.minimum(h_band, zc) ** (2 - 2 * sigma)
                   + np.minimum(h_band, L - zc) ** (2 - 2 * sigma)) / (2 - 2 * sigma)
-        Bc = ddbasis(zc)
+        Bc = basis(zc, 2)
         Q += (Bc.T * (wc * corr_w)) @ Bc
 
         fr = st.free
@@ -743,17 +702,3 @@ class HsForm:
         e = np.asarray(eta_free, dtype=float)
         l2sq = R * R * self.L + 2 * R * (self.lin @ e) + e @ self.M @ e
         return float(np.sqrt(l2sq + e @ self.Q @ e))
-
-
-@lru_cache(maxsize=32)
-def _hs_form_cached(L: float, n_el: int, s: float, h_band) -> HsForm:
-    return HsForm(StructureSpace(L, n_el), s, h_band)
-
-
-def hs_norm(profile: WallProfile, R: float, s: float, h_band: float | None = None) -> float:
-    """|| R + eta ||_{H^s(0,L)} for s in (3/2, 2); see HsForm."""
-    if not (1.5 < s < 2.0):
-        raise ConfigError(f"physics.s: must lie in (3/2, 2), got {s}")
-    form = _hs_form_cached(profile.L, profile.n_el, float(s), h_band)
-    st = StructureSpace(profile.L, profile.n_el)
-    return form.norm(st.from_profile(profile), R)

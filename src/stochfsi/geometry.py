@@ -5,15 +5,18 @@ moving domain at wall displacement eta is obtained by the map
 
     A(z, r) = (z, (R + eta(z)) * r),
 
-whose Jacobian determinant is R + eta(z).  All differential operators of
-the flow problem are pulled back onto O; the pulled-back gradient acts as
+whose Jacobian determinant is R + eta(z).  The assembly pulls every
+differential operator of the flow problem back onto O, where the
+pulled-back gradient acts as
 
     d_z^eta = d_z - r * eta'(z)/(R + eta(z)) * d_r,
     d_r^eta = 1/(R + eta(z)) * d_r.
 
 Wall displacements are C^1 piecewise cubics (Hermite interpolants) on a
 uniform partition of (0, L) with clamped ends, so eta(0) = eta(L) =
-eta'(0) = eta'(L) = 0 holds exactly by construction.
+eta'(0) = eta'(L) = 0 holds exactly by construction.  ``hermite_shapes``
+is the one evaluator of the cubic Hermite shapes; the wall profile and
+the beam and H^s forms all use it.
 
 Everything in this module is a pure function of its inputs.
 """
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateJacobian
+from .errors import ConfigError
 
 
 @dataclass(frozen=True)
@@ -49,6 +52,36 @@ class ReferenceDomain:
             raise ConfigError(f"domain.nz: must be >= 1, got {self.nz}")
         if self.nr < 1:
             raise ConfigError(f"domain.nr: must be >= 1, got {self.nr}")
+
+
+def locate(z, h: float, n_el: int):
+    """Element index and local abscissa in [0, 1] of points z on a uniform
+    partition of n_el elements of width h; the right end belongs to the
+    last element."""
+    z = np.asarray(z, dtype=float)
+    idx = np.clip(np.floor(z / h).astype(int), 0, n_el - 1)
+    return idx, z / h - idx
+
+
+def hermite_shapes(xi, h: float, deriv: int) -> tuple:
+    """The four cubic Hermite shapes of an element of width h, or their
+    first or second derivative in z, at local abscissae xi in [0, 1]; four
+    arrays shaped like xi, for the value and slope at the left node, then
+    the value and slope at the right node."""
+    if deriv == 0:
+        return (1 + xi * xi * (2 * xi - 3),
+                h * xi * (1 + xi * (xi - 2)),
+                xi * xi * (3 - 2 * xi),
+                h * xi * xi * (xi - 1))
+    if deriv == 1:
+        return (6 * xi * (xi - 1) / h,
+                1 + xi * (3 * xi - 4),
+                6 * xi * (1 - xi) / h,
+                xi * (3 * xi - 2))
+    return ((12 * xi - 6) / (h * h),
+            (6 * xi - 4) / h,
+            (6 - 12 * xi) / (h * h),
+            (6 * xi - 2) / h)
 
 
 class WallProfile:
@@ -86,47 +119,20 @@ class WallProfile:
         z = np.linspace(0.0, L, n_el + 1)
         return cls(L, f(z), fp(z))
 
-    def _locate(self, z):
-        z = np.asarray(z, dtype=float)
-        idx = np.clip(np.floor(z / self.h).astype(int), 0, self.n_el - 1)
-        xi = z / self.h - idx
-        return idx, xi
+
+    def _combine(self, z, deriv: int):
+        idx, xi = locate(z, self.h, self.n_el)
+        h0, h1, h2, h3 = hermite_shapes(xi, self.h, deriv)
+        return (h0 * self.vals[idx] + h1 * self.slopes[idx]
+                + h2 * self.vals[idx + 1] + h3 * self.slopes[idx + 1])
 
     def value(self, z):
         """eta(z); vectorized over z in [0, L]."""
-        idx, xi = self._locate(z)
-        h = self.h
-        v0, v1 = self.vals[idx], self.vals[idx + 1]
-        s0, s1 = self.slopes[idx], self.slopes[idx + 1]
-        h00 = 1 + xi * xi * (2 * xi - 3)
-        h10 = xi * (1 + xi * (xi - 2))
-        h01 = xi * xi * (3 - 2 * xi)
-        h11 = xi * xi * (xi - 1)
-        return h00 * v0 + h * h10 * s0 + h01 * v1 + h * h11 * s1
+        return self._combine(z, 0)
 
     def slope(self, z):
         """eta'(z) from the interpolant itself, never a difference quotient."""
-        idx, xi = self._locate(z)
-        h = self.h
-        v0, v1 = self.vals[idx], self.vals[idx + 1]
-        s0, s1 = self.slopes[idx], self.slopes[idx + 1]
-        d00 = 6 * xi * (xi - 1) / h
-        d10 = 1 + xi * (3 * xi - 4)
-        d01 = 6 * xi * (1 - xi) / h
-        d11 = xi * (3 * xi - 2)
-        return d00 * v0 + d10 * s0 + d01 * v1 + d11 * s1
-
-    def curvature(self, z):
-        """eta''(z) (piecewise linear, discontinuous at nodes)."""
-        idx, xi = self._locate(z)
-        h = self.h
-        v0, v1 = self.vals[idx], self.vals[idx + 1]
-        s0, s1 = self.slopes[idx], self.slopes[idx + 1]
-        c00 = (12 * xi - 6) / (h * h)
-        c10 = (6 * xi - 4) / h
-        c01 = (6 - 12 * xi) / (h * h)
-        c11 = (6 * xi - 2) / h
-        return c00 * v0 + c10 * s0 + c01 * v1 + c11 * s1
+        return self._combine(z, 1)
 
     def min_value(self) -> float:
         """Exact minimum of eta over [0, L] via per-element cubic critical points."""
@@ -148,59 +154,7 @@ class WallProfile:
                     np.where(np.abs(b) > 0, -c / b, np.nan),
                 )
                 ok = np.isfinite(xi) & (disc >= 0) & (xi > 0) & (xi < 1)
-                xi_ok = np.where(ok, xi, 0.0)
-                h00 = 1 + xi_ok**2 * (2 * xi_ok - 3)
-                h10 = xi_ok * (1 + xi_ok * (xi_ok - 2))
-                h01 = xi_ok**2 * (3 - 2 * xi_ok)
-                h11 = xi_ok**2 * (xi_ok - 1)
-                val = h00 * v0 + h * h10 * s0 + h01 * v1 + h * h11 * s1
+                h0, h1, h2, h3 = hermite_shapes(np.where(ok, xi, 0.0), h, 0)
+                val = h0 * v0 + h1 * s0 + h2 * v1 + h3 * s1
                 best = np.minimum(best, np.where(ok, val, np.inf))
         return float(best.min())
-
-
-def ale_map(profile: WallProfile, R: float, point):
-    """Map a reference point (z, r) in [0,L]x[0,1] to the moving domain."""
-    z, r = point
-    return (z, (R + float(profile.value(z))) * r)
-
-
-def ale_jacobian(profile: WallProfile, R: float, z) -> float:
-    """Jacobian R + eta(z) of the vertical-stretch map.
-
-    Positivity is not checked here; admissibility is the cutoff's job.
-    """
-    return R + profile.value(z)
-
-
-def _pullback_coeffs(profile: WallProfile, R: float, point):
-    z, r = point
-    w = R + float(profile.value(z))
-    if w <= 0.0:
-        raise DegenerateJacobian(f"R + eta({z}) = {w} <= 0")
-    return w, float(profile.slope(z)), r
-
-
-def transformed_gradient(du_dz, du_dr, profile: WallProfile, R: float, point):
-    """Pulled-back gradient of a 2-vector field at one reference point.
-
-    ``du_dz`` and ``du_dr`` hold the reference-domain partials of the two
-    components.  Row i of the result is (d_z^eta u_i, d_r^eta u_i).
-    """
-    w, s, r = _pullback_coeffs(profile, R, point)
-    du_dz = np.asarray(du_dz, dtype=float)
-    du_dr = np.asarray(du_dr, dtype=float)
-    gz = du_dz - r * (s / w) * du_dr
-    gr = du_dr / w
-    return np.column_stack([gz, gr])
-
-
-def transformed_divergence(du_dz, du_dr, profile: WallProfile, R: float, point) -> float:
-    """Trace of the pulled-back gradient (same expression, summed on the diagonal)."""
-    w, s, r = _pullback_coeffs(profile, R, point)
-    return float((du_dz[0] - r * (s / w) * du_dr[0]) + du_dr[1] / w)
-
-
-def transformed_sym_gradient(du_dz, du_dr, profile: WallProfile, R: float, point):
-    """Symmetric part of the pulled-back gradient."""
-    g = transformed_gradient(du_dz, du_dr, profile, R, point)
-    return 0.5 * (g + g.T)

@@ -5,10 +5,10 @@ Q = diag(q_1..q_K); increments are stored in the covariance eigenbasis,
 so column k of a path is N(0, dt*q_k) i.i.d. across steps.  The scalar
 coefficient applied to the state is
 
-    xi = sum_k amplitude_k * dW_k,
+    xi = sum_k amplitude_k * dW_k    (``NoisePath.xi``),
 
-and the forcing pair is (xi * (R+eta*) u, xi * v) tested against the
-coupled velocity space.  With this convention the functional has
+and the fluid substep's forcing pair is (xi * (R+eta*) u, xi * v) tested
+against the coupled velocity space.  With this convention the functional has
 Hilbert-Schmidt norm  ||Phi||^2 = sum_k q_k amplitude_k^2  against the
 Cameron-Martin space, the increment norm there is
 ||dW||^2 = sum_k dW_k^2 / q_k, and xi <= ||Phi|| * ||dW|| is sharp
@@ -188,27 +188,6 @@ def sample_path(spec: NoiseSpec, N: int, dt: float, path_index: int = 0) -> Nois
         arr = new
         length /= 2
     return NoisePath(arr, dt, spec, path_index, mode, depth)
-
-
-def apply_G(forms, u_free: np.ndarray, v_beam: np.ndarray, increment: np.ndarray,
-            spec: NoiseSpec):
-    """Discrete forcing of the fluid substep from one increment.
-
-    Returns the pair of load vectors (xi * M(R+eta*) u, xi * M_s v); the
-    caller scatters the wall part onto the coupled velocity block.
-    """
-    increment = np.asarray(increment, dtype=float)
-    if increment.shape != (spec.K,):
-        raise ConfigError(f"apply_G: increment length {increment.shape} != K = {spec.K}")
-    xi = float(spec.amplitude @ increment) if spec.K else 0.0
-    return xi * (forms.M_eta @ u_free), xi * (forms.M_s @ v_beam)
-
-
-def g_hs_norm_sq(forms, u_free: np.ndarray, v_beam: np.ndarray, spec: NoiseSpec) -> float:
-    """Squared Hilbert-Schmidt norm of the noise operator at one state:
-    ||Phi||^2 * ( ||(R+eta*) u||^2 + ||v||^2 )."""
-    state = float(u_free @ (forms.M_sq @ u_free) + v_beam @ (forms.M_s @ v_beam))
-    return spec.phi_hs_sq * state
 
 
 def state_l2_sq(forms, u_free: np.ndarray, v_beam: np.ndarray) -> float:

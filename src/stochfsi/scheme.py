@@ -44,7 +44,7 @@ from .discretization import (
     assemble_all,
 )
 from .errors import InitialDataError, PicardDivergence, SolverFailure
-from .noise import NoisePath, NoiseSpec, sample_path
+from .noise import NoisePath, NoiseSpec, sample_path, state_l2_sq
 
 
 @dataclass
@@ -58,7 +58,6 @@ class SchemeParams:
     max_picard: int = 50
     damping: float = 0.5
     damping_after: int = 20
-    compute_trace_constant: bool = True
 
 
 @dataclass
@@ -81,7 +80,6 @@ class CutoffState:
     eta_star: np.ndarray
     frozen_at: int | None
     delta: float
-    s: float
 
 
 def update_cutoff(
@@ -105,14 +103,13 @@ def update_cutoff(
     theta_new = min(state.theta, admissible)
     if theta_new == 1:
         return (
-            CutoffState(1, np.array(eta_candidate, dtype=float, copy=True), None,
-                        state.delta, state.s),
+            CutoffState(1, np.array(eta_candidate, dtype=float, copy=True), None, state.delta),
             min_gap,
             hs_value,
         )
     frozen_at = state.frozen_at if state.frozen_at is not None else step
     return (
-        CutoffState(0, state.eta_star, frozen_at, state.delta, state.s),
+        CutoffState(0, state.eta_star, frozen_at, state.delta),
         min_gap,
         hs_value,
     )
@@ -148,10 +145,9 @@ def fluid_step(
     u_n: np.ndarray,
     v_n: np.ndarray,
     v_half: np.ndarray,
-    dW: np.ndarray,
+    xi: float,
     P_in: float,
     P_out: float,
-    spec: NoiseSpec,
 ):
     """Coupled implicit fluid/wall-velocity solve on the frozen geometry.
 
@@ -164,7 +160,8 @@ def fluid_step(
     iterate; every other term is implicit.  The advection form is linear
     in a on the frozen geometry, so its map is built once per step and
     each iterate only applies it.  Initial iterate: u_n with the
-    wall-velocity block overwritten by the half-step wall velocity.
+    wall-velocity block overwritten by the half-step wall velocity.  The
+    noise enters through the step's coefficient xi (``NoisePath.xi``).
     """
     dt = params.dt
     n_free, n_x = fluid.n_free, layout.n_x
@@ -174,7 +171,6 @@ def fluid_step(
                + (dt / params.epsilon) * forms.P.data)
     M_norm = layout.coupled_csc(forms.M_eta.data)
 
-    xi = float(spec.amplitude @ dW) if spec.K else 0.0
     rhs = np.zeros(n_x)
     rhs[:n_free] = (1.0 + xi) * (forms.M_eta @ u_n) \
         + dt * (P_in * forms.flux_in - P_out * forms.flux_out)
@@ -357,12 +353,6 @@ class Trajectory:
     def u_plus(self):
         return StepFunction(self.dt, self.u[1:])
 
-    def v_const(self):
-        return StepFunction(self.dt, self.v[:-1])
-
-    def v_plus(self):
-        return StepFunction(self.dt, self.v[1:])
-
     def v_sharp(self):
         """Half-step wall velocities."""
         return StepFunction(self.dt, self.v_half)
@@ -372,22 +362,10 @@ class Trajectory:
         linear interpolant of eta*."""
         return StepFunction(self.dt, self.theta[1:, None] * self.v_half)
 
-    def eta_const(self):
-        return StepFunction(self.dt, self.eta[:-1])
-
-    def eta_plus(self):
-        return StepFunction(self.dt, self.eta[1:])
-
     def eta_star_const(self):
         return StepFunction(self.dt, self.eta_star[:-1])
 
     # -- piecewise-linear families ----------------------------------------
-    def u_lin(self):
-        return LinearInterpolant(self.dt, self.u)
-
-    def v_lin(self):
-        return LinearInterpolant(self.dt, self.v)
-
     def eta_lin(self):
         return LinearInterpolant(self.dt, self.eta)
 
@@ -439,6 +417,14 @@ def check_initial_admissibility(problem: PathProblem) -> None:
         )
 
 
+def energy(u, v, eta, M_u, M_s, S) -> float:
+    """Kinetic + elastic energy 1/2 (u.M_u.u + v.M_s.v + eta.S.eta) of one
+    state; M_u is the fluid mass weighted by the level's R + eta*."""
+    return 0.5 * float(u @ (M_u @ u)) \
+        + 0.5 * float(v @ (M_s @ v)) \
+        + 0.5 * float(eta @ (S @ eta))
+
+
 def run_path(problem: PathProblem, path_index: int = 0) -> Trajectory:
     """Integrate one seeded path of the splitting scheme.
 
@@ -468,7 +454,7 @@ def run_path(problem: PathProblem, path_index: int = 0) -> Trajectory:
     eta_star[0] = problem.eta0
     led = EnergyLedger.allocate(N)
 
-    cut = CutoffState(1, problem.eta0.copy(), None, prm.delta, prm.s)
+    cut = CutoffState(1, problem.eta0.copy(), None, prm.delta)
     forms: AssembledForms | None = None
     cache_key = None
     n_done = 0
@@ -487,25 +473,20 @@ def run_path(problem: PathProblem, path_index: int = 0) -> Trajectory:
             forms = assemble_all(fl, st, lay,
                                  st.profile(eta_star[n]), st.profile(eta_star[n + 1]))
             cache_key = key
-            trace_const = (trace_dissipation_constant(forms, prm)
-                           if prm.compute_trace_constant else np.nan)
+            trace_const = trace_dissipation_constant(forms, prm)
 
         if n == 0:
-            led.E[0] = _energy(u[0], v[0], eta[0], forms, S)
+            led.E[0] = energy(u[0], v[0], eta[0], forms.M_eta, forms.M_s, S)
 
         # structure-substep balance pieces (exact polarization identities)
         dv = vh - v[n]
         vhalf_gap = float(dv @ (forms.M_s @ dv))
         C1 = 0.5 * vhalf_gap + 0.5 * float((eh - eta[n]) @ (S @ (eh - eta[n])))
-        E_half = 0.5 * float(u[n] @ (forms.M_eta @ u[n])) \
-            + 0.5 * float(vh @ (forms.M_s @ vh)) \
-            + 0.5 * float(eh @ (S @ eh))
+        E_half = energy(u[n], vh, eh, forms.M_eta, forms.M_s, S)
 
-        dW = noise_path.increments[n]
+        xi = noise_path.xi(n)
         Pin, Pout = float(problem.P_in[n]), float(problem.P_out[n])
-        u_new, v_new, stats = fluid_step(
-            fl, lay, forms, prm, u[n], v[n], vh, dW, Pin, Pout, problem.noise
-        )
+        u_new, v_new, stats = fluid_step(fl, lay, forms, prm, u[n], v[n], vh, xi, Pin, Pout)
         u[n + 1], v[n + 1] = u_new, v_new
 
         du = u_new - u[n]
@@ -521,8 +502,7 @@ def run_path(problem: PathProblem, path_index: int = 0) -> Trajectory:
         led.theta[n] = cut.theta
         led.min_gap[n] = min_gap
         led.hs_norm[n] = hs_value
-        xi = float(problem.noise.amplitude @ dW) if problem.noise.K else 0.0
-        g_state = float(u[n] @ (forms.M_sq @ u[n]) + v[n] @ (forms.M_s @ v[n]))
+        g_state = state_l2_sq(forms, u[n], v[n])
         led.xi[n] = xi
         led.g_state_sq[n] = g_state
         led.g_hs_sq[n] = problem.noise.phi_hs_sq * g_state
@@ -537,10 +517,7 @@ def run_path(problem: PathProblem, path_index: int = 0) -> Trajectory:
         led.picard_iters[n] = stats.iterations
         led.trace_const[n] = trace_const
 
-        M_next = forms.M_eta + forms.M_delta
-        led.E[n + 1] = 0.5 * float(u_new @ (M_next @ u_new)) \
-            + 0.5 * float(v_new @ (forms.M_s @ v_new)) \
-            + 0.5 * float(eh @ (S @ eh))
+        led.E[n + 1] = energy(u_new, v_new, eh, forms.M_eta + forms.M_delta, forms.M_s, S)
 
         n_done = n + 1
         if problem.halt_at_stop and cut.theta == 0:
@@ -561,9 +538,3 @@ def run_path(problem: PathProblem, path_index: int = 0) -> Trajectory:
         ledger=led.truncate(n_done),
         noise=noise_path,
     )
-
-
-def _energy(u, v, eta, forms: AssembledForms, S) -> float:
-    return 0.5 * float(u @ (forms.M_eta @ u)) \
-        + 0.5 * float(v @ (forms.M_s @ v)) \
-        + 0.5 * float(eta @ (S @ eta))

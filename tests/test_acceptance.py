@@ -351,11 +351,12 @@ def test_criterion_10_dense_oracle_equivalence(rng):
         if st.n_free:
             u_n[lay.shared_free] = v_n[0::2]
         v_half = 0.2 * rng.normal(size=st.n_free)
-        u1, v1, _ = fluid_step(fl, lay, forms, params, u_n, v_n, v_half, dW,
-                               1.0, 0.0, spec)
+        xi = float(spec.amplitude @ dW)
+        u1, v1, _ = fluid_step(fl, lay, forms, params, u_n, v_n, v_half, xi,
+                               1.0, 0.0)
         u1_o, v1_o = od.mirror_fluid_step(
             L, R, nz, nr, eta, eta2, u_n, v_n, v_half,
-            float(spec.amplitude @ dW), 1.0, 0.0, params.nu, params.epsilon,
+            xi, 1.0, 0.0, params.nu, params.epsilon,
             params.dt)
         worst = max(worst, rel(u1, u1_o))
         if v1.size:
@@ -394,7 +395,6 @@ def test_extra_martingale_increment_surrogate():
     stay within 3 standard errors of zero (with a tiny absolute floor for
     the early steps where the work is nearly deterministic-zero)."""
     prob = make_problem(**_NOISY_KW, solver={"tol_picard": 1e-10})
-    prob.params.compute_trace_constant = False
     works = []
     for p in range(256):
         works.append(run_path(prob, p).ledger.stoch_work)

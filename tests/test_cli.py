@@ -13,7 +13,7 @@ from stochfsi.cli import (
     step_pressures,
     with_axis_value,
 )
-from stochfsi.errors import ConfigError, InitialDataError
+from stochfsi.errors import ConfigError, DegenerateJacobian, InitialDataError
 
 
 def write_cfg(tmp_path, data, name="cfg.json"):
@@ -110,7 +110,7 @@ class TestRunArtifacts:
         return parse_config({
             "time": {"T": 0.25, "N": 4}, "domain": {"nz": 4, "nr": 2},
             "pressure": {"kind": "constant", "P_in": 0.0, "P_out": 0.0},
-            "output": {"directory": outdir, "formats": ["csv", "json"]},
+            "output": {"directory": outdir},
         })
 
     def test_zero_path_run_writes_zero_ledger(self, tmp_path):
@@ -188,6 +188,17 @@ class TestMain:
         assert main(["run", "--config", path, "--out", out]) == 0
         assert os.path.exists(os.path.join(out, "ledger.csv"))
         assert os.path.exists(os.path.join(out, "manifest.json"))
+
+    def test_degenerate_jacobian_path_exit_1(self, tmp_path, capsys, monkeypatch):
+        from stochfsi import cli
+
+        def sunk(problem, index):
+            raise DegenerateJacobian("R + eta <= 0 at a quadrature point")
+
+        monkeypatch.setattr(cli, "run_path", sunk)
+        path = write_cfg(tmp_path, MINIMAL)
+        assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 1
+        assert "path failed: R + eta <= 0" in capsys.readouterr().err
 
     def test_seed_override_recorded(self, tmp_path):
         path = write_cfg(tmp_path, MINIMAL)

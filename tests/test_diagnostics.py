@@ -7,7 +7,6 @@ from stochfsi import scheme
 from stochfsi.cli import build_problem
 from stochfsi.diagnostics import (
     Welford,
-    energy,
     ensemble_run,
     ledger_positivity_min,
     stochastic_error,
@@ -20,7 +19,7 @@ from stochfsi.discretization import assemble_all, build_spaces, element_mass
 from stochfsi.errors import ConfigError
 from stochfsi.geometry import ReferenceDomain, WallProfile
 from stochfsi.noise import NoiseSpec, sample_path
-from stochfsi.scheme import EnergyLedger, Trajectory, run_path
+from stochfsi.scheme import EnergyLedger, Trajectory, energy, run_path
 
 
 class TestEnergy:
@@ -31,8 +30,8 @@ class TestEnergy:
 
     def test_zero_state(self):
         fl, st, lay, forms = self._forms(2, 2)
-        assert energy(np.zeros(fl.n_free), np.zeros(st.n_free),
-                      np.zeros(st.n_free), forms) == 0.0
+        assert energy(np.zeros(fl.n_free), np.zeros(st.n_free), np.zeros(st.n_free),
+                      forms.M_eta, forms.M_s, forms.S1 + forms.S2) == 0.0
 
     def test_uniform_axial_field_half_c_squared_L(self):
         # u == (c, 0) on every node, masks ignored: E = 1/2 c^2 L; evaluated
@@ -48,7 +47,7 @@ class TestEnergy:
         u = rng.normal(size=fl.n_free)
         v = rng.normal(size=st.n_free)
         eta = rng.normal(size=st.n_free)
-        ours = energy(u, v, eta, forms)
+        ours = energy(u, v, eta, forms.M_eta, forms.M_s, forms.S1 + forms.S2)
 
         df = od.DenseFluid(1.0, 1.0, 2, 2)
         M_o = od.dense_weighted_mass(df, lambda z: 1.0)[np.ix_(df.free, df.free)]

@@ -1,17 +1,43 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle_dense as od
+from stochfsi.discretization import FluidSpace, element_penalty, element_viscous
 from stochfsi.errors import DegenerateJacobian
-from stochfsi.geometry import (
-    WallProfile,
-    ale_jacobian,
-    ale_map,
-    transformed_divergence,
-    transformed_gradient,
-    transformed_sym_gradient,
-)
+from stochfsi.geometry import ReferenceDomain, WallProfile
+
+
+def ale_map(profile, R, point):
+    """A(z, r) = (z, (R + eta(z)) r): the push-forward the finite-difference
+    oracle below differentiates through."""
+    z, r = point
+    return (z, (R + float(profile.value(z))) * r)
+
+
+def transformed_gradient(du_dz, du_dr, profile, R, point):
+    """Pulled-back gradient of a 2-vector field at one reference point,
+    through the dense oracle's pull-back; row i is (d_z^eta u_i, d_r^eta u_i).
+
+    The oracle maps derivatives on [-1, 1]^2 to a cell of size hz x hr, so
+    on a 2 x 2 cell they are the reference partials themselves."""
+    cell = SimpleNamespace(R=R, hz=2.0, hr=2.0)
+    dN = np.zeros((4, 2))
+    dN[:2, 0], dN[:2, 1] = du_dz, du_dr
+    z, r = point
+    return np.array(od._pullback(dN, cell, z, r, profile.value, profile.slope)[:2])
+
+
+def transformed_divergence(du_dz, du_dr, profile, R, point) -> float:
+    return float(np.trace(transformed_gradient(du_dz, du_dr, profile, R, point)))
+
+
+def transformed_sym_gradient(du_dz, du_dr, profile, R, point):
+    g = transformed_gradient(du_dz, du_dr, profile, R, point)
+    return 0.5 * (g + g.T)
 
 
 def bump_profile(n_el=8, amplitude=0.1, L=1.0):
@@ -52,21 +78,23 @@ class TestAleMap:
 
 
 class TestAleJacobian:
+    """The Jacobian R + eta(z), as ``FluidSpace.wall_samples`` evaluates it."""
+
     def test_flat(self):
         prof = WallProfile.zero(1.0, 4)
         for z in (0.0, 0.37, 1.0):
-            assert ale_jacobian(prof, 1.0, z) == 1.0
+            assert 1.0 + prof.value(z) == 1.0
 
     def test_negative_bump(self):
         vals = np.zeros(9)
         vals[4] = -0.4
         prof = WallProfile(1.0, vals, np.zeros(9))
-        assert ale_jacobian(prof, 1.0, 0.5) == pytest.approx(0.6, abs=1e-15)
+        assert 1.0 + prof.value(0.5) == pytest.approx(0.6, abs=1e-15)
 
     def test_clamped_end(self):
         prof = bump_profile()
-        assert ale_jacobian(prof, 1.0, 0.0) == 1.0
-        assert ale_jacobian(prof, 1.0, 1.0) == 1.0
+        assert 1.0 + prof.value(0.0) == 1.0
+        assert 1.0 + prof.value(1.0) == 1.0
 
 
 class TestTransformedOperators:
@@ -89,27 +117,35 @@ class TestTransformedOperators:
         assert div == 0.0
 
     def test_divergence_is_trace(self, rng):
+        # the package's penalty blocks are w div(phi_a e_p) div(phi_b e_q),
+        # with the divergence the trace of the pulled-back gradient
+        R = 1.5
+        fs = FluidSpace(ReferenceDomain(L=1.0, R=R, nz=8, nr=3))
         prof = random_profile(rng)
-        for _ in range(20):
-            du_dz = rng.normal(size=2)
-            du_dr = rng.normal(size=2)
-            pt = (rng.uniform(0, 1), rng.uniform(0, 1))
-            g = transformed_gradient(du_dz, du_dr, prof, 1.5, pt)
-            div = transformed_divergence(du_dz, du_dr, prof, 1.5, pt)
-            assert div == g[0, 0] + g[1, 1]
+        blocks = element_penalty(fs, *fs.wall_samples(prof, R, reduced=True))
+        _, dN = od.q1_shape(0.0, 0.0)   # the reduced rule's one point
+        for c in range(len(fs.cells)):
+            z, r = fs.q_reduced.z[c, 0], fs.q_reduced.r[c, 0]
+            div = np.zeros((2, 4))
+            for a in range(4):
+                du_dz, du_dr = dN[a] * (2 / fs.hz, 2 / fs.hr)
+                for p in range(2):
+                    e_p = np.eye(2)[p]
+                    div[p, a] = transformed_divergence(du_dz * e_p, du_dr * e_p, prof, R, (z, r))
+            expected = fs.q_reduced.wq[0] * div[:, None, :, None] * div[None, :, None, :]
+            assert np.allclose(blocks[:, :, c], expected, rtol=1e-12, atol=1e-12)
 
     def test_degenerate_jacobian_raises(self):
         vals = np.zeros(9)
         vals[4] = -1.5
         prof = WallProfile(1.0, vals, np.zeros(9))
+        fs = FluidSpace(ReferenceDomain(L=1.0, R=1.0, nz=8, nr=2))
         with pytest.raises(DegenerateJacobian):
-            transformed_gradient([1.0, 0.0], [0.0, 0.0], prof, 1.0, (0.5, 0.5))
+            element_viscous(fs, *fs.wall_samples(prof, 1.0))
 
     def _fd_oracle(self, u_ref, prof, R, point, step=1e-6):
         """Central finite differences of u o A^{-1} on the physical domain."""
-        z0, r0 = point
-        zt = z0
-        rt = (R + prof.value(z0)) * r0
+        zt, rt = ale_map(prof, R, point)
 
         def u_phys(zt_, rt_):
             return np.asarray(u_ref(zt_, rt_ / (R + prof.value(zt_))))

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-import oracle_dense as od
 from stochfsi.discretization import assemble_all, build_spaces
 from stochfsi.errors import ConfigError
 from stochfsi.geometry import ReferenceDomain, WallProfile
-from stochfsi.noise import NoiseSpec, apply_G, g_hs_norm_sq, sample_path
+from stochfsi.noise import NoisePath, NoiseSpec, sample_path, state_l2_sq
+from stochfsi.scheme import SchemeParams, fluid_step
 
 
 def spec4(seed=42, sampling="auto", amp=None):
@@ -112,44 +112,25 @@ class TestMoments:
 
 
 class TestApplyG:
-    def _forms(self, nz=1, nr=1):
-        dom = ReferenceDomain(L=1.0, R=1.0, nz=nz, nr=nr)
-        fl, st, lay = build_spaces(dom, nz)
-        prof = WallProfile.zero(1.0, nz)
-        return fl, lay, assemble_all(fl, st, lay, prof, prof)
+    """The multiplicative forcing as the fluid substep applies it: the
+    coefficient xi of the step's increment times the state."""
 
-    def test_zero_state_zero_forcing(self):
-        fl, lay, forms = self._forms()
-        sp = spec4()
-        f_u, f_v = apply_G(forms, np.zeros(fl.n_free), np.zeros(lay.structure.n_free),
-                           np.array([0.3, -0.1, 0.2, 0.05]), sp)
-        assert np.all(f_u == 0.0) and np.all(f_v == 0.0)
+    def test_zero_state_zero_forcing(self, rng):
+        dom = ReferenceDomain(L=1.0, R=1.0, nz=2, nr=2)
+        fl, st, lay = build_spaces(dom, 2)
+        prof = WallProfile.zero(1.0, 2)
+        forms = assemble_all(fl, st, lay, prof, prof)
+        params = SchemeParams(nu=1.0, delta=0.1, epsilon=1e-3, s=1.75, dt=0.01)
+        v_half = rng.normal(size=st.n_free)
+        zero_u, zero_v = np.zeros(fl.n_free), np.zeros(st.n_free)
+        quiet = fluid_step(fl, lay, forms, params, zero_u, zero_v, v_half, 0.0, 1.0, 0.0)
+        xi = float(spec4().amplitude @ np.array([0.3, -0.1, 0.2, 0.05]))
+        forced = fluid_step(fl, lay, forms, params, zero_u, zero_v, v_half, xi, 1.0, 0.0)
+        assert np.array_equal(quiet[0], forced[0]) and np.array_equal(quiet[1], forced[1])
 
     def test_zero_increment_zero_forcing(self):
-        fl, lay, forms = self._forms(2, 2)
-        sp = spec4()
-        u = np.ones(fl.n_free)
-        v = np.ones(lay.structure.n_free)
-        f_u, f_v = apply_G(forms, u, v, np.zeros(4), sp)
-        assert np.all(f_u == 0.0) and np.all(f_v == 0.0)
-
-    def test_unit_dof_matches_dense_mass_row(self):
-        fl, lay, forms = self._forms()
-        sp = spec4()
-        incr = np.array([0.3, -0.1, 0.2, 0.05])
-        xi = float(sp.amplitude @ incr)
-        u = np.zeros(fl.n_free)
-        u[0] = 1.0
-        f_u, _ = apply_G(forms, u, np.zeros(lay.structure.n_free), incr, sp)
-        df = od.DenseFluid(1.0, 1.0, 1, 1)
-        M = od.dense_weighted_mass(df, lambda z: 1.0)[np.ix_(df.free, df.free)]
-        assert np.allclose(f_u, xi * M[:, 0], atol=1e-14)
-
-    def test_dimension_mismatch(self):
-        fl, lay, forms = self._forms()
-        with pytest.raises(ConfigError):
-            apply_G(forms, np.zeros(fl.n_free), np.zeros(lay.structure.n_free),
-                    np.zeros(3), spec4())
+        path = NoisePath(np.zeros((3, 4)), 0.1, spec4(), 0, "per-step", 0)
+        assert all(path.xi(n) == 0.0 for n in range(3))
 
 
 class TestLipschitzAndGrowth:
@@ -170,7 +151,7 @@ class TestLipschitzAndGrowth:
         M1 = forms.M_eta  # for the plain state norms use unit weight below
         ratios = []
         for t in (1e-3, 1e-1, 1.0, 1e1, 1e3):
-            hs = np.sqrt(g_hs_norm_sq(forms, t * du, t * dv, sp))
+            hs = np.sqrt(sp.phi_hs_sq * state_l2_sq(forms, t * du, t * dv))
             denom = np.sqrt(float((t * du) @ (M1 @ (t * du)))) \
                 + np.sqrt(float((t * dv) @ (forms.M_s @ (t * dv))))
             ratios.append(hs / denom)
@@ -184,7 +165,7 @@ class TestLipschitzAndGrowth:
         for _ in range(50):
             u = rng.normal(size=fl.n_free)
             v = rng.normal(size=lay.structure.n_free)
-            hs = np.sqrt(g_hs_norm_sq(forms, u, v, sp))
+            hs = np.sqrt(sp.phi_hs_sq * state_l2_sq(forms, u, v))
             denom = np.sqrt(float(u @ (forms.M_eta @ u))) \
                 + np.sqrt(float(v @ (forms.M_s @ v)))
             worst = max(worst, hs / denom)

@@ -66,7 +66,7 @@ class TestCutoff:
 
     def test_admissible_candidate_accepted(self):
         st, hs_form, delta, s = self._setup()
-        state = CutoffState(1, np.zeros(st.n_free), None, delta, s)
+        state = CutoffState(1, np.zeros(st.n_free), None, delta)
         new, gap, hs = update_cutoff(state, np.zeros(st.n_free), st, 1.0, hs_form)
         assert new.theta == 1
         assert gap == pytest.approx(1.0)
@@ -76,7 +76,7 @@ class TestCutoff:
     def test_gap_violation_freezes(self):
         st, hs_form, delta, s = self._setup()
         good = np.zeros(st.n_free)
-        state = CutoffState(1, good, None, delta, s)
+        state = CutoffState(1, good, None, delta)
         bad = np.zeros(st.n_free)
         bad[st.free.tolist().index(2 * (st.n_el // 2))] = -0.95  # min gap 0.05
         new, gap, _ = update_cutoff(state, bad, st, 1.0, hs_form, step=5)
@@ -88,7 +88,7 @@ class TestCutoff:
     def test_flag_monotone_after_drop(self):
         st, hs_form, delta, s = self._setup()
         frozen = np.zeros(st.n_free)
-        state = CutoffState(0, frozen, 3, delta, s)
+        state = CutoffState(0, frozen, 3, delta)
         new, _, _ = update_cutoff(state, np.zeros(st.n_free), st, 1.0, hs_form, step=7)
         assert new.theta == 0
         assert new.frozen_at == 3
@@ -103,10 +103,9 @@ class TestFluidStep:
         fl, st, lay = tiny_spaces(2, 2)
         prof = st.profile(np.zeros(st.n_free))
         forms = assemble_all(fl, st, lay, prof, prof)
-        spec = NoiseSpec(K=0, q=np.zeros(0), amplitude=np.zeros(0), seed=1)
         u, v, stats = fluid_step(fl, lay, forms, self._params(),
                                  np.zeros(fl.n_free), np.zeros(st.n_free),
-                                 np.zeros(st.n_free), np.zeros(0), 0.0, 0.0, spec)
+                                 np.zeros(st.n_free), 0.0, 0.0, 0.0)
         assert np.all(u == 0.0) and np.all(v == 0.0)
         assert stats.iterations == 1
 
@@ -127,7 +126,7 @@ class TestFluidStep:
         dW = np.array([0.05, -0.02])
         xi = float(spec.amplitude @ dW)
         u1, v1, stats = fluid_step(fl, lay, forms, params, u_n, v_n, v_half,
-                                   dW, 1.0, 0.0, spec)
+                                   xi, 1.0, 0.0)
         u1_o, v1_o = od.mirror_fluid_step(
             L, R, nz, nr, eta_n, eta_np1, u_n, v_n, v_half, xi,
             P_in=1.0, P_out=0.0, nu=params.nu, eps=params.epsilon, dt=params.dt)
@@ -149,12 +148,11 @@ class TestFluidStep:
             return assemble_advection(*args)
 
         monkeypatch.setattr(scheme, "assemble_advection", counting)
-        spec = NoiseSpec(K=0, q=np.zeros(0), amplitude=np.zeros(0), seed=1)
         u_n = rng.normal(size=fl.n_free)
         v_n = rng.normal(size=st.n_free)
         u_n[lay.shared_free] = v_n[0::2]
         _, _, stats = fluid_step(fl, lay, forms, self._params(), u_n, v_n, v_n,
-                                 np.zeros(0), 1.0, 0.0, spec)
+                                 0.0, 1.0, 0.0)
         assert stats.iterations > 1
         assert len(calls) == 1
 
@@ -164,11 +162,10 @@ class TestFluidStep:
         forms = assemble_all(fl, st, lay, prof, prof)
         params = SchemeParams(nu=1e-4, delta=0.1, epsilon=1.0, s=1.75,
                               dt=0.5, max_picard=1)
-        spec = NoiseSpec(K=0, q=np.zeros(0), amplitude=np.zeros(0), seed=1)
         u_n = 50.0 * rng.normal(size=fl.n_free)
         with pytest.raises(PicardDivergence):
             fluid_step(fl, lay, forms, params, u_n, np.zeros(st.n_free),
-                       np.zeros(st.n_free), np.zeros(0), 0.0, 0.0, spec)
+                       np.zeros(st.n_free), 0.0, 0.0, 0.0)
 
     def test_trace_constant_positive(self):
         fl, st, lay = tiny_spaces(4, 2)
