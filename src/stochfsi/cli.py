@@ -22,6 +22,8 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
+import numbers
 import os
 import sys
 from dataclasses import dataclass
@@ -33,7 +35,8 @@ from .discretization import HsForm, build_spaces
 from .errors import ConfigError, InitialDataError
 from .geometry import ReferenceDomain
 from .noise import NoiseSpec
-from .scheme import PathProblem, SchemeParams, Trajectory, run_path
+from .scheme import (PathProblem, SchemeParams, Trajectory, check_initial_admissibility,
+                     run_path)
 from . import diagnostics
 
 _GAUSS5 = np.polynomial.legendre.leggauss(5)
@@ -93,13 +96,15 @@ class RunConfig:
 _OPEN_SECTIONS = {"pressure.", "initial.eta0.", "initial.v0.", "initial.u0."}
 
 
-def _merge(defaults: dict, user: dict, path: str) -> dict:
+def _merge(defaults: dict, user, path: str) -> dict:
+    if not isinstance(user, dict):
+        raise ConfigError(f"{path[:-1] or 'config'}: must be a JSON object, got {user!r}")
     if path in _OPEN_SECTIONS:
         return dict(user) if user else dict(defaults)
     out = {}
     for key, dval in defaults.items():
         if isinstance(dval, dict):
-            out[key] = _merge(dval, user.get(key, {}) or {}, f"{path}{key}.")
+            out[key] = _merge(dval, user.get(key, {}), f"{path}{key}.")
         else:
             out[key] = user.get(key, dval)
     for key in user:
@@ -113,110 +118,139 @@ def _require(cond: bool, msg: str):
         raise ConfigError(msg)
 
 
+# what a numeric field may hold, keyed by the words that name it
+_RANGES = {
+    "a number": lambda x: True,
+    "a number > 0": lambda x: x > 0,
+    "a number in (3/2, 2)": lambda x: 1.5 < x < 2.0,
+    "a number in (0, 1]": lambda x: 0 < x <= 1,
+    "an integer": lambda x: True,
+    "an integer >= 0": lambda x: x >= 0,
+    "an integer >= 1": lambda x: x >= 1,
+}
+
+# the numeric fields of the fixed sections
+_NUMERIC = {
+    "domain": {"L": "a number > 0", "R": "a number > 0",
+               "nz": "an integer >= 1", "nr": "an integer >= 1"},
+    "physics": {"nu": "a number > 0", "delta": "a number > 0",
+                "epsilon": "a number > 0", "s": "a number in (3/2, 2)"},
+    "time": {"T": "a number > 0", "N": "an integer >= 1"},
+    "noise": {"K": "an integer >= 0"},
+    "run": {"M": "an integer >= 1", "master_seed": "an integer"},
+    "solver": {"tol_picard": "a number > 0", "max_picard": "an integer >= 1",
+               "damping": "a number in (0, 1]", "damping_after": "an integer >= 0"},
+}
+
+
+def _number(value, field: str, want: str = "a number"):
+    """``value`` if it is ``want`` (a key of _RANGES): a finite real that is
+    not a bool and, for an integer, integral (an integral float becomes an int)."""
+    count = want.startswith("an integer")
+    ok = (isinstance(value, numbers.Real) and not isinstance(value, bool)
+          and (isinstance(value, numbers.Integral) or math.isfinite(value))
+          and (not count or value == int(value)))
+    if not (ok and _RANGES[want](value)):
+        raise ConfigError(f"{field}: must be {want}, got {value!r}")
+    return int(value) if count else value
+
+
+def _numbers(value, field: str, want: str = "a number") -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"{field}: must be a list, got {value!r}")
+    return [_number(v, f"{field}[{i}]", want) for i, v in enumerate(value)]
+
+
+def _noise_spec(noise: dict) -> NoiseSpec:
+    return NoiseSpec(K=noise["K"], q=noise["q"], amplitude=noise["amplitude"],
+                     seed=noise["seed"], generator_id=noise["generator"],
+                     sampling=noise["sampling"])
+
+
+_INITIAL_KINDS = {"eta0": ("zero", "bump", "sine2"), "v0": ("zero", "bump", "sine2"),
+                  "u0": ("zero", "parabolic")}
+
+
 def parse_config(data: dict) -> RunConfig:
-    """Validate a raw dict against the schema; all defaults resolved."""
-    if not isinstance(data, dict):
-        raise ConfigError("config: top level must be a JSON object")
+    """Validate a raw dict against the schema; all defaults resolved.
+
+    Builds nothing: the admissibility of the initial wall needs the built
+    problem and is checked by ``build_problem``."""
     merged = _merge(_DEFAULTS, data, "")
-    d, p, t = merged["domain"], merged["physics"], merged["time"]
-    _require(d["L"] > 0, f"domain.L: must be > 0, got {d['L']}")
-    _require(d["R"] > 0, f"domain.R: must be > 0, got {d['R']}")
-    _require(int(d["nz"]) >= 1, f"domain.nz: must be >= 1, got {d['nz']}")
-    _require(int(d["nr"]) >= 1, f"domain.nr: must be >= 1, got {d['nr']}")
-    d["nz"], d["nr"] = int(d["nz"]), int(d["nr"])
-    _require(p["nu"] > 0, f"physics.nu: must be > 0, got {p['nu']}")
-    _require(p["delta"] > 0, f"physics.delta: must be > 0, got {p['delta']}")
-    _require(p["epsilon"] > 0, f"physics.epsilon: must be > 0, got {p['epsilon']}")
-    _require(1.5 < p["s"] < 2.0, f"physics.s: must lie in (3/2, 2), got {p['s']}")
-    _require(t["T"] > 0, f"time.T: must be > 0, got {t['T']}")
-    _require(int(t["N"]) >= 1, f"time.N: must be >= 1, got {t['N']}")
-    t["N"] = int(t["N"])
+    for section, fields in _NUMERIC.items():
+        for key, want in fields.items():
+            merged[section][key] = _number(merged[section][key], f"{section}.{key}", want)
 
     pr = merged["pressure"]
     kind = pr.get("kind")
     if kind == "constant":
-        pr.setdefault("P_in", 0.0)
-        pr.setdefault("P_out", 0.0)
+        for key in ("P_in", "P_out"):
+            pr[key] = _number(pr.get(key, 0.0), f"pressure.{key}")
     elif kind == "table":
         for key in ("times", "P_in", "P_out"):
-            _require(key in pr and isinstance(pr[key], list) and pr[key],
-                     f"pressure.{key}: table kind needs a nonempty list")
+            pr[key] = _numbers(pr.get(key), f"pressure.{key}")
+            _require(pr[key], f"pressure.{key}: table kind needs a nonempty list")
         _require(len(pr["times"]) == len(pr["P_in"]) == len(pr["P_out"]),
                  "pressure.times/P_in/P_out: lengths must match")
         _require(pr["times"][0] == 0.0, "pressure.times: must start at 0")
         _require(all(a < b for a, b in zip(pr["times"], pr["times"][1:])),
                  "pressure.times: must be strictly increasing")
     elif kind == "half-sine":
-        pr.setdefault("amplitude", 1.0)
-        pr.setdefault("duration", t["T"])
+        pr["amplitude"] = _number(pr.get("amplitude", 1.0), "pressure.amplitude")
+        pr["duration"] = _number(pr.get("duration", merged["time"]["T"]),
+                                 "pressure.duration", "a number > 0")
         pr.setdefault("side", "in")
-        _require(pr["duration"] > 0, "pressure.duration: must be > 0")
         _require(pr["side"] in ("in", "out"), "pressure.side: must be 'in' or 'out'")
     else:
         raise ConfigError(f"pressure.kind: unknown kind {kind!r}")
 
-    for name in ("eta0", "v0"):
+    for name, kinds in _INITIAL_KINDS.items():
         spec = merged["initial"][name]
-        if spec.get("kind") not in ("zero", "bump", "sine2"):
+        if spec.get("kind") not in kinds:
             raise ConfigError(f"initial.{name}.kind: unknown kind {spec.get('kind')!r}")
         if spec["kind"] != "zero":
-            _require("amplitude" in spec, f"initial.{name}.amplitude: required")
-    u0 = merged["initial"]["u0"]
-    if u0.get("kind") not in ("zero", "parabolic"):
-        raise ConfigError(f"initial.u0.kind: unknown kind {u0.get('kind')!r}")
-    if u0["kind"] != "zero":
-        _require("amplitude" in u0, "initial.u0.amplitude: required")
+            spec["amplitude"] = _number(spec.get("amplitude"), f"initial.{name}.amplitude")
 
     nz = merged["noise"]
-    nz["K"] = int(nz["K"])
+    nz["q"] = _numbers(nz["q"], "noise.q", "a number > 0")
+    nz["amplitude"] = _numbers(nz["amplitude"], "noise.amplitude")
     if nz["seed"] is None:
-        nz["seed"] = int(merged["run"]["master_seed"])
-    # NoiseSpec re-validates; surface its complaints with field names
-    NoiseSpec(K=nz["K"], q=np.asarray(nz["q"], dtype=float),
-              amplitude=np.asarray(nz["amplitude"], dtype=float),
-              seed=int(nz["seed"]), generator_id=nz["generator"],
-              sampling=nz["sampling"])
+        nz["seed"] = merged["run"]["master_seed"]
+    nz["seed"] = _number(nz["seed"], "noise.seed", "an integer")
+    _noise_spec(nz)  # checks the lengths against K, the generator and the sampling
 
     r = merged["run"]
     _require(r["mode"] in ("path", "ensemble", "sweep"),
              f"run.mode: unknown mode {r['mode']!r}")
-    _require(int(r["M"]) >= 1, f"run.M: must be >= 1, got {r['M']}")
-    r["M"] = int(r["M"])
     if r["mode"] == "sweep":
         _require(r["sweep_axis"] in ("N", "epsilon"),
                  f"run.sweep_axis: must be 'N' or 'epsilon', got {r['sweep_axis']!r}")
-        _require(len(r["sweep_values"]) >= 1, "run.sweep_values: need at least one value")
+        want = "an integer >= 1" if r["sweep_axis"] == "N" else "a number > 0"
+        r["sweep_values"] = _numbers(r["sweep_values"], "run.sweep_values", want)
+        _require(r["sweep_values"], "run.sweep_values: need at least one value")
+    _require(isinstance(r["halt_at_stop"], bool),
+             f"run.halt_at_stop: must be true or false, got {r['halt_at_stop']!r}")
+    _require(isinstance(merged["output"]["directory"], str),
+             f"output.directory: must be a string, got {merged['output']['directory']!r}")
+    return RunConfig(**merged)
 
-    s = merged["solver"]
-    _require(s["tol_picard"] > 0, "solver.tol_picard: must be > 0")
-    _require(int(s["max_picard"]) >= 1, "solver.max_picard: must be >= 1")
-    s["max_picard"] = int(s["max_picard"])
-    _require(0 < s["damping"] <= 1, "solver.damping: must lie in (0, 1]")
 
-    cfg = RunConfig(**merged)
-    # admissibility of the initial wall configuration is a load-time error
-    problem = build_problem(cfg)
-    from .scheme import check_initial_admissibility
-
-    check_initial_admissibility(problem)
-    return cfg
+def _read_json(path: str):
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"config: invalid JSON ({exc})") from exc
 
 
 def load_config(path: str) -> RunConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config: invalid JSON ({exc})") from exc
-    return parse_config(data)
+    return parse_config(_read_json(path))
 
 
 def with_axis_value(cfg: RunConfig, axis: str, value) -> RunConfig:
     data = json.loads(json.dumps(cfg.to_dict()))
-    if axis == "N":
-        data["time"]["N"] = int(value)
-    else:
-        data["physics"]["epsilon"] = float(value)
+    section, key = ("time", "N") if axis == "N" else ("physics", "epsilon")
+    data[section][key] = value
     data["run"]["mode"] = "ensemble"
     return parse_config(data)
 
@@ -260,21 +294,25 @@ def step_pressures(cfg: RunConfig):
     return (out, zero) if pr["side"] == "in" else (zero, out)
 
 
-def _wall_shape(spec: dict, L: float):
-    kind = spec["kind"]
-    if kind == "zero":
-        return (lambda z: np.zeros_like(z)), (lambda z: np.zeros_like(z))
-    a = float(spec["amplitude"])
-    if kind == "sine2":
-        return (
-            lambda z: a * np.sin(np.pi * z / L) ** 2,
-            lambda z: a * np.pi / L * np.sin(2 * np.pi * z / L),
-        )
-    return None, None  # bump handled nodally
+def _initial_wall(structure, spec: dict, what: str) -> np.ndarray:
+    """Free beam DOFs (nodal values and slopes) of an initial wall field."""
+    full = np.zeros(structure.ndof_full)
+    n_el, L = structure.n_el, structure.L
+    if spec["kind"] == "sine2":
+        a = float(spec["amplitude"])
+        z = np.linspace(0.0, L, n_el + 1)
+        full[0::2] = a * np.sin(np.pi * z / L) ** 2
+        full[1::2] = a * np.pi / L * np.sin(2 * np.pi * z / L)
+    elif spec["kind"] == "bump":
+        if n_el < 2:
+            raise ConfigError(f"initial.{what}: bump needs an interior structure node (nz >= 2)")
+        full[2 * (n_el // 2)] = float(spec["amplitude"])
+    return full[structure.free]
 
 
 def build_problem(cfg: RunConfig) -> PathProblem:
-    """Spaces, forms scaffolding and initial vectors for one scenario."""
+    """Spaces, forms scaffolding and initial vectors for one scenario, with
+    the initial data checked for admissibility (``InitialDataError``)."""
     domain = ReferenceDomain(L=cfg.domain["L"], R=cfg.domain["R"],
                              nz=cfg.domain["nz"], nr=cfg.domain["nr"])
     fluid, structure, layout = build_spaces(domain, domain.nz)
@@ -284,31 +322,6 @@ def build_problem(cfg: RunConfig) -> PathProblem:
         tol_picard=cfg.solver["tol_picard"], max_picard=cfg.solver["max_picard"],
         damping=cfg.solver["damping"], damping_after=cfg.solver["damping_after"],
     )
-    hs_form = HsForm(structure, cfg.physics["s"])
-    noise_spec = NoiseSpec(
-        K=cfg.noise["K"], q=np.asarray(cfg.noise["q"], dtype=float),
-        amplitude=np.asarray(cfg.noise["amplitude"], dtype=float),
-        seed=int(cfg.noise["seed"]), generator_id=cfg.noise["generator"],
-        sampling=cfg.noise["sampling"],
-    )
-
-    L = domain.L
-
-    def beam_vector(spec_dict, what):
-        if spec_dict["kind"] == "bump":
-            full = np.zeros(structure.ndof_full)
-            mid_node = structure.n_el // 2
-            if not 0 < mid_node < structure.n_el:
-                raise ConfigError(f"initial.{what}: bump needs an interior structure node (nz >= 2)")
-            full[2 * mid_node] = float(spec_dict["amplitude"])
-            return full[structure.free]
-        f, fp = _wall_shape(spec_dict, L)
-        from .geometry import WallProfile
-        return structure.from_profile(WallProfile.from_callable(L, structure.n_el, f, fp))
-
-    eta0 = beam_vector(cfg.initial["eta0"], "eta0")
-    v0 = beam_vector(cfg.initial["v0"], "v0")
-
     u_spec = cfg.initial["u0"]
     if u_spec["kind"] == "zero":
         u0 = np.zeros(fluid.n_free)
@@ -317,12 +330,16 @@ def build_problem(cfg: RunConfig) -> PathProblem:
         u0 = fluid.interpolate(lambda z, r: a * (1 - r**2), lambda z, r: np.zeros_like(z))
 
     P_in, P_out = step_pressures(cfg)
-    return PathProblem(
+    problem = PathProblem(
         fluid=fluid, structure=structure, layout=layout, params=params,
-        noise=noise_spec, hs_form=hs_form, N=cfg.time["N"],
-        P_in=P_in, P_out=P_out, u0=u0, v0=v0, eta0=eta0,
-        halt_at_stop=bool(cfg.run["halt_at_stop"]),
+        noise=_noise_spec(cfg.noise), hs_form=HsForm(structure, cfg.physics["s"]),
+        N=cfg.time["N"], P_in=P_in, P_out=P_out, u0=u0,
+        v0=_initial_wall(structure, cfg.initial["v0"], "v0"),
+        eta0=_initial_wall(structure, cfg.initial["eta0"], "eta0"),
+        halt_at_stop=cfg.run["halt_at_stop"],
     )
+    check_initial_admissibility(problem)
+    return problem
 
 
 # ----------------------------------------------------------------------
@@ -379,12 +396,12 @@ def write_sweep_csv(path: str, result):
         fh.write("\n".join(lines) + "\n")
 
 
-def run(cfg: RunConfig, out_dir: str | None = None) -> int:
-    """Execute the configured run; returns the process exit status."""
+def run(cfg: RunConfig, problem: PathProblem, out_dir: str | None = None) -> int:
+    """Execute the configured run on ``build_problem(cfg)``; returns the
+    process exit status."""
     out = out_dir or cfg.output["directory"]
     os.makedirs(out, exist_ok=True)
     mode = cfg.run["mode"]
-    problem = build_problem(cfg)
 
     if mode == "path":
         write_manifest(os.path.join(out, "manifest.json"), cfg, {"mode": "path"})
@@ -432,6 +449,10 @@ def ensemble_with_ledgers(problem: PathProblem, M: int, out: str):
 # entry point
 
 
+def _number_list(text: str) -> list:
+    return [float(v) for v in text.split(",") if v]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="stochfsi",
                                      description="stochastic FSI splitting-scheme runner")
@@ -450,12 +471,26 @@ def main(argv=None) -> int:
     p_sw = sub.add_parser("sweep", help="sweep N or epsilon over a value list")
     p_sw.add_argument("--config", required=True)
     p_sw.add_argument("--axis", required=True, choices=["N", "epsilon"])
-    p_sw.add_argument("--values", required=True)
+    p_sw.add_argument("--values", required=True, type=_number_list)
     p_sw.add_argument("--out")
 
     args = parser.parse_args(argv)
+    overrides = {}
+    if args.command == "run":
+        overrides = {("run", "mode"): args.mode, ("run", "M"): args.paths,
+                     ("run", "master_seed"): args.seed, ("noise", "seed"): args.seed}
+    elif args.command == "sweep":
+        overrides = {("run", "mode"): "sweep", ("run", "sweep_axis"): args.axis,
+                     ("run", "sweep_values"): args.values}
     try:
-        cfg = load_config(args.config)
+        data = _read_json(args.config)
+        for (section, key), value in overrides.items():
+            # a section that is not an object is left for parse_config to name
+            sub = data.setdefault(section, {}) if isinstance(data, dict) else None
+            if value is not None and isinstance(sub, dict):
+                sub[key] = value
+        cfg = parse_config(data)
+        problem = build_problem(cfg)
     except (ConfigError, InitialDataError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -463,28 +498,7 @@ def main(argv=None) -> int:
     if args.command == "validate":
         print("config OK")
         return 0
-
-    if args.command == "sweep":
-        data = cfg.to_dict()
-        data["run"]["mode"] = "sweep"
-        data["run"]["sweep_axis"] = args.axis
-        vals = [float(v) if args.axis == "epsilon" else int(v)
-                for v in args.values.split(",") if v]
-        data["run"]["sweep_values"] = vals
-        cfg = parse_config(data)
-        return run(cfg, args.out)
-
-    # run
-    data = cfg.to_dict()
-    if args.mode:
-        data["run"]["mode"] = args.mode
-    if args.paths:
-        data["run"]["M"] = args.paths
-    if args.seed is not None:
-        data["run"]["master_seed"] = args.seed
-        data["noise"]["seed"] = args.seed
-    cfg = parse_config(data)
-    return run(cfg, args.out)
+    return run(cfg, problem, args.out)
 
 
 if __name__ == "__main__":

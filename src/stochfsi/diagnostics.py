@@ -42,6 +42,20 @@ def structure_identity_residuals(traj: Trajectory) -> np.ndarray:
     return np.abs(res) / _scale(led)
 
 
+def _estimate(traj: Trajectory, delta: float | None, sharp: bool):
+    """Per-step (dissipation, gain) of the fluid estimate in its sharp or
+    classical form (see the module docstring); the checks below add the
+    energies and the structure dissipation around them."""
+    led = traj.ledger
+    if sharp:
+        return led.D, (traj.dt * led.pressure_work + led.S_bound
+                       + np.abs(led.stoch_work) + 0.25 * led.vhalf_gap_sq)
+    c_g = 2.0 * max(1.0 / delta, 1.0)
+    return 0.5 * led.D, (0.5 * led.trace_const * traj.dt * (led.P_in**2 + led.P_out**2)
+                         + c_g * led.incr_norm**2 * led.g_hs_sq
+                         + np.abs(led.stoch_work) + 0.25 * led.vhalf_gap_sq)
+
+
 def fluid_inequality_sharp(traj: Trajectory) -> np.ndarray:
     """Signed, scale-normalized violation of the pre-absorption estimate
 
@@ -49,10 +63,8 @@ def fluid_inequality_sharp(traj: Trajectory) -> np.ndarray:
                          + 1/4 ||v^{n+1/2} - v^n||^2.
     """
     led = traj.ledger
-    lhs = led.E[1:] + led.D + led.C2
-    rhs = (led.E_half + traj.dt * led.pressure_work + led.S_bound
-           + np.abs(led.stoch_work) + 0.25 * led.vhalf_gap_sq)
-    return (lhs - rhs) / _scale(led)
+    diss, gain = _estimate(traj, None, sharp=True)
+    return (led.E[1:] + diss + led.C2 - (led.E_half + gain)) / _scale(led)
 
 
 def fluid_inequality_classical(traj: Trajectory, delta: float) -> np.ndarray:
@@ -66,48 +78,24 @@ def fluid_inequality_classical(traj: Trajectory, delta: float) -> np.ndarray:
     the sharpest constant the Cauchy-Schwarz/Young chain provides.
     """
     led = traj.ledger
-    c_g = 2.0 * max(1.0 / delta, 1.0)
-    lhs = led.E[1:] + 0.5 * led.D + led.C2
-    rhs = (led.E_half
-           + 0.5 * led.trace_const * traj.dt * (led.P_in**2 + led.P_out**2)
-           + c_g * led.incr_norm**2 * led.g_hs_sq
-           + np.abs(led.stoch_work) + 0.25 * led.vhalf_gap_sq)
-    return (lhs - rhs) / _scale(led)
+    diss, gain = _estimate(traj, delta, sharp=False)
+    return (led.E[1:] + diss + led.C2 - (led.E_half + gain)) / _scale(led)
 
 
 def combined_step_violations(traj: Trajectory, delta: float, sharp: bool = True) -> np.ndarray:
     """One-step inequality with both substeps folded together,
     E^{n+1} + D' + C1 + C2 <= E^n + (pressure) + (noise) + |(G dW, U^n)| + 1/4 gap."""
     led = traj.ledger
-    if sharp:
-        lhs = led.E[1:] + led.D + led.C1 + led.C2
-        rhs = (led.E[: traj.n_steps] + traj.dt * led.pressure_work + led.S_bound
-               + np.abs(led.stoch_work) + 0.25 * led.vhalf_gap_sq)
-    else:
-        c_g = 2.0 * max(1.0 / delta, 1.0)
-        lhs = led.E[1:] + 0.5 * led.D + led.C1 + led.C2
-        rhs = (led.E[: traj.n_steps]
-               + 0.5 * led.trace_const * traj.dt * (led.P_in**2 + led.P_out**2)
-               + c_g * led.incr_norm**2 * led.g_hs_sq
-               + np.abs(led.stoch_work) + 0.25 * led.vhalf_gap_sq)
-    return (lhs - rhs) / _scale(led)
+    diss, gain = _estimate(traj, delta, sharp)
+    return (led.E[1:] + diss + led.C1 + led.C2 - (led.E[:-1] + gain)) / _scale(led)
 
 
 def summed_inequality_violations(traj: Trajectory, delta: float, sharp: bool = True) -> np.ndarray:
     """Violations of the summed pathwise estimate for every horizon m <= N:
     E^m + sum(D' + C1 + C2) <= E^0 + sum(rhs terms)."""
     led = traj.ledger
-    if sharp:
-        diss = led.D + led.C1 + led.C2
-        gain = (traj.dt * led.pressure_work + led.S_bound
-                + np.abs(led.stoch_work) + 0.25 * led.vhalf_gap_sq)
-    else:
-        c_g = 2.0 * max(1.0 / delta, 1.0)
-        diss = 0.5 * led.D + led.C1 + led.C2
-        gain = (0.5 * led.trace_const * traj.dt * (led.P_in**2 + led.P_out**2)
-                + c_g * led.incr_norm**2 * led.g_hs_sq
-                + np.abs(led.stoch_work) + 0.25 * led.vhalf_gap_sq)
-    lhs = led.E[1:] + np.cumsum(diss)
+    diss, gain = _estimate(traj, delta, sharp)
+    lhs = led.E[1:] + np.cumsum(diss + led.C1 + led.C2)
     rhs = led.E[0] + np.cumsum(gain)
     scale = np.maximum(np.maximum(np.maximum.accumulate(led.E[1:]), led.E[0]), 1.0)
     return (lhs - rhs) / scale

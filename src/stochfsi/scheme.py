@@ -402,19 +402,13 @@ def check_initial_admissibility(problem: PathProblem) -> None:
     st, R, delta = problem.structure, problem.R, problem.params.delta
     gap0 = R + st.profile(problem.eta0).min_value()
     if not gap0 > delta:
-        raise InitialDataError(
-            f"initial wall gap min(R+eta0) = {gap0:.6g} must exceed delta = {delta:.6g}"
-        )
-    h2 = st.h2_norm_of_gap(problem.eta0, R)
-    if not h2 < 1.0 / delta:
-        raise InitialDataError(
-            f"initial ||R+eta0||_H2 = {h2:.6g} must be below 1/delta = {1/delta:.6g}"
-        )
-    hs0 = problem.hs_form.norm(problem.eta0, R)
-    if not hs0 < 1.0 / delta:
-        raise InitialDataError(
-            f"initial ||R+eta0||_Hs = {hs0:.6g} must be below 1/delta = {1/delta:.6g}"
-        )
+        raise InitialDataError(f"initial.eta0: wall gap min(R+eta0) = {gap0:.6g} "
+                               f"must exceed delta = {delta:.6g}")
+    for name, norm in (("H2", st.h2_norm_of_gap(problem.eta0, R)),
+                       ("Hs", problem.hs_form.norm(problem.eta0, R))):
+        if not norm < 1.0 / delta:
+            raise InitialDataError(f"initial.eta0: ||R+eta0||_{name} = {norm:.6g} "
+                                   f"must be below 1/delta = {1/delta:.6g}")
 
 
 def energy(u, v, eta, M_u, M_s, S) -> float:

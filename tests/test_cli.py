@@ -1,11 +1,16 @@
+import copy
 import json
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from stochfsi import cli
 from stochfsi.cli import (
     _LEDGER_COLUMNS,
+    build_problem,
     load_config,
     main,
     parse_config,
@@ -41,11 +46,35 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="physics.viscosity"):
             load_config(write_cfg(tmp_path, {**MINIMAL, "physics": {"viscosity": 1.0}}))
 
-    def test_inadmissible_wall_rejected_at_load(self, tmp_path):
+    def test_inadmissible_wall_rejected_at_load(self, tmp_path, capsys):
         data = {**MINIMAL,
                 "initial": {"eta0": {"kind": "sine2", "amplitude": -0.95}}}
-        with pytest.raises(InitialDataError):
-            load_config(write_cfg(tmp_path, data))
+        path = write_cfg(tmp_path, data)
+        with pytest.raises(InitialDataError, match="initial.eta0"):
+            build_problem(load_config(path))
+        assert main(["validate", "--config", path]) == 2
+        assert "config error: initial.eta0: wall gap" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("data,field", [
+        ({"domain": {"L": "a"}}, "domain.L"),
+        ({"domain": {"nz": "x"}}, "domain.nz"),
+        ({"noise": {"K": "two"}}, "noise.K"),
+        ({"physics": [1]}, "physics"),
+        ({"time": {"N": 2.7}}, "time.N"),
+        ({"run": {"M": 2.5}}, "run.M"),
+        ({"domain": {"nz": True}}, "domain.nz"),
+        ({"domain": {"L": float("inf")}}, "domain.L"),
+        ({"run": {"halt_at_stop": "false"}}, "run.halt_at_stop"),
+        ({"output": {"directory": 5}}, "output.directory"),
+    ])
+    def test_wrong_typed_value_exit_2(self, tmp_path, capsys, data, field):
+        path = write_cfg(tmp_path, {**MINIMAL, **data})
+        assert main(["validate", "--config", path]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {field}: must be ")
+
+    def test_integral_float_count_stored_as_int(self):
+        cfg = parse_config({**MINIMAL, "time": {"T": 0.25, "N": 4.0}})
+        assert cfg.time["N"] == 4 and isinstance(cfg.time["N"], int)
 
     def test_bad_json_reported(self, tmp_path):
         p = tmp_path / "broken.json"
@@ -68,6 +97,35 @@ class TestLoadConfig:
         data = {**MINIMAL, "run": {"mode": "sweep"}}
         with pytest.raises(ConfigError, match="sweep_axis"):
             load_config(write_cfg(tmp_path, data))
+
+
+def _numeric_leaves(tree, path=""):
+    for key, value in tree.items():
+        if isinstance(value, dict):
+            yield from _numeric_leaves(value, f"{path}{key}.")
+        elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            yield f"{path}{key}", isinstance(value, int)
+
+
+NUMERIC_LEAVES = sorted(_numeric_leaves(cli._DEFAULTS))
+JUNK = st.one_of(st.text(max_size=4), st.none(), st.lists(st.integers(), max_size=2),
+                 st.sampled_from([float("nan"), float("inf"), -float("inf"), True, False]))
+NON_INTEGRAL = st.floats(min_value=-1e6, max_value=1e6).filter(lambda x: not x.is_integer())
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_junk_numeric_leaf_names_its_field(data):
+    """Every numeric leaf of the defaults, set to junk, fails as a
+    ConfigError whose message starts with that leaf's dotted path."""
+    field, count = data.draw(st.sampled_from(NUMERIC_LEAVES))
+    junk = data.draw(st.one_of(JUNK, NON_INTEGRAL) if count else JUNK)
+    raw = copy.deepcopy(cli._DEFAULTS)
+    section, key = field.split(".")
+    raw[section][key] = junk
+    with pytest.raises(ConfigError) as exc:
+        parse_config(raw)
+    assert str(exc.value).startswith(f"{field}: ")
 
 
 class TestStepPressures:
@@ -115,7 +173,8 @@ class TestRunArtifacts:
 
     def test_zero_path_run_writes_zero_ledger(self, tmp_path):
         out = str(tmp_path / "out")
-        assert run(self._zero_cfg(out)) == 0
+        cfg = self._zero_cfg(out)
+        assert run(cfg, build_problem(cfg)) == 0
         text = (tmp_path / "out" / "ledger.csv").read_text().strip().splitlines()
         assert text[0] == ",".join(_LEDGER_COLUMNS)
         assert len(text) == 5
@@ -144,8 +203,8 @@ class TestRunArtifacts:
             "initial": {"eta0": {"kind": "zero"}, "v0": {"kind": "zero"},
                         "u0": {"kind": "parabolic", "amplitude": 0.3}},
         })
-        run(cfg, str(tmp_path / "a"))
-        run(cfg, str(tmp_path / "b"))
+        run(cfg, build_problem(cfg), str(tmp_path / "a"))
+        run(cfg, build_problem(cfg), str(tmp_path / "b"))
         assert (tmp_path / "a" / "ledger.csv").read_bytes() == \
             (tmp_path / "b" / "ledger.csv").read_bytes()
 
@@ -156,9 +215,10 @@ class TestRunArtifacts:
             "noise": {"K": 2, "q": [1.0, 0.25], "amplitude": [0.5, 0.2], "seed": 3},
             "run": {"mode": "ensemble", "M": 4},
         }
-        run(parse_config(base), str(tmp_path / "m4"))
-        base["run"]["M"] = 8
-        run(parse_config(base), str(tmp_path / "m8"))
+        for M in (4, 8):
+            base["run"]["M"] = M
+            cfg = parse_config(base)
+            run(cfg, build_problem(cfg), str(tmp_path / f"m{M}"))
         for i in range(4):
             a = (tmp_path / "m4" / f"ledger_{i:04d}.csv").read_bytes()
             b = (tmp_path / "m8" / f"ledger_{i:04d}.csv").read_bytes()
@@ -219,6 +279,28 @@ class TestMain:
         table = (tmp_path / "sweepout" / "table.csv").read_text().splitlines()
         assert table[0].startswith("value,")
         assert len([l for l in table if not l.startswith("#")]) == 3
+
+    def test_one_build_per_command(self, tmp_path, monkeypatch):
+        builds = []
+        real_build = cli.build_problem
+
+        def counted(cfg):
+            builds.append(cfg)
+            return real_build(cfg)
+
+        monkeypatch.setattr(cli, "build_problem", counted)
+        data = {**MINIMAL, "run": {"M": 2}}
+        parse_config(data)
+        assert len(builds) == 0
+        path = write_cfg(tmp_path, data)
+        expected = {"run": 1, "validate": 1, "sweep": 3}
+        for command, extra in (("run", ["--out", str(tmp_path / "run")]),
+                               ("validate", []),
+                               ("sweep", ["--axis", "epsilon", "--values", "1e-2,1e-3",
+                                          "--out", str(tmp_path / "sweep")])):
+            builds.clear()
+            assert main([command, "--config", path, *extra]) == 0
+            assert len(builds) == expected[command], command
 
 
 class TestAxisOverride:
