@@ -132,7 +132,8 @@ class FluidSpace:
     The mesh is uniform, so the products of shape functions and their
     derivatives at the quadrature points are the same in every cell; each
     form's table of them is built here once, and an element kernel is one
-    matmul of per-point coefficients against it.
+    matmul of per-point coefficients against it.  The inlet and outlet
+    flux vectors do not move with the wall and are built here too.
     """
 
     def __init__(self, domain: ReferenceDomain):
@@ -177,6 +178,7 @@ class FluidSpace:
         self.viscous_table = _gram_table(self.q_full, _VISCOUS)
         self.penalty_table = _gram_table(self.q_reduced, _PENALTY)
         self.advection_table = _advection_table(self.q_full, self.hz)
+        self.flux_in, self.flux_out = (f[self.free] for f in assemble_flux_vectors_full(self))
 
     def _make_quad(self, rule: int) -> _QuadCache:
         xi, ze, wq, N, dNdxi, dNdze = _q1_tables(rule)
@@ -508,7 +510,7 @@ def build_spaces(domain: ReferenceDomain, n_struct: int):
 
 @dataclass
 class AssembledForms:
-    """Every matrix/vector the splitting scheme needs at one time level.
+    """Every operator of the fluid substep that moves with eta*.
 
     All fluid matrices live on the free DOFs.  ``M_eta`` carries weight
     R + eta*_n, ``M_delta`` weight (eta*_{n+1} - eta*_n) (evaluated as an
@@ -516,7 +518,9 @@ class AssembledForms:
     next level's weighted mass), ``M_sq`` weight (R + eta*_n)^2 for the
     Hilbert-Schmidt norm of the noise operator.  ``K`` is the viscous
     form including its factor 2 (apply nu externally), ``P`` the reduced
-    integration divergence penalty (apply 1/eps externally).
+    integration divergence penalty (apply 1/eps externally).  The beam
+    matrices and the flux vectors do not move; they live on
+    ``StructureSpace`` and ``FluidSpace``.
     """
 
     M_eta: sp.csr_matrix
@@ -524,18 +528,12 @@ class AssembledForms:
     M_sq: sp.csr_matrix
     K: sp.csr_matrix
     P: sp.csr_matrix
-    flux_in: np.ndarray
-    flux_out: np.ndarray
-    M_s: np.ndarray
-    S1: np.ndarray
-    S2: np.ndarray
     w_q: np.ndarray
     s_q: np.ndarray
 
 
 def assemble_all(
     fluid: FluidSpace,
-    structure: StructureSpace,
     layout: CoupledLayout,
     profile_star_n: WallProfile,
     profile_star_np1: WallProfile,
@@ -545,7 +543,6 @@ def assemble_all(
     Entries depend on the wall only through values/slopes at quadrature
     points, so equal profiles produce bit-identical matrices.
     """
-    free = fluid.free
     R = fluid.domain.R
     w_q, s_q = fluid.wall_samples(profile_star_n, R=R, reduced=False)
     w1_q, s1_q = fluid.wall_samples(profile_star_n, R=R, reduced=True)
@@ -553,24 +550,12 @@ def assemble_all(
     delta_q = w_next - w_q
 
     csr = layout.fluid_csr
-    M_eta = csr(element_mass(fluid, w_q))
-    M_delta = csr(element_mass(fluid, delta_q))
-    M_sq = csr(element_mass(fluid, w_q * w_q))
-    K = csr(element_viscous(fluid, w_q, s_q))
-    P = csr(element_penalty(fluid, w1_q, s1_q))
-    f_in_full, f_out_full = assemble_flux_vectors_full(fluid)
-
     return AssembledForms(
-        M_eta=M_eta,
-        M_delta=M_delta,
-        M_sq=M_sq,
-        K=K,
-        P=P,
-        flux_in=f_in_full[free],
-        flux_out=f_out_full[free],
-        M_s=structure.M,
-        S1=structure.S1,
-        S2=structure.S2,
+        M_eta=csr(element_mass(fluid, w_q)),
+        M_delta=csr(element_mass(fluid, delta_q)),
+        M_sq=csr(element_mass(fluid, w_q * w_q)),
+        K=csr(element_viscous(fluid, w_q, s_q)),
+        P=csr(element_penalty(fluid, w1_q, s1_q)),
         w_q=w_q,
         s_q=s_q,
     )

@@ -190,6 +190,7 @@ def sample_path(spec: NoiseSpec, N: int, dt: float, path_index: int = 0) -> Nois
     return NoisePath(arr, dt, spec, path_index, mode, depth)
 
 
-def state_l2_sq(forms, u_free: np.ndarray, v_beam: np.ndarray) -> float:
-    """||(R+eta*) u||_{L2}^2 + ||v||_{L2}^2 (the G-norm without the Phi factor)."""
-    return float(u_free @ (forms.M_sq @ u_free) + v_beam @ (forms.M_s @ v_beam))
+def state_l2_sq(u_free: np.ndarray, v_beam: np.ndarray, M_sq, M_s) -> float:
+    """||(R+eta*) u||_{L2}^2 + ||v||_{L2}^2 (the G-norm without the Phi factor);
+    M_sq is the fluid mass weighted by (R+eta*)^2, M_s the beam mass."""
+    return float(u_free @ (M_sq @ u_free) + v_beam @ (M_s @ v_beam))

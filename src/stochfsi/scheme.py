@@ -56,15 +56,12 @@ class SchemeParams:
     dt: float
     tol_picard: float = 1e-10
     max_picard: int = 50
-    damping: float = 0.5
-    damping_after: int = 20
 
 
 @dataclass
 class PicardStats:
     iterations: int
     rel_update: float
-    converged: bool
 
 
 @dataclass
@@ -173,9 +170,10 @@ def fluid_step(
 
     rhs = np.zeros(n_x)
     rhs[:n_free] = (1.0 + xi) * (forms.M_eta @ u_n) \
-        + dt * (P_in * forms.flux_in - P_out * forms.flux_out)
-    rhs += layout.embed_beam_vector(forms.M_s @ v_half)
-    rhs += xi * layout.embed_beam_vector(forms.M_s @ v_n)
+        + dt * (P_in * fluid.flux_in - P_out * fluid.flux_out)
+    M_s = layout.structure.M
+    rhs += layout.embed_beam_vector(M_s @ v_half)
+    rhs += xi * layout.embed_beam_vector(M_s @ v_n)
 
     x = np.zeros(n_x)
     x[:n_free] = u_n
@@ -191,22 +189,21 @@ def fluid_step(
             raise SolverFailure(f"fluid solve failed: {exc}") from exc
         if not np.all(np.isfinite(x_new)):
             raise SolverFailure("fluid solve produced non-finite values")
-        if it > params.damping_after:
-            x_new = params.damping * x_new + (1 - params.damping) * x
         d = x_new - x
         num = float(np.sqrt(max(d @ (M_norm @ d), 0.0)))
         den = float(np.sqrt(max(x_new @ (M_norm @ x_new), 0.0)))
         rel = num / max(den, 1e-30)
         x = x_new
         if rel <= params.tol_picard:
-            return x[:n_free].copy(), layout.extract_v(x), PicardStats(it, rel, True)
+            return x[:n_free].copy(), layout.extract_v(x), PicardStats(it, rel)
     raise PicardDivergence(
         f"fluid Picard iteration did not converge: rel update {rel:.3e} "
         f"after {params.max_picard} iterations"
     )
 
 
-def trace_dissipation_constant(forms: AssembledForms, params: SchemeParams) -> float:
+def trace_dissipation_constant(fluid: FluidSpace, forms: AssembledForms,
+                               params: SchemeParams) -> float:
     """Largest ratio of (inlet flux)^2 + (outlet flux)^2 to the dissipation
     rate form nu*K + (1/eps)*P over the free fluid space.
 
@@ -219,13 +216,13 @@ def trace_dissipation_constant(forms: AssembledForms, params: SchemeParams) -> f
     A = (params.nu * forms.K + (1.0 / params.epsilon) * forms.P).tocsc()
     try:
         lu = spla.splu(A)
-        x_in = lu.solve(forms.flux_in)
-        x_out = lu.solve(forms.flux_out)
+        x_in = lu.solve(fluid.flux_in)
+        x_out = lu.solve(fluid.flux_out)
     except RuntimeError as exc:
         raise SolverFailure(f"trace-constant solve failed: {exc}") from exc
-    a = float(forms.flux_in @ x_in)
-    b = float(forms.flux_in @ x_out)
-    c = float(forms.flux_out @ x_out)
+    a = float(fluid.flux_in @ x_in)
+    b = float(fluid.flux_in @ x_out)
+    c = float(fluid.flux_out @ x_out)
     return (a + c) / 2 + np.hypot((a - c) / 2, b)
 
 
@@ -276,50 +273,15 @@ class EnergyLedger:
         return EnergyLedger(**kw)
 
 
-class StepFunction:
-    """Piecewise-constant-in-time trajectory component.
-
-    value(t) = values[n] on [n dt, (n+1) dt); shifted families pass the
-    already-shifted array so indexing stays uniform.
-    """
-
-    def __init__(self, dt: float, values: np.ndarray):
-        self.dt = dt
-        self.values = values
-
-    def index(self, t: float) -> int:
-        return int(np.clip(np.floor(t / self.dt), 0, len(self.values) - 1))
-
-    def at(self, t: float) -> np.ndarray:
-        return self.values[self.index(t)]
-
-
-class LinearInterpolant:
-    """Piecewise-linear-in-time interpolant through the step knots."""
-
-    def __init__(self, dt: float, knots: np.ndarray):
-        self.dt = dt
-        self.knots = knots
-
-    def at(self, t: float) -> np.ndarray:
-        n = len(self.knots) - 1
-        i = int(np.clip(np.floor(t / self.dt), 0, n - 1))
-        w = t / self.dt - i
-        return (1 - w) * self.knots[i] + w * self.knots[i + 1]
-
-    def slope(self, t: float) -> np.ndarray:
-        n = len(self.knots) - 1
-        i = int(np.clip(np.floor(t / self.dt), 0, n - 1))
-        return (self.knots[i + 1] - self.knots[i]) / self.dt
-
-
 @dataclass
 class Trajectory:
     """One path of the splitting scheme plus its energy ledger.
 
-    Arrays hold n_steps+1 integer levels (index 0 = initial data) and
-    n_steps half levels; wall displacement and both velocities are beam
-    vectors.  tau_idx is the index of the first inadmissible displacement
+    Arrays hold n_steps+1 integer levels (index 0 = initial data), and
+    v_half the n_steps half-level wall velocities; wall displacement and
+    both velocities are beam vectors.  The fluid substep leaves the wall
+    where it is, so the half-level displacement of step n is eta[n+1].
+    tau_idx is the index of the first inadmissible displacement
     (n_steps if the cutoff never engaged).  The shared-DOF layout makes
     u[n][shared] and the nodal values of v[n] the same numbers by
     construction.
@@ -331,7 +293,6 @@ class Trajectory:
     u: np.ndarray
     v: np.ndarray
     eta: np.ndarray
-    eta_half: np.ndarray
     v_half: np.ndarray
     eta_star: np.ndarray
     theta: np.ndarray
@@ -345,32 +306,6 @@ class Trajectory:
     @property
     def tau_time(self) -> float:
         return self.tau_idx * self.dt
-
-    # -- piecewise-constant families ------------------------------------
-    def u_const(self):
-        return StepFunction(self.dt, self.u[:-1])
-
-    def u_plus(self):
-        return StepFunction(self.dt, self.u[1:])
-
-    def v_sharp(self):
-        """Half-step wall velocities."""
-        return StepFunction(self.dt, self.v_half)
-
-    def v_star(self):
-        """theta-gated half-step velocity; the a.e. time derivative of the
-        linear interpolant of eta*."""
-        return StepFunction(self.dt, self.theta[1:, None] * self.v_half)
-
-    def eta_star_const(self):
-        return StepFunction(self.dt, self.eta_star[:-1])
-
-    # -- piecewise-linear families ----------------------------------------
-    def eta_lin(self):
-        return LinearInterpolant(self.dt, self.eta)
-
-    def eta_star_lin(self):
-        return LinearInterpolant(self.dt, self.eta_star)
 
 
 @dataclass
@@ -432,14 +367,13 @@ def run_path(problem: PathProblem, path_index: int = 0) -> Trajectory:
     fl, st, lay = problem.fluid, problem.structure, problem.layout
     prm, R, N = problem.params, problem.R, problem.N
     dt = prm.dt
-    S = st.S1 + st.S2
+    M_s, S = st.M, st.S1 + st.S2
 
     noise_path = sample_path(problem.noise, N, dt, path_index)
 
     u = np.zeros((N + 1, fl.n_free))
     v = np.zeros((N + 1, st.n_free))
     eta = np.zeros((N + 1, st.n_free))
-    eta_half = np.zeros((N, st.n_free))
     v_half_arr = np.zeros((N, st.n_free))
     eta_star = np.zeros((N + 1, st.n_free))
     theta = np.ones(N + 1, dtype=int)
@@ -455,8 +389,7 @@ def run_path(problem: PathProblem, path_index: int = 0) -> Trajectory:
 
     for n in range(N):
         eh, vh = structure_step(eta[n], v[n], dt, st)
-        eta_half[n], v_half_arr[n] = eh, vh
-        eta[n + 1] = eh
+        eta[n + 1], v_half_arr[n] = eh, vh
 
         cut, min_gap, hs_value = update_cutoff(cut, eh, st, R, problem.hs_form, step=n + 1)
         theta[n + 1] = cut.theta
@@ -464,19 +397,18 @@ def run_path(problem: PathProblem, path_index: int = 0) -> Trajectory:
 
         key = (eta_star[n].tobytes(), eta_star[n + 1].tobytes())
         if key != cache_key:
-            forms = assemble_all(fl, st, lay,
-                                 st.profile(eta_star[n]), st.profile(eta_star[n + 1]))
+            forms = assemble_all(fl, lay, st.profile(eta_star[n]), st.profile(eta_star[n + 1]))
             cache_key = key
-            trace_const = trace_dissipation_constant(forms, prm)
+            trace_const = trace_dissipation_constant(fl, forms, prm)
 
         if n == 0:
-            led.E[0] = energy(u[0], v[0], eta[0], forms.M_eta, forms.M_s, S)
+            led.E[0] = energy(u[0], v[0], eta[0], forms.M_eta, M_s, S)
 
         # structure-substep balance pieces (exact polarization identities)
         dv = vh - v[n]
-        vhalf_gap = float(dv @ (forms.M_s @ dv))
+        vhalf_gap = float(dv @ (M_s @ dv))
         C1 = 0.5 * vhalf_gap + 0.5 * float((eh - eta[n]) @ (S @ (eh - eta[n])))
-        E_half = energy(u[n], vh, eh, forms.M_eta, forms.M_s, S)
+        E_half = energy(u[n], vh, eh, forms.M_eta, M_s, S)
 
         xi = noise_path.xi(n)
         Pin, Pout = float(problem.P_in[n]), float(problem.P_out[n])
@@ -488,30 +420,30 @@ def run_path(problem: PathProblem, path_index: int = 0) -> Trajectory:
         led.E_half[n] = E_half
         led.C1[n] = C1
         led.vhalf_gap_sq[n] = vhalf_gap
+        div_sq = u_new @ (forms.P @ u_new)
         led.D[n] = dt * (prm.nu * float(u_new @ (forms.K @ u_new))
-                         + (1.0 / prm.epsilon) * float(u_new @ (forms.P @ u_new)))
+                         + (1.0 / prm.epsilon) * float(div_sq))
         led.C2[n] = 0.25 * float(du @ (forms.M_eta @ du)) \
-            + 0.25 * float(dvf @ (forms.M_s @ dvf))
-        led.div_residual[n] = float(np.sqrt(max(u_new @ (forms.P @ u_new), 0.0)))
+            + 0.25 * float(dvf @ (M_s @ dvf))
+        led.div_residual[n] = float(np.sqrt(max(div_sq, 0.0)))
         led.theta[n] = cut.theta
         led.min_gap[n] = min_gap
         led.hs_norm[n] = hs_value
-        g_state = state_l2_sq(forms, u[n], v[n])
+        g_state = state_l2_sq(u[n], v[n], forms.M_sq, M_s)
         led.xi[n] = xi
         led.g_state_sq[n] = g_state
         led.g_hs_sq[n] = problem.noise.phi_hs_sq * g_state
-        led.stoch_work[n] = xi * float(u[n] @ (forms.M_eta @ u[n])
-                                       + v[n] @ (forms.M_s @ v[n]))
-        led.S_bound[n] = xi * xi * float(u[n] @ (forms.M_eta @ u[n])
-                                         + 2.0 * (v[n] @ (forms.M_s @ v[n])))
+        u_sq, v_sq = u[n] @ (forms.M_eta @ u[n]), v[n] @ (M_s @ v[n])
+        led.stoch_work[n] = xi * float(u_sq + v_sq)
+        led.S_bound[n] = xi * xi * float(u_sq + 2.0 * v_sq)
         led.incr_norm[n] = float(np.sqrt(noise_path.u0_norm_sq(n)))
-        led.pressure_work[n] = Pin * float(forms.flux_in @ u_new) \
-            - Pout * float(forms.flux_out @ u_new)
+        led.pressure_work[n] = Pin * float(fl.flux_in @ u_new) \
+            - Pout * float(fl.flux_out @ u_new)
         led.P_in[n], led.P_out[n] = Pin, Pout
         led.picard_iters[n] = stats.iterations
         led.trace_const[n] = trace_const
 
-        led.E[n + 1] = energy(u_new, v_new, eh, forms.M_eta + forms.M_delta, forms.M_s, S)
+        led.E[n + 1] = energy(u_new, v_new, eh, forms.M_eta + forms.M_delta, M_s, S)
 
         n_done = n + 1
         if problem.halt_at_stop and cut.theta == 0:
@@ -525,7 +457,6 @@ def run_path(problem: PathProblem, path_index: int = 0) -> Trajectory:
         u=u[: n_done + 1],
         v=v[: n_done + 1],
         eta=eta[: n_done + 1],
-        eta_half=eta_half[:n_done],
         v_half=v_half_arr[:n_done],
         eta_star=eta_star[: n_done + 1],
         theta=theta[: n_done + 1],

@@ -30,8 +30,9 @@ def make_config(**overrides):
     }
 
     def deep_update(dst, src):
+        # a section with a "kind" is replaced whole: its fields depend on the kind
         for k, v in src.items():
-            if isinstance(v, dict) and isinstance(dst.get(k), dict):
+            if isinstance(v, dict) and isinstance(dst.get(k), dict) and "kind" not in v:
                 deep_update(dst[k], v)
             else:
                 dst[k] = v

@@ -305,7 +305,7 @@ def test_criterion_10_dense_oracle_equivalence(rng):
         fl, st, lay = build_spaces(ReferenceDomain(L=L, R=R, nz=nz, nr=nr), nz)
         eta = 0.1 * rng.uniform(-1, 1, st.n_free) if st.n_free else np.zeros(0)
         eta2 = eta + (0.03 * rng.uniform(-1, 1, st.n_free) if st.n_free else 0.0)
-        forms = assemble_all(fl, st, lay, st.profile(eta), st.profile(eta2))
+        forms = assemble_all(fl, lay, st.profile(eta), st.profile(eta2))
         df = od.DenseFluid(L, R, nz, nr)
         prof = st.profile(eta)
 
@@ -329,8 +329,8 @@ def test_criterion_10_dense_oracle_equivalence(rng):
             od.dense_penalty(df, lambda z: float(prof.value(z)),
                              lambda z: float(prof.slope(z)))[np.ix_(df.free, df.free)]))
         M_o, S1_o, S2_o, free_o = od.dense_structure(L, nz)
-        worst = max(worst, rel(forms.M_s, M_o[np.ix_(free_o, free_o)]))
-        worst = max(worst, rel(forms.S1 + forms.S2,
+        worst = max(worst, rel(st.M, M_o[np.ix_(free_o, free_o)]))
+        worst = max(worst, rel(st.S1 + st.S2,
                                (S1_o + S2_o)[np.ix_(free_o, free_o)]))
 
         # substeps

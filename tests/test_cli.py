@@ -43,8 +43,18 @@ class TestLoadConfig:
             load_config(write_cfg(tmp_path, {**MINIMAL, "physics": {"delta": 0.0}}))
 
     def test_unknown_field_names_path(self, tmp_path):
-        with pytest.raises(ConfigError, match="physics.viscosity"):
-            load_config(write_cfg(tmp_path, {**MINIMAL, "physics": {"viscosity": 1.0}}))
+        cases = [
+            ({"physics": {"viscosity": 1.0}}, "physics.viscosity"),
+            ({"solver": {"damping": 0.5}}, "solver.damping"),
+            ({"solver": {"damping_after": 20}}, "solver.damping_after"),
+            ({"pressure": {"kind": "constant", "P_inn": 1.0}}, "pressure.P_inn"),
+            ({"pressure": {"kind": "constant", "duration": 0.1}}, "pressure.duration"),
+            ({"initial": {"eta0": {"kind": "sine2", "amplitud": 0.1}}},
+             "initial.eta0.amplitud"),
+        ]
+        for data, field in cases:
+            with pytest.raises(ConfigError, match=f"^{field}: unknown field$"):
+                load_config(write_cfg(tmp_path, {**MINIMAL, **data}))
 
     def test_inadmissible_wall_rejected_at_load(self, tmp_path, capsys):
         data = {**MINIMAL,

@@ -26,12 +26,12 @@ class TestEnergy:
     def _forms(self, nz, nr):
         fl, st, lay = build_spaces(ReferenceDomain(L=1.0, R=1.0, nz=nz, nr=nr), nz)
         prof = st.profile(np.zeros(st.n_free))
-        return fl, st, lay, assemble_all(fl, st, lay, prof, prof)
+        return fl, st, lay, assemble_all(fl, lay, prof, prof)
 
     def test_zero_state(self):
         fl, st, lay, forms = self._forms(2, 2)
         assert energy(np.zeros(fl.n_free), np.zeros(st.n_free), np.zeros(st.n_free),
-                      forms.M_eta, forms.M_s, forms.S1 + forms.S2) == 0.0
+                      forms.M_eta, st.M, st.S1 + st.S2) == 0.0
 
     def test_uniform_axial_field_half_c_squared_L(self):
         # u == (c, 0) on every node, masks ignored: E = 1/2 c^2 L; evaluated
@@ -47,7 +47,7 @@ class TestEnergy:
         u = rng.normal(size=fl.n_free)
         v = rng.normal(size=st.n_free)
         eta = rng.normal(size=st.n_free)
-        ours = energy(u, v, eta, forms.M_eta, forms.M_s, forms.S1 + forms.S2)
+        ours = energy(u, v, eta, forms.M_eta, st.M, st.S1 + st.S2)
 
         df = od.DenseFluid(1.0, 1.0, 2, 2)
         M_o = od.dense_weighted_mass(df, lambda z: 1.0)[np.ix_(df.free, df.free)]
@@ -134,7 +134,7 @@ def synthetic_one_step_trajectory(spec, dt, state_sq, path_index):
     led.g_state_sq[0] = state_sq
     z = np.zeros((2, 1))
     return Trajectory(dt=dt, n_steps=1, tau_idx=1, u=z, v=z, eta=z,
-                      eta_half=z[:1], v_half=z[:1], eta_star=z, theta=np.ones(2, int),
+                      v_half=z[:1], eta_star=z, theta=np.ones(2, int),
                       ledger=led, noise=path)
 
 
@@ -327,8 +327,8 @@ class TestMoreCoverage:
         # raises DegenerateJacobian; each path records it, in both modes
         real = scheme.assemble_all
 
-        def sunk(fl, st, lay, prof_n, prof_np1):
-            return real(fl, st, lay, WallProfile(prof_n.L, prof_n.vals - 2.0, prof_n.slopes),
+        def sunk(fl, lay, prof_n, prof_np1):
+            return real(fl, lay, WallProfile(prof_n.L, prof_n.vals - 2.0, prof_n.slopes),
                         prof_np1)
 
         monkeypatch.setattr(scheme, "assemble_all", sunk)

@@ -119,7 +119,7 @@ class TestApplyG:
         dom = ReferenceDomain(L=1.0, R=1.0, nz=2, nr=2)
         fl, st, lay = build_spaces(dom, 2)
         prof = WallProfile.zero(1.0, 2)
-        forms = assemble_all(fl, st, lay, prof, prof)
+        forms = assemble_all(fl, lay, prof, prof)
         params = SchemeParams(nu=1.0, delta=0.1, epsilon=1e-3, s=1.75, dt=0.01)
         v_half = rng.normal(size=st.n_free)
         zero_u, zero_v = np.zeros(fl.n_free), np.zeros(st.n_free)
@@ -138,7 +138,7 @@ class TestLipschitzAndGrowth:
         dom = ReferenceDomain(L=1.0, R=1.0, nz=6, nr=3)
         fl, st, lay = build_spaces(dom, 6)
         prof = st.profile(0.08 * np.sin(np.arange(st.n_free)))
-        forms = assemble_all(fl, st, lay, prof, prof)
+        forms = assemble_all(fl, lay, prof, prof)
         return fl, lay, forms
 
     def test_lipschitz_ratio_constant_across_scales(self, rng):
@@ -149,11 +149,12 @@ class TestLipschitzAndGrowth:
         du = rng.normal(size=fl.n_free)
         dv = rng.normal(size=lay.structure.n_free)
         M1 = forms.M_eta  # for the plain state norms use unit weight below
+        M_s = lay.structure.M
         ratios = []
         for t in (1e-3, 1e-1, 1.0, 1e1, 1e3):
-            hs = np.sqrt(sp.phi_hs_sq * state_l2_sq(forms, t * du, t * dv))
+            hs = np.sqrt(sp.phi_hs_sq * state_l2_sq(t * du, t * dv, forms.M_sq, M_s))
             denom = np.sqrt(float((t * du) @ (M1 @ (t * du)))) \
-                + np.sqrt(float((t * dv) @ (forms.M_s @ (t * dv))))
+                + np.sqrt(float((t * dv) @ (M_s @ (t * dv))))
             ratios.append(hs / denom)
         ratios = np.asarray(ratios)
         assert ratios.var() / ratios.mean() ** 2 <= 1e-10
@@ -161,13 +162,14 @@ class TestLipschitzAndGrowth:
     def test_growth_constant_finite_and_reported(self, rng):
         fl, lay, forms = self._setup()
         sp = spec4()
+        M_s = lay.structure.M
         worst = 0.0
         for _ in range(50):
             u = rng.normal(size=fl.n_free)
             v = rng.normal(size=lay.structure.n_free)
-            hs = np.sqrt(sp.phi_hs_sq * state_l2_sq(forms, u, v))
+            hs = np.sqrt(sp.phi_hs_sq * state_l2_sq(u, v, forms.M_sq, M_s))
             denom = np.sqrt(float(u @ (forms.M_eta @ u))) \
-                + np.sqrt(float(v @ (forms.M_s @ v)))
+                + np.sqrt(float(v @ (M_s @ v)))
             worst = max(worst, hs / denom)
         assert np.isfinite(worst) and worst > 0
         print(f"measured growth constant ||G||_HS <= C (||u||+||v||): C = {worst:.4f}")

@@ -44,16 +44,16 @@ class TestStructureStep:
         # E^{n+1/2} + C1 = E^n exactly, for arbitrary (eta, v)
         fl, st, lay = tiny_spaces(8, 2)
         prof = st.profile(np.zeros(st.n_free))
-        forms = assemble_all(fl, st, lay, prof, prof)
+        forms = assemble_all(fl, lay, prof, prof)
         S = st.S1 + st.S2
         dt = 0.05
         for _ in range(100):
             eta = rng.normal(size=st.n_free)
             v = rng.normal(size=st.n_free)
             eh, vh = structure_step(eta, v, dt, st)
-            E_n = 0.5 * (v @ forms.M_s @ v + eta @ S @ eta)
-            E_half = 0.5 * (vh @ forms.M_s @ vh + eh @ S @ eh)
-            C1 = 0.5 * ((vh - v) @ forms.M_s @ (vh - v)) \
+            E_n = 0.5 * (v @ st.M @ v + eta @ S @ eta)
+            E_half = 0.5 * (vh @ st.M @ vh + eh @ S @ eh)
+            C1 = 0.5 * ((vh - v) @ st.M @ (vh - v)) \
                 + 0.5 * ((eh - eta) @ S @ (eh - eta))
             assert abs(E_half + C1 - E_n) <= 1e-11 * max(E_n, 1.0)
 
@@ -102,7 +102,7 @@ class TestFluidStep:
     def test_zero_data_one_iteration(self):
         fl, st, lay = tiny_spaces(2, 2)
         prof = st.profile(np.zeros(st.n_free))
-        forms = assemble_all(fl, st, lay, prof, prof)
+        forms = assemble_all(fl, lay, prof, prof)
         u, v, stats = fluid_step(fl, lay, forms, self._params(),
                                  np.zeros(fl.n_free), np.zeros(st.n_free),
                                  np.zeros(st.n_free), 0.0, 0.0, 0.0)
@@ -115,7 +115,7 @@ class TestFluidStep:
         fl, st, lay = tiny_spaces(nz, nr)
         eta_n = 0.05 * rng.uniform(-1, 1, st.n_free) if st.n_free else np.zeros(0)
         eta_np1 = eta_n + 0.02 * rng.uniform(-1, 1, st.n_free) if st.n_free else eta_n
-        forms = assemble_all(fl, st, lay, st.profile(eta_n), st.profile(eta_np1))
+        forms = assemble_all(fl, lay, st.profile(eta_n), st.profile(eta_np1))
         params = self._params()
         u_n = 0.5 * rng.normal(size=fl.n_free)
         v_n = 0.3 * rng.normal(size=st.n_free)
@@ -140,7 +140,7 @@ class TestFluidStep:
 
         fl, st, lay = tiny_spaces(4, 2)
         prof = st.profile(0.05 * rng.uniform(-1, 1, st.n_free))
-        forms = assemble_all(fl, st, lay, prof, prof)
+        forms = assemble_all(fl, lay, prof, prof)
         calls = []
 
         def counting(*args):
@@ -159,7 +159,7 @@ class TestFluidStep:
     def test_picard_divergence_raises(self, rng):
         fl, st, lay = tiny_spaces(4, 2)
         prof = st.profile(np.zeros(st.n_free))
-        forms = assemble_all(fl, st, lay, prof, prof)
+        forms = assemble_all(fl, lay, prof, prof)
         params = SchemeParams(nu=1e-4, delta=0.1, epsilon=1.0, s=1.75,
                               dt=0.5, max_picard=1)
         u_n = 50.0 * rng.normal(size=fl.n_free)
@@ -170,8 +170,8 @@ class TestFluidStep:
     def test_trace_constant_positive(self):
         fl, st, lay = tiny_spaces(4, 2)
         prof = st.profile(np.zeros(st.n_free))
-        forms = assemble_all(fl, st, lay, prof, prof)
-        c = trace_dissipation_constant(forms, self._params())
+        forms = assemble_all(fl, lay, prof, prof)
+        c = trace_dissipation_constant(fl, forms, self._params())
         assert np.isfinite(c) and c > 0
 
 
@@ -219,22 +219,12 @@ class TestRunPath:
             run_path(prob, 0)
 
     def test_interpolant_time_derivatives(self):
+        # the slope of the linear interpolant of eta on step n is v_half[n]
         traj = run_path(make_problem(), 0)
-        lin = traj.eta_lin()
-        sharp = traj.v_sharp()
         for n in range(traj.n_steps):
-            t_mid = (n + 0.5) * traj.dt
-            slope = lin.slope(t_mid)
+            slope = (traj.eta[n + 1] - traj.eta[n]) / traj.dt
             scale = max(np.abs(traj.eta[n]).max() / traj.dt, 1.0)
-            assert np.abs(slope - sharp.at(t_mid)).max() <= 1e-10 * scale
-
-    def test_piecewise_families_index_correctly(self):
-        traj = run_path(make_problem(), 0)
-        t = 2.4 * traj.dt
-        assert np.array_equal(traj.u_const().at(t), traj.u[2])
-        assert np.array_equal(traj.u_plus().at(t), traj.u[3])
-        assert np.array_equal(traj.eta_star_const().at(t), traj.eta_star[2])
-        assert np.array_equal(traj.v_sharp().at(t), traj.v_half[2])
+            assert np.abs(slope - traj.v_half[n]).max() <= 1e-10 * scale
 
 
 class TestCollapse:
@@ -336,7 +326,7 @@ class TestCollapse:
 
 class TestEtaStarInterpolant:
     def test_v_star_is_slope_of_eta_star_linear(self):
-        # through the collapse: while theta=1 the slope matches v_sharp to
+        # through the collapse: while theta=1 the slope matches v_half to
         # roundoff; after the freeze it is exactly zero, bitwise
         prob = make_problem(
             domain={"L": 4.0, "R": 1.0, "nz": 8, "nr": 4},
@@ -349,14 +339,12 @@ class TestEtaStarInterpolant:
         )
         traj = run_path(prob, 0)
         assert traj.tau_idx < traj.n_steps
-        lin = traj.eta_star_lin()
-        star = traj.v_star()
         for n in range(traj.n_steps):
-            t_mid = (n + 0.5) * traj.dt
-            slope = lin.slope(t_mid)
+            slope = (traj.eta_star[n + 1] - traj.eta_star[n]) / traj.dt
+            star = traj.theta[n + 1] * traj.v_half[n]
             if traj.theta[n + 1] == 0:
                 assert np.all(slope == 0.0)
-                assert np.all(star.at(t_mid) == 0.0)
+                assert np.all(star == 0.0)
             else:
                 scale = max(np.abs(traj.eta_star[n]).max() / traj.dt, 1.0)
-                assert np.abs(slope - star.at(t_mid)).max() <= 1e-10 * scale
+                assert np.abs(slope - star).max() <= 1e-10 * scale
