@@ -13,9 +13,8 @@ Commands:
     stochfsi validate --config cfg.json
     stochfsi sweep    --config cfg.json --axis {N|epsilon} --values v1,v2,...
 
-STOCHFSI_THREADS caps the worker processes of sweeps (speed only; results
-are keyed by path index and do not depend on scheduling).  An ensemble run
-keeps every trajectory for its ledgers and so always runs serially.
+STOCHFSI_THREADS caps the worker processes of ensembles and sweeps (speed
+only; results are keyed by path index and do not depend on scheduling).
 """
 
 from __future__ import annotations
@@ -36,9 +35,9 @@ from .discretization import HsForm, build_spaces
 from .errors import ConfigError, InitialDataError
 from .geometry import ReferenceDomain
 from .noise import NoiseSpec
-from .scheme import (PathProblem, SchemeParams, Trajectory, check_initial_admissibility,
-                     run_path)
+from .scheme import PathProblem, SchemeParams, check_initial_admissibility, run_path
 from . import diagnostics
+from .diagnostics import write_ledger_csv
 
 _GAUSS5 = np.polynomial.legendre.leggauss(5)
 
@@ -356,29 +355,8 @@ def build_problem(cfg: RunConfig) -> PathProblem:
 # artifacts
 
 
-_LEDGER_COLUMNS = ("step", "t", "E", "E_half", "D", "C1", "C2", "div_residual",
-                   "theta", "min_gap", "hs_norm", "stoch_work", "incr_norm", "stopped")
-
-
 def _fmt(x) -> str:
     return repr(float(x))
-
-
-def write_ledger_csv(path: str, traj: Trajectory):
-    led = traj.ledger
-    lines = [",".join(_LEDGER_COLUMNS)]
-    for n in range(traj.n_steps):
-        stopped = 1 if (n + 1) >= traj.tau_idx and traj.theta[n + 1] == 0 else 0
-        row = [
-            str(n), _fmt(n * traj.dt), _fmt(led.E[n]), _fmt(led.E_half[n]),
-            _fmt(led.D[n]), _fmt(led.C1[n]), _fmt(led.C2[n]),
-            _fmt(led.div_residual[n]), str(int(led.theta[n])),
-            _fmt(led.min_gap[n]), _fmt(led.hs_norm[n]), _fmt(led.stoch_work[n]),
-            _fmt(led.incr_norm[n]), str(stopped),
-        ]
-        lines.append(",".join(row))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
 
 
 def write_manifest(path: str, cfg: RunConfig, extra: dict | None = None):
@@ -427,11 +405,14 @@ def run(cfg: RunConfig, problem: PathProblem, out_dir: str | None = None) -> int
     if mode == "ensemble":
         M = cfg.run["M"]
         write_manifest(os.path.join(out, "manifest.json"), cfg, {"mode": "ensemble", "M": M})
-        report, trajectories = ensemble_with_ledgers(problem, M, out)
+        report = diagnostics.ensemble_run(problem, M, out)
         with open(os.path.join(out, "report.json"), "w", encoding="utf-8") as fh:
             json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
             fh.write("\n")
-        print(f"ensemble complete: {M} paths, {len(report.failures)} failures")
+        if report.failures:
+            print(f"ensemble failed: {len(report.failures)} of {M} paths", file=sys.stderr)
+            return 1
+        print(f"ensemble complete: {M} paths")
         return 0
 
     # sweep
@@ -444,15 +425,6 @@ def run(cfg: RunConfig, problem: PathProblem, out_dir: str | None = None) -> int
     slope = "n/a" if result.slope is None else f"{result.slope:.4f}"
     print(f"sweep complete over {axis}: slope {slope}")
     return 0
-
-
-def ensemble_with_ledgers(problem: PathProblem, M: int, out: str):
-    """Ensemble run that also writes one ledger CSV per path."""
-    report, trajectories = diagnostics.ensemble_run(problem, M, keep="trajectory")
-    for i, traj in enumerate(trajectories):
-        if traj is not None:
-            write_ledger_csv(os.path.join(out, f"ledger_{i:04d}.csv"), traj)
-    return report, trajectories
 
 
 # ----------------------------------------------------------------------

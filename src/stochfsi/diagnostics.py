@@ -19,12 +19,13 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import partial
 
 import numpy as np
 
 from .errors import ConfigError, DegenerateJacobian, PicardDivergence, SolverFailure
-from .scheme import PathProblem, Trajectory, run_path
+from .scheme import EnergyLedger, PathProblem, Trajectory, run_path
 
 
 # ----------------------------------------------------------------------
@@ -105,6 +106,23 @@ def ledger_positivity_min(traj: Trajectory) -> float:
     led = traj.ledger
     return float(min(led.E.min(), led.E_half.min(), led.D.min(),
                      led.C1.min(), led.C2.min()))
+
+
+def write_ledger_csv(path: str, traj: Trajectory):
+    """The ledger as CSV, one row per step: ``step``, ``t``, every
+    ``EnergyLedger`` field in declaration order (``E`` is the energy at the
+    start of the step) and ``E_next``, the energy at its end.  Floats are
+    shortest round-trip decimals, so the file reads back bit for bit."""
+    led = traj.ledger
+    names = [f.name for f in fields(EnergyLedger)]
+    steps = np.arange(traj.n_steps)
+    columns = [steps, steps * traj.dt]
+    columns += [led.E[:-1] if name == "E" else getattr(led, name) for name in names]
+    columns.append(led.E[1:])
+    cells = [map(repr, col.tolist()) for col in columns]
+    lines = [",".join(["step", "t", *names, "E_next"]), *map(",".join, zip(*cells))]
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 # ----------------------------------------------------------------------
@@ -261,23 +279,26 @@ class EnsembleReport:
 PATH_FAILURES = (PicardDivergence, SolverFailure, DegenerateJacobian)
 
 
-def _run_one(args):
-    """Run one path: (index, statistics, error, trajectory if kept)."""
-    problem, idx, keep = args
+def _run_one(problem: PathProblem, ledger_dir: str | None, idx: int):
+    """Run path ``idx``, write its ledger into ``ledger_dir`` when one is
+    given, and return (index, statistics, error)."""
     try:
         traj = run_path(problem, idx)
     except PATH_FAILURES as exc:
-        return idx, None, f"{type(exc).__name__}: {exc}", None
-    return idx, path_statistics(traj), None, traj if keep else None
+        return idx, None, f"{type(exc).__name__}: {exc}"
+    if ledger_dir is not None:
+        write_ledger_csv(os.path.join(ledger_dir, f"ledger_{idx:04d}.csv"), traj)
+    return idx, path_statistics(traj), None
 
 
-def ensemble_run(problem: PathProblem, M: int, keep: str = "none"):
-    """Run M seeded paths and aggregate ledger statistics in path order.
+def ensemble_run(problem: PathProblem, M: int, ledger_dir: str | None = None) -> EnsembleReport:
+    """Run M seeded paths and aggregate ledger statistics in path order;
+    with ``ledger_dir`` each path also writes ``ledger_<index>.csv`` there.
 
-    Per-path failures are recorded, never fatal.  With keep="trajectory"
-    the full trajectories come back too (single-process only); the
-    STOCHFSI_THREADS environment variable caps the worker count and can
-    only change speed, not results, because paths are keyed by index.
+    Per-path failures are recorded, never fatal, and a failed path writes
+    no ledger.  The STOCHFSI_THREADS environment variable caps the worker
+    processes and can only change speed, not results, because paths are
+    keyed by index.
     """
     if M < 1:
         raise ConfigError(f"run.M: must be >= 1, got {M}")
@@ -286,18 +307,18 @@ def ensemble_run(problem: PathProblem, M: int, keep: str = "none"):
         workers = int(raw)
     except ValueError:
         raise ConfigError(f"STOCHFSI_THREADS: must be an integer, got {raw!r}") from None
-    tasks = [(problem, i, keep != "none") for i in range(M)]
-    if workers > 1 and keep == "none":
+    run_one = partial(_run_one, problem, ledger_dir)
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as ex:
-            results = list(ex.map(_run_one, tasks))
+            results = list(ex.map(run_one, range(M)))
     else:
-        results = list(map(_run_one, tasks))
+        results = list(map(run_one, range(M)))
 
     acc = {name: Welford() for name in _STAT_NAMES}
     stopped = Welford()
     tau = Welford()
     failures = []
-    for idx, stats, err, _ in results:
+    for idx, stats, err in results:
         if err is not None:
             failures.append({"path": idx, "error": err})
             continue
@@ -305,16 +326,13 @@ def ensemble_run(problem: PathProblem, M: int, keep: str = "none"):
             acc[name].add(stats[name])
         stopped.add(1.0 if stats["stopped"] else 0.0)
         tau.add(stats["tau_time"])
-    report = EnsembleReport(
+    return EnsembleReport(
         M=M,
         stats={name: acc[name].summary() for name in _STAT_NAMES},
         frac_stopped=stopped.mean if stopped.n else 0.0,
         mean_tau=tau.mean if tau.n else 0.0,
         failures=failures,
     )
-    if keep != "none":
-        return report, [traj for *_, traj in results]
-    return report
 
 
 # ----------------------------------------------------------------------

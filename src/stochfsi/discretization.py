@@ -355,11 +355,15 @@ class StructureSpace:
         full[1::2] = profile.slopes
         return full[self.free]
 
+    def gap_l2_sq(self, vec_free: np.ndarray, R: float) -> float:
+        """|| R + eta ||_{L^2(0,L)}^2, shared by the H^2 and the H^s norm."""
+        e = np.asarray(vec_free, dtype=float)
+        return R * R * self.L + 2 * R * (self.lin @ e) + e @ self.M @ e
+
     def h2_norm_of_gap(self, vec_free: np.ndarray, R: float) -> float:
         """|| R + eta ||_{H^2(0,L)} with the full L2 + H1 + H2 seminorms."""
         e = np.asarray(vec_free, dtype=float)
-        l2sq = R * R * self.L + 2 * R * (self.lin @ e) + e @ self.M @ e
-        return float(np.sqrt(l2sq + e @ self.S1 @ e + e @ self.S2 @ e))
+        return float(np.sqrt(self.gap_l2_sq(e, R) + e @ self.S1 @ e + e @ self.S2 @ e))
 
 
 def _indptr(major: np.ndarray, n: int) -> np.ndarray:
@@ -679,11 +683,8 @@ class HsForm:
 
         fr = st.free
         self.Q = Q[np.ix_(fr, fr)]
-        self.M = st.M
-        self.lin = st.lin
-        self.L = L
+        self.structure = st
 
     def norm(self, eta_free: np.ndarray, R: float) -> float:
         e = np.asarray(eta_free, dtype=float)
-        l2sq = R * R * self.L + 2 * R * (self.lin @ e) + e @ self.M @ e
-        return float(np.sqrt(l2sq + e @ self.Q @ e))
+        return float(np.sqrt(self.structure.gap_l2_sq(e, R) + e @ self.Q @ e))

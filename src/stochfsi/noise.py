@@ -130,28 +130,34 @@ class NoisePath:
             raise ConfigError(f"refinement: must be >= 2, got {refinement}")
         if not _is_pow2(refinement):
             raise ConfigError(f"refinement: must be a power of two, got {refinement}")
-        spec = self.spec
-        arr = self.increments[n][None, :].copy()
+        seed, p = self.spec.seed, self.path_index
+        arr = self.increments[n][None, :]
         length = self.dt
-        level = 0
-        while arr.shape[0] < refinement:
-            level += 1
-            half = arr / 2
-            new = np.empty((2 * arr.shape[0], spec.K))
-            for i in range(arr.shape[0]):
-                if self.mode == "dyadic":
-                    lev = self.depth + level
-                    idx = n * (1 << level) + 2 * i
-                    g = _gen(spec.seed, _PURPOSE_DYADIC, self.path_index, (lev << 48) | (idx >> 1))
-                else:
-                    g = _gen(spec.seed, _PURPOSE_BRIDGE, self.path_index,
-                             (level << 56) | (n << 28) | i)
-                zeta = g.standard_normal(spec.K) * np.sqrt(spec.q * length / 4)
-                new[2 * i] = half[i] + zeta
-                new[2 * i + 1] = half[i] - zeta
-            arr = new
+        for level in range(1, int(refinement).bit_length()):
+            if self.mode == "dyadic":
+                # the cells of the tree below step n, keyed as sample_path keys them
+                lev, first = self.depth + level, n << (level - 1)
+                gen_of = lambda i: _gen(seed, _PURPOSE_DYADIC, p, (lev << 48) | (first + i))
+            else:
+                gen_of = lambda i: _gen(seed, _PURPOSE_BRIDGE, p, (level << 56) | (n << 28) | i)
+            arr = _halve(arr, length, self.spec.q, gen_of)
             length /= 2
         return arr
+
+
+def _halve(arr: np.ndarray, length: float, q: np.ndarray, gen_of) -> np.ndarray:
+    """Split each row of ``arr``, an increment over an interval of ``length``,
+    into the increments over its two halves by a Brownian bridge: half of it
+    plus and minus zeta ~ N(0, q*length/4), with zeta of row i drawn from
+    ``gen_of(i)``.  The two halves sum to the row up to roundoff."""
+    half = arr / 2
+    scale = np.sqrt(q * length / 4)
+    new = np.empty((2 * arr.shape[0], arr.shape[1]))
+    for i in range(arr.shape[0]):
+        zeta = gen_of(i).standard_normal(q.size) * scale
+        new[2 * i] = half[i] + zeta
+        new[2 * i + 1] = half[i] - zeta
+    return new
 
 
 def sample_path(spec: NoiseSpec, N: int, dt: float, path_index: int = 0) -> NoisePath:
@@ -178,14 +184,8 @@ def sample_path(spec: NoiseSpec, N: int, dt: float, path_index: int = 0) -> Nois
     arr = root[None, :]
     length = T
     for lev in range(1, depth + 1):
-        half = arr / 2
-        new = np.empty((2 * arr.shape[0], K))
-        for i in range(arr.shape[0]):
-            g = _gen(spec.seed, _PURPOSE_DYADIC, path_index, (lev << 48) | i)
-            zeta = g.standard_normal(K) * np.sqrt(spec.q * length / 4)
-            new[2 * i] = half[i] + zeta
-            new[2 * i + 1] = half[i] - zeta
-        arr = new
+        arr = _halve(arr, length, spec.q,
+                     lambda i: _gen(spec.seed, _PURPOSE_DYADIC, path_index, (lev << 48) | i))
         length /= 2
     return NoisePath(arr, dt, spec, path_index, mode, depth)
 

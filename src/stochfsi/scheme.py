@@ -295,13 +295,14 @@ class Trajectory:
     eta: np.ndarray
     v_half: np.ndarray
     eta_star: np.ndarray
-    theta: np.ndarray
     ledger: EnergyLedger
     noise: NoisePath
 
     @property
     def stopped(self) -> bool:
-        return self.tau_idx < self.n_steps or self.theta[-1] == 0
+        """Whether the cutoff engaged; theta never increases, so its last
+        value tells."""
+        return bool(self.ledger.theta[-1] == 0)
 
     @property
     def tau_time(self) -> float:
@@ -376,7 +377,6 @@ def run_path(problem: PathProblem, path_index: int = 0) -> Trajectory:
     eta = np.zeros((N + 1, st.n_free))
     v_half_arr = np.zeros((N, st.n_free))
     eta_star = np.zeros((N + 1, st.n_free))
-    theta = np.ones(N + 1, dtype=int)
     u[0], v[0], eta[0] = problem.u0, problem.v0, problem.eta0
     u[0][lay.shared_free] = v[0][0::2]  # kinematic compatibility at the nodes
     eta_star[0] = problem.eta0
@@ -392,7 +392,6 @@ def run_path(problem: PathProblem, path_index: int = 0) -> Trajectory:
         eta[n + 1], v_half_arr[n] = eh, vh
 
         cut, min_gap, hs_value = update_cutoff(cut, eh, st, R, problem.hs_form, step=n + 1)
-        theta[n + 1] = cut.theta
         eta_star[n + 1] = cut.eta_star
 
         key = (eta_star[n].tobytes(), eta_star[n + 1].tobytes())
@@ -459,7 +458,6 @@ def run_path(problem: PathProblem, path_index: int = 0) -> Trajectory:
         eta=eta[: n_done + 1],
         v_half=v_half_arr[:n_done],
         eta_star=eta_star[: n_done + 1],
-        theta=theta[: n_done + 1],
         ledger=led.truncate(n_done),
         noise=noise_path,
     )

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import os
 
@@ -9,7 +10,6 @@ from hypothesis import strategies as st
 
 from stochfsi import cli
 from stochfsi.cli import (
-    _LEDGER_COLUMNS,
     build_problem,
     load_config,
     main,
@@ -19,6 +19,7 @@ from stochfsi.cli import (
     with_axis_value,
 )
 from stochfsi.errors import ConfigError, DegenerateJacobian, InitialDataError
+from stochfsi.scheme import EnergyLedger, run_path
 
 
 def write_cfg(tmp_path, data, name="cfg.json"):
@@ -173,6 +174,20 @@ class TestStepPressures:
         assert np.all(pout == 0.0)
 
 
+def assert_ledger_reads_back(path, traj):
+    """Every column of a ledger CSV parses back bit for bit to its field."""
+    led, n = traj.ledger, traj.n_steps
+    header, *rows = path.read_text().splitlines()
+    names = [f.name for f in dataclasses.fields(EnergyLedger)]
+    assert header.split(",") == ["step", "t", *names, "E_next"]
+    assert len(rows) == n
+    columns = dict(zip(header.split(","), np.array([row.split(",") for row in rows]).T))
+    expected = {"step": np.arange(n), "t": np.arange(n) * traj.dt, "E_next": led.E[1:]}
+    expected.update({name: getattr(led, name) for name in names}, E=led.E[:-1])
+    for name, want in expected.items():
+        assert np.array_equal(columns[name].astype(want.dtype), want), name
+
+
 class TestRunArtifacts:
     def _zero_cfg(self, outdir):
         return parse_config({
@@ -184,20 +199,15 @@ class TestRunArtifacts:
     def test_zero_path_run_writes_zero_ledger(self, tmp_path):
         out = str(tmp_path / "out")
         cfg = self._zero_cfg(out)
-        assert run(cfg, build_problem(cfg)) == 0
-        text = (tmp_path / "out" / "ledger.csv").read_text().strip().splitlines()
-        assert text[0] == ",".join(_LEDGER_COLUMNS)
-        assert len(text) == 5
-        for n, line in enumerate(text[1:]):
-            cells = line.split(",")
-            assert cells[0] == str(n)
-            assert float(cells[1]) == pytest.approx(n * 0.0625)
-            for col, val in zip(_LEDGER_COLUMNS[2:], cells[2:]):
-                if col in ("E", "E_half", "D", "C1", "C2", "div_residual",
-                           "stoch_work", "incr_norm"):
-                    assert float(val) == 0.0
-            assert cells[_LEDGER_COLUMNS.index("theta")] == "1"
-            assert cells[_LEDGER_COLUMNS.index("stopped")] == "0"
+        problem = build_problem(cfg)
+        assert run(cfg, problem) == 0
+        traj = run_path(problem, 0)
+        assert_ledger_reads_back(tmp_path / "out" / "ledger.csv", traj)
+        led = traj.ledger
+        for name in ("E", "E_half", "D", "C1", "C2", "div_residual", "stoch_work",
+                     "incr_norm"):
+            assert np.all(getattr(led, name) == 0.0), name
+        assert np.all(led.theta == 1)
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["dt"] == 0.0625
         # every defaulted section is echoed
@@ -217,6 +227,8 @@ class TestRunArtifacts:
         run(cfg, build_problem(cfg), str(tmp_path / "b"))
         assert (tmp_path / "a" / "ledger.csv").read_bytes() == \
             (tmp_path / "b" / "ledger.csv").read_bytes()
+        assert_ledger_reads_back(tmp_path / "a" / "ledger.csv",
+                                 run_path(build_problem(cfg), 0))
 
     def test_ensemble_prefix_property(self, tmp_path):
         base = {
@@ -236,6 +248,21 @@ class TestRunArtifacts:
         report = json.loads((tmp_path / "m8" / "report.json").read_text())
         assert report["M"] == 8
         assert report["failures"] == []
+
+    def test_ensemble_failures_exit_1(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, {
+            "time": {"T": 0.25, "N": 8}, "domain": {"nz": 4, "nr": 2},
+            "solver": {"max_picard": 1, "tol_picard": 1e-14},
+            "initial": {"eta0": {"kind": "zero"}, "v0": {"kind": "zero"},
+                        "u0": {"kind": "parabolic", "amplitude": 5.0}},
+        })
+        out = tmp_path / "ens"
+        assert main(["run", "--config", path, "--mode", "ensemble", "--paths", "3",
+                     "--out", str(out)]) == 1
+        assert "ensemble failed: 3 of 3 paths" in capsys.readouterr().err
+        report = json.loads((out / "report.json").read_text())
+        assert [f["path"] for f in report["failures"]] == [0, 1, 2]
+        assert list(out.glob("ledger_*.csv")) == []
 
 
 class TestMain:

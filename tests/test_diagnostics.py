@@ -134,8 +134,7 @@ def synthetic_one_step_trajectory(spec, dt, state_sq, path_index):
     led.g_state_sq[0] = state_sq
     z = np.zeros((2, 1))
     return Trajectory(dt=dt, n_steps=1, tau_idx=1, u=z, v=z, eta=z,
-                      v_half=z[:1], eta_star=z, theta=np.ones(2, int),
-                      ledger=led, noise=path)
+                      v_half=z[:1], eta_star=z, ledger=led, noise=path)
 
 
 class TestStochasticError:
@@ -297,13 +296,17 @@ class TestMoreCoverage:
         assert len(res.rows) == 2
         assert all(np.isfinite(row["max_E_mean"]) for row in res.rows)
 
-    def test_thread_count_does_not_change_results(self, monkeypatch):
+    def test_thread_count_does_not_change_results(self, monkeypatch, tmp_path):
         prob = make_problem(domain={"nz": 4, "nr": 2}, time={"T": 0.25, "N": 8})
-        monkeypatch.setenv("STOCHFSI_THREADS", "1")
-        r1 = ensemble_run(prob, 4)
-        monkeypatch.setenv("STOCHFSI_THREADS", "2")
-        r2 = ensemble_run(prob, 4)
-        assert r1.to_dict() == r2.to_dict()
+        reports = {}
+        for threads in ("1", "2"):
+            monkeypatch.setenv("STOCHFSI_THREADS", threads)
+            (tmp_path / threads).mkdir()
+            reports[threads] = ensemble_run(prob, 4, ledger_dir=str(tmp_path / threads))
+        assert reports["1"].to_dict() == reports["2"].to_dict()
+        for i in range(4):
+            name = f"ledger_{i:04d}.csv"
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
 
     def test_ensemble_records_failures_without_aborting(self):
         prob = make_problem(domain={"nz": 4, "nr": 2}, time={"T": 0.25, "N": 8},
@@ -322,9 +325,9 @@ class TestMoreCoverage:
                            match="STOCHFSI_THREADS: must be an integer, got 'abc'"):
             ensemble_run(prob, 1)
 
-    def test_degenerate_jacobian_recorded_per_path(self, monkeypatch):
+    def test_degenerate_jacobian_recorded_per_path(self, monkeypatch, tmp_path):
         # assembly sees the wall sunk below the axis, so the pull-back
-        # raises DegenerateJacobian; each path records it, in both modes
+        # raises DegenerateJacobian; each path records it and writes no ledger
         real = scheme.assemble_all
 
         def sunk(fl, lay, prof_n, prof_np1):
@@ -334,9 +337,7 @@ class TestMoreCoverage:
         monkeypatch.setattr(scheme, "assemble_all", sunk)
         monkeypatch.delenv("STOCHFSI_THREADS", raising=False)
         prob = make_problem(domain={"nz": 4, "nr": 2}, time={"T": 0.25, "N": 4})
-        rep = ensemble_run(prob, 2)
-        rep_kept, trajs = ensemble_run(prob, 2, keep="trajectory")
-        assert trajs == [None, None]
-        for r in (rep, rep_kept):
-            assert [f["path"] for f in r.failures] == [0, 1]
-            assert all(f["error"].startswith("DegenerateJacobian") for f in r.failures)
+        rep = ensemble_run(prob, 2, ledger_dir=str(tmp_path))
+        assert [f["path"] for f in rep.failures] == [0, 1]
+        assert all(f["error"].startswith("DegenerateJacobian") for f in rep.failures)
+        assert list(tmp_path.iterdir()) == []

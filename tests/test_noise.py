@@ -4,7 +4,8 @@ import pytest
 from stochfsi.discretization import assemble_all, build_spaces
 from stochfsi.errors import ConfigError
 from stochfsi.geometry import ReferenceDomain, WallProfile
-from stochfsi.noise import NoisePath, NoiseSpec, sample_path, state_l2_sq
+from stochfsi.noise import (_PURPOSE_BRIDGE, _PURPOSE_DYADIC, NoisePath, NoiseSpec, _gen,
+                            sample_path, state_l2_sq)
 from stochfsi.scheme import SchemeParams, fluid_step
 
 
@@ -12,6 +13,30 @@ def spec4(seed=42, sampling="auto", amp=None):
     q = np.array([1.0, 0.25, 1.0 / 9.0, 0.0625])
     amp = np.array([1.0, 0.5, 0.3, 0.2]) if amp is None else np.asarray(amp)
     return NoiseSpec(K=4, q=q, amplitude=amp, seed=seed, sampling=sampling)
+
+
+def reference_refine(path, n, refinement):
+    """NoisePath.refine written as one loop over levels and cells, with the
+    keys spelled out: the dyadic tree's cell (depth + level, idx >> 1), or
+    the bridge counter of (level, step, cell).  Refining the one-step
+    dyadic path of [0, T] N-fold gives the dyadic path with N steps."""
+    spec = path.spec
+    arr, length, level = path.increments[n][None, :], path.dt, 0
+    while arr.shape[0] < refinement:
+        level += 1
+        new = np.empty((2 * arr.shape[0], spec.K))
+        for i in range(arr.shape[0]):
+            if path.mode == "dyadic":
+                idx = n * (1 << level) + 2 * i
+                g = _gen(spec.seed, _PURPOSE_DYADIC, path.path_index,
+                         ((path.depth + level) << 48) | (idx >> 1))
+            else:
+                g = _gen(spec.seed, _PURPOSE_BRIDGE, path.path_index,
+                         (level << 56) | (n << 28) | i)
+            zeta = g.standard_normal(spec.K) * np.sqrt(spec.q * length / 4)
+            new[2 * i], new[2 * i + 1] = arr[i] / 2 + zeta, arr[i] / 2 - zeta
+        arr, length = new, length / 2
+    return arr
 
 
 class TestSpecValidation:
@@ -46,9 +71,16 @@ class TestDeterminism:
 
     def test_both_sampling_modes_reproducible(self):
         for mode in ("per-step", "dyadic"):
-            a = sample_path(spec4(sampling=mode), 16, 0.01)
-            b = sample_path(spec4(sampling=mode), 16, 0.01)
-            assert np.array_equal(a.increments, b.increments)
+            for seed, index in ((42, 0), (7, 3), (2**40 + 1, 17)):
+                a = sample_path(spec4(seed=seed, sampling=mode), 16, 0.01, index)
+                b = sample_path(spec4(seed=seed, sampling=mode), 16, 0.01, index)
+                assert np.array_equal(a.increments, b.increments)
+                if mode == "dyadic":
+                    tree = sample_path(spec4(seed=seed, sampling=mode), 1, 16 * 0.01, index)
+                    assert np.array_equal(a.increments, reference_refine(tree, 0, 16))
+                for n in (0, 9, 15):
+                    for r in (2, 8):
+                        assert np.array_equal(a.refine(n, r), reference_refine(a, n, r))
 
 
 class TestDyadicCoupling:

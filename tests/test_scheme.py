@@ -250,7 +250,7 @@ class TestCollapse:
         row = traj.tau_idx - 1
         assert led.min_gap[row] <= 0.25          # the gap branch fired
         assert led.hs_norm[row] < 1.0 / 0.25     # while the Sobolev test held
-        assert np.all(np.diff(traj.theta) <= 0)
+        assert np.all(np.diff(traj.ledger.theta) <= 0)
         for n in range(traj.tau_idx, traj.n_steps + 1):
             assert np.array_equal(traj.eta_star[n], traj.eta_star[traj.tau_idx])
 
@@ -319,7 +319,7 @@ class TestCollapse:
                 break
         assert found is not None, "no collapsing seed among the searched range"
         _, traj = found
-        assert traj.tau_idx < traj.n_steps or traj.theta[-1] == 0
+        assert traj.tau_idx < traj.n_steps or traj.ledger.theta[-1] == 0
         for n in range(traj.tau_idx, traj.n_steps + 1):
             assert np.array_equal(traj.eta_star[n], traj.eta_star[traj.tau_idx])
 
@@ -341,8 +341,8 @@ class TestEtaStarInterpolant:
         assert traj.tau_idx < traj.n_steps
         for n in range(traj.n_steps):
             slope = (traj.eta_star[n + 1] - traj.eta_star[n]) / traj.dt
-            star = traj.theta[n + 1] * traj.v_half[n]
-            if traj.theta[n + 1] == 0:
+            star = traj.ledger.theta[n] * traj.v_half[n]
+            if traj.ledger.theta[n] == 0:
                 assert np.all(slope == 0.0)
                 assert np.all(star == 0.0)
             else:
