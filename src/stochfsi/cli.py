@@ -328,7 +328,7 @@ def build_problem(cfg: RunConfig) -> PathProblem:
     fluid, structure, layout = build_spaces(domain, domain.nz)
     params = SchemeParams(
         nu=cfg.physics["nu"], delta=cfg.physics["delta"],
-        epsilon=cfg.physics["epsilon"], s=cfg.physics["s"], dt=cfg.dt,
+        epsilon=cfg.physics["epsilon"], dt=cfg.dt,
         tol_picard=cfg.solver["tol_picard"], max_picard=cfg.solver["max_picard"],
     )
     u_spec = cfg.initial["u0"]
@@ -374,10 +374,11 @@ def write_manifest(path: str, cfg: RunConfig, extra: dict | None = None):
 
 
 def write_sweep_csv(path: str, result):
-    cols = ["value", "div_l2t", "max_E_mean", "sum_D_mean", "frac_stopped"]
+    cols = ["value", "div_l2t", "max_E_mean", "sum_D_mean", "frac_stopped", "failed"]
     lines = [",".join(cols)]
     for row in result.rows:
-        lines.append(",".join(_fmt(row[c]) if c != "value" else repr(row[c]) for c in cols))
+        lines.append(",".join(repr(row[c]) if c in ("value", "failed") else _fmt(row[c])
+                              for c in cols))
     if result.slope is not None:
         lines.append(f"# fitted log-log slope: {_fmt(result.slope)}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -422,6 +423,11 @@ def run(cfg: RunConfig, problem: PathProblem, out_dir: str | None = None) -> int
                    {"mode": "sweep", "axis": axis, "values": values})
     result = diagnostics.sweep(cfg, axis, values)
     write_sweep_csv(os.path.join(out, "table.csv"), result)
+    failed = sum(row["failed"] for row in result.rows)
+    if failed:
+        total = len(values) * cfg.run["M"]
+        print(f"sweep failed: {failed} of {total} paths", file=sys.stderr)
+        return 1
     slope = "n/a" if result.slope is None else f"{result.slope:.4f}"
     print(f"sweep complete over {axis}: slope {slope}")
     return 0

@@ -346,10 +346,6 @@ class SweepResult:
     rows: list
     slope: float | None
 
-    def monitored(self) -> list:
-        key = "div_l2t" if self.axis == "epsilon" else "max_E_mean"
-        return [row[key] for row in self.rows]
-
 
 def sweep(config, axis: str, values, M: int | None = None) -> SweepResult:
     """Re-run the ensemble for each value of N or epsilon with common
@@ -357,7 +353,8 @@ def sweep(config, axis: str, values, M: int | None = None) -> SweepResult:
 
     For the epsilon axis the monitored statistic is the ensemble mean of
     ||div^{eta*} u||_{L^2(0,T;L^2)} (target slope 1/2); for the N axis it
-    is the estimated E[max_n E^n] (target: flat).
+    is the estimated E[max_n E^n] (target: flat).  Each row counts its
+    failed paths in ``failed``; the statistics cover the others only.
     """
     from . import cli as _cli
 
@@ -381,6 +378,7 @@ def sweep(config, axis: str, values, M: int | None = None) -> SweepResult:
             "max_E_mean": report.stats["max_E"]["mean"],
             "sum_D_mean": report.stats["sum_D"]["mean"],
             "frac_stopped": report.frac_stopped,
+            "failed": len(report.failures),
         })
 
     slope = None

@@ -93,7 +93,7 @@ class WallProfile:
     boundary conditions exact rather than approximate.
     """
 
-    __slots__ = ("L", "n_el", "h", "nodes", "vals", "slopes")
+    __slots__ = ("L", "n_el", "h", "vals", "slopes")
 
     def __init__(self, L: float, vals, slopes):
         vals = np.asarray(vals, dtype=float).copy()
@@ -105,7 +105,6 @@ class WallProfile:
         self.L = float(L)
         self.n_el = vals.size - 1
         self.h = self.L / self.n_el
-        self.nodes = np.linspace(0.0, self.L, vals.size)
         self.vals = vals
         self.slopes = slopes
 

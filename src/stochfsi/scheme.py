@@ -28,7 +28,7 @@ offline, term by term.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import scipy.sparse.linalg as spla
@@ -52,7 +52,6 @@ class SchemeParams:
     nu: float
     delta: float
     epsilon: float
-    s: float
     dt: float
     tol_picard: float = 1e-10
     max_picard: int = 50
@@ -64,52 +63,26 @@ class PicardStats:
     rel_update: float
 
 
-@dataclass
-class CutoffState:
-    """Running cutoff flag and the frozen artificial displacement.
-
-    theta is non-increasing along a trajectory; once it drops, eta_star
-    never changes again and frozen_at records the index of the first
-    inadmissible displacement.
-    """
-
-    theta: int
-    eta_star: np.ndarray
-    frozen_at: int | None
-    delta: float
+def band(problem: PathProblem, eta: np.ndarray) -> tuple[float, float]:
+    """The two quantities the admissible band bounds: inf_z (R + eta),
+    exact from the piecewise cubic and required to exceed delta, and
+    ||R + eta||_{H^s}, required to stay below 1/delta."""
+    R = problem.R
+    return R + problem.structure.profile(eta).min_value(), problem.hs_form.norm(eta, R)
 
 
-def update_cutoff(
-    state: CutoffState,
-    eta_candidate: np.ndarray,
-    structure: StructureSpace,
-    R: float,
-    hs_form: HsForm,
-    step: int | None = None,
-):
+def update_cutoff(theta: int, eta_star: np.ndarray, candidate: np.ndarray,
+                  problem: PathProblem):
     """Fold one candidate displacement into the cutoff history.
 
-    Returns (new_state, min_gap, hs_value) where min_gap = inf_z (R+eta)
-    computed exactly from the piecewise cubic and hs_value is the
-    fractional Sobolev norm entering the admissibility band.
+    Returns (theta, eta_star, min_gap, hs_value).  theta never increases:
+    it drops to 0 at the first candidate outside the band, and from then
+    on eta_star stays frozen at the last admissible displacement.
     """
-    profile = structure.profile(eta_candidate)
-    min_gap = R + profile.min_value()
-    hs_value = hs_form.norm(eta_candidate, R)
-    admissible = 1 if (min_gap > state.delta and hs_value < 1.0 / state.delta) else 0
-    theta_new = min(state.theta, admissible)
-    if theta_new == 1:
-        return (
-            CutoffState(1, np.array(eta_candidate, dtype=float, copy=True), None, state.delta),
-            min_gap,
-            hs_value,
-        )
-    frozen_at = state.frozen_at if state.frozen_at is not None else step
-    return (
-        CutoffState(0, state.eta_star, frozen_at, state.delta),
-        min_gap,
-        hs_value,
-    )
+    min_gap, hs_value = band(problem, candidate)
+    delta = problem.params.delta
+    theta = min(theta, int(min_gap > delta and hs_value < 1.0 / delta))
+    return theta, (candidate if theta else eta_star), min_gap, hs_value
 
 
 def structure_step(eta: np.ndarray, v: np.ndarray, dt: float,
@@ -255,16 +228,17 @@ class EnergyLedger:
     vhalf_gap_sq: np.ndarray  # ||v^{n+1/2} - v^n||^2
     trace_const: np.ndarray
     picard_iters: np.ndarray
+    picard_rel: np.ndarray   # relative update of the last Picard iterate
 
     @classmethod
     def allocate(cls, N: int) -> "EnergyLedger":
-        f = lambda: np.zeros(N)
-        return cls(E=np.zeros(N + 1), E_half=f(), D=f(), C1=f(), C2=f(),
-                   div_residual=f(), theta=np.ones(N, dtype=int), min_gap=f(),
-                   hs_norm=f(), stoch_work=f(), incr_norm=f(), xi=f(),
-                   S_bound=f(), g_hs_sq=f(), g_state_sq=f(), pressure_work=f(),
-                   P_in=f(), P_out=f(), vhalf_gap_sq=f(), trace_const=f(),
-                   picard_iters=np.zeros(N, dtype=int))
+        """Records for N steps: E has N+1 levels, theta and picard_iters
+        are integers, and theta starts at 1."""
+        kw = {f.name: np.zeros(N + 1 if f.name == "E" else N,
+                               dtype=int if f.name in ("theta", "picard_iters") else float)
+              for f in fields(cls)}
+        kw["theta"] += 1
+        return cls(**kw)
 
     def truncate(self, n: int) -> "EnergyLedger":
         kw = {}
@@ -281,15 +255,13 @@ class Trajectory:
     v_half the n_steps half-level wall velocities; wall displacement and
     both velocities are beam vectors.  The fluid substep leaves the wall
     where it is, so the half-level displacement of step n is eta[n+1].
-    tau_idx is the index of the first inadmissible displacement
-    (n_steps if the cutoff never engaged).  The shared-DOF layout makes
-    u[n][shared] and the nodal values of v[n] the same numbers by
-    construction.
+    The cutoff is recorded once, in ledger.theta; stopped and tau_idx are
+    read from it.  The shared-DOF layout makes u[n][shared] and the nodal
+    values of v[n] the same numbers by construction.
     """
 
     dt: float
     n_steps: int
-    tau_idx: int
     u: np.ndarray
     v: np.ndarray
     eta: np.ndarray
@@ -303,6 +275,13 @@ class Trajectory:
         """Whether the cutoff engaged; theta never increases, so its last
         value tells."""
         return bool(self.ledger.theta[-1] == 0)
+
+    @property
+    def tau_idx(self) -> int:
+        """Index of the first inadmissible displacement: one past the
+        ledger row whose fold dropped theta, or n_steps if it never did."""
+        dropped = np.flatnonzero(self.ledger.theta == 0)
+        return int(dropped[0]) + 1 if dropped.size else self.n_steps
 
     @property
     def tau_time(self) -> float:
@@ -335,13 +314,13 @@ class PathProblem:
 def check_initial_admissibility(problem: PathProblem) -> None:
     """Enforce the admissibility of the initial configuration: the wall
     gap clears delta and both the H^2 and H^s norms sit inside the band."""
-    st, R, delta = problem.structure, problem.R, problem.params.delta
-    gap0 = R + st.profile(problem.eta0).min_value()
+    delta = problem.params.delta
+    gap0, hs0 = band(problem, problem.eta0)
     if not gap0 > delta:
         raise InitialDataError(f"initial.eta0: wall gap min(R+eta0) = {gap0:.6g} "
                                f"must exceed delta = {delta:.6g}")
-    for name, norm in (("H2", st.h2_norm_of_gap(problem.eta0, R)),
-                       ("Hs", problem.hs_form.norm(problem.eta0, R))):
+    for name, norm in (("H2", problem.structure.h2_norm_of_gap(problem.eta0, problem.R)),
+                       ("Hs", hs0)):
         if not norm < 1.0 / delta:
             raise InitialDataError(f"initial.eta0: ||R+eta0||_{name} = {norm:.6g} "
                                    f"must be below 1/delta = {1/delta:.6g}")
@@ -366,7 +345,7 @@ def run_path(problem: PathProblem, path_index: int = 0) -> Trajectory:
     """
     check_initial_admissibility(problem)
     fl, st, lay = problem.fluid, problem.structure, problem.layout
-    prm, R, N = problem.params, problem.R, problem.N
+    prm, N = problem.params, problem.N
     dt = prm.dt
     M_s, S = st.M, st.S1 + st.S2
 
@@ -382,22 +361,19 @@ def run_path(problem: PathProblem, path_index: int = 0) -> Trajectory:
     eta_star[0] = problem.eta0
     led = EnergyLedger.allocate(N)
 
-    cut = CutoffState(1, problem.eta0.copy(), None, prm.delta)
-    forms: AssembledForms | None = None
-    cache_key = None
+    theta = 1
     n_done = 0
 
     for n in range(N):
         eh, vh = structure_step(eta[n], v[n], dt, st)
         eta[n + 1], v_half_arr[n] = eh, vh
 
-        cut, min_gap, hs_value = update_cutoff(cut, eh, st, R, problem.hs_form, step=n + 1)
-        eta_star[n + 1] = cut.eta_star
-
-        key = (eta_star[n].tobytes(), eta_star[n + 1].tobytes())
-        if key != cache_key:
+        # eta* moves only while theta is 1, so the forms of the step that
+        # drops it serve every later step
+        moving = theta == 1
+        theta, eta_star[n + 1], min_gap, hs_value = update_cutoff(theta, eta_star[n], eh, problem)
+        if moving:
             forms = assemble_all(fl, lay, st.profile(eta_star[n]), st.profile(eta_star[n + 1]))
-            cache_key = key
             trace_const = trace_dissipation_constant(fl, forms, prm)
 
         if n == 0:
@@ -425,7 +401,7 @@ def run_path(problem: PathProblem, path_index: int = 0) -> Trajectory:
         led.C2[n] = 0.25 * float(du @ (forms.M_eta @ du)) \
             + 0.25 * float(dvf @ (M_s @ dvf))
         led.div_residual[n] = float(np.sqrt(max(div_sq, 0.0)))
-        led.theta[n] = cut.theta
+        led.theta[n] = theta
         led.min_gap[n] = min_gap
         led.hs_norm[n] = hs_value
         g_state = state_l2_sq(u[n], v[n], forms.M_sq, M_s)
@@ -440,19 +416,18 @@ def run_path(problem: PathProblem, path_index: int = 0) -> Trajectory:
             - Pout * float(fl.flux_out @ u_new)
         led.P_in[n], led.P_out[n] = Pin, Pout
         led.picard_iters[n] = stats.iterations
+        led.picard_rel[n] = stats.rel_update
         led.trace_const[n] = trace_const
 
         led.E[n + 1] = energy(u_new, v_new, eh, forms.M_eta + forms.M_delta, M_s, S)
 
         n_done = n + 1
-        if problem.halt_at_stop and cut.theta == 0:
+        if problem.halt_at_stop and theta == 0:
             break
 
-    tau_idx = cut.frozen_at if cut.frozen_at is not None else n_done
     return Trajectory(
         dt=dt,
         n_steps=n_done,
-        tau_idx=tau_idx,
         u=u[: n_done + 1],
         v=v[: n_done + 1],
         eta=eta[: n_done + 1],

@@ -339,8 +339,7 @@ def test_criterion_10_dense_oracle_equivalence(rng):
             eh_o, vh_o = od.mirror_structure_step(L, nz, eta_s, v_s, 0.05)
             worst = max(worst, rel(eh, eh_o), rel(vh, vh_o))
 
-        params = SchemeParams(nu=1.0, delta=0.1, epsilon=1e-3, s=1.75, dt=0.01,
-                              tol_picard=1e-12)
+        params = SchemeParams(nu=1.0, delta=0.1, epsilon=1e-3, dt=0.01, tol_picard=1e-12)
         spec = NoiseSpec(K=2, q=np.array([1.0, 0.5]),
                          amplitude=np.array([0.3, 0.1]), seed=4)
         dW = np.array([0.05, -0.02])

@@ -317,6 +317,21 @@ class TestMain:
         assert table[0].startswith("value,")
         assert len([l for l in table if not l.startswith("#")]) == 3
 
+    def test_sweep_failures_exit_1(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, {
+            **MINIMAL,
+            "solver": {"max_picard": 1, "tol_picard": 1e-14},
+            "initial": {"eta0": {"kind": "zero"}, "v0": {"kind": "zero"},
+                        "u0": {"kind": "parabolic", "amplitude": 5.0}},
+        })
+        out = tmp_path / "sweepout"
+        assert main(["sweep", "--config", path, "--axis", "epsilon",
+                     "--values", "1e-2,1e-3", "--out", str(out)]) == 1
+        assert "sweep failed: 2 of 2 paths" in capsys.readouterr().err
+        header, *rows = (out / "table.csv").read_text().splitlines()
+        assert header.split(",")[-1] == "failed"
+        assert [row.split(",")[-1] for row in rows] == ["1", "1"]
+
     def test_one_build_per_command(self, tmp_path, monkeypatch):
         builds = []
         real_build = cli.build_problem

@@ -133,7 +133,7 @@ def synthetic_one_step_trajectory(spec, dt, state_sq, path_index):
     led.xi[0] = float(spec.amplitude @ path.increments[0])
     led.g_state_sq[0] = state_sq
     z = np.zeros((2, 1))
-    return Trajectory(dt=dt, n_steps=1, tau_idx=1, u=z, v=z, eta=z,
+    return Trajectory(dt=dt, n_steps=1, u=z, v=z, eta=z,
                       v_half=z[:1], eta_star=z, ledger=led, noise=path)
 
 
@@ -240,6 +240,7 @@ class TestSweep:
                           run={"M": 4, "mode": "ensemble"})
         res = sweep(cfg, "epsilon", [1e-3])
         assert len(res.rows) == 1
+        assert res.rows[0]["failed"] == 0
         assert res.slope is None
         prob = build_problem(cfg)
         rep = ensemble_run(prob, 4)

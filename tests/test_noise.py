@@ -152,7 +152,7 @@ class TestApplyG:
         fl, st, lay = build_spaces(dom, 2)
         prof = WallProfile.zero(1.0, 2)
         forms = assemble_all(fl, lay, prof, prof)
-        params = SchemeParams(nu=1.0, delta=0.1, epsilon=1e-3, s=1.75, dt=0.01)
+        params = SchemeParams(nu=1.0, delta=0.1, epsilon=1e-3, dt=0.01)
         v_half = rng.normal(size=st.n_free)
         zero_u, zero_v = np.zeros(fl.n_free), np.zeros(st.n_free)
         quiet = fluid_step(fl, lay, forms, params, zero_u, zero_v, v_half, 0.0, 1.0, 0.0)

@@ -4,12 +4,11 @@ import pytest
 import oracle_dense as od
 from conftest import make_config, make_problem
 from stochfsi.cli import build_problem
-from stochfsi.discretization import HsForm, assemble_advection, assemble_all, build_spaces
+from stochfsi.discretization import assemble_advection, assemble_all, build_spaces
 from stochfsi.errors import InitialDataError, PicardDivergence
 from stochfsi.geometry import ReferenceDomain
 from stochfsi.noise import NoiseSpec
 from stochfsi.scheme import (
-    CutoffState,
     SchemeParams,
     fluid_step,
     run_path,
@@ -59,45 +58,43 @@ class TestStructureStep:
 
 
 class TestCutoff:
-    def _setup(self, delta=0.1, s=1.75, nz=8):
-        fl, st, lay = tiny_spaces(nz, 2)
-        hs_form = HsForm(st, s)
-        return st, hs_form, delta, s
+    def _setup(self):
+        # 8 wall elements, R = 1, delta = 0.1, s = 1.75
+        prob = make_problem(initial={"eta0": {"kind": "zero"}, "v0": {"kind": "zero"},
+                                     "u0": {"kind": "zero"}})
+        return prob, np.zeros(prob.structure.n_free)
 
     def test_admissible_candidate_accepted(self):
-        st, hs_form, delta, s = self._setup()
-        state = CutoffState(1, np.zeros(st.n_free), None, delta)
-        new, gap, hs = update_cutoff(state, np.zeros(st.n_free), st, 1.0, hs_form)
-        assert new.theta == 1
+        prob, zero = self._setup()
+        candidate = 0.01 * np.ones_like(zero)
+        theta, eta_star, gap, hs = update_cutoff(1, zero, candidate, prob)
+        assert theta == 1
+        assert gap > prob.params.delta and hs < 1.0 / prob.params.delta
+        assert np.array_equal(eta_star, candidate)
+        _, _, gap, hs = update_cutoff(1, zero, zero, prob)
         assert gap == pytest.approx(1.0)
         assert hs == pytest.approx(1.0, abs=1e-12)
-        assert np.array_equal(new.eta_star, np.zeros(st.n_free))
 
     def test_gap_violation_freezes(self):
-        st, hs_form, delta, s = self._setup()
-        good = np.zeros(st.n_free)
-        state = CutoffState(1, good, None, delta)
+        prob, good = self._setup()
+        st = prob.structure
         bad = np.zeros(st.n_free)
         bad[st.free.tolist().index(2 * (st.n_el // 2))] = -0.95  # min gap 0.05
-        new, gap, _ = update_cutoff(state, bad, st, 1.0, hs_form, step=5)
+        theta, eta_star, gap, _ = update_cutoff(1, good, bad, prob)
         assert gap == pytest.approx(0.05, abs=1e-12)
-        assert new.theta == 0
-        assert new.frozen_at == 5
-        assert np.array_equal(new.eta_star, good)
+        assert theta == 0
+        assert eta_star is good
 
     def test_flag_monotone_after_drop(self):
-        st, hs_form, delta, s = self._setup()
-        frozen = np.zeros(st.n_free)
-        state = CutoffState(0, frozen, 3, delta)
-        new, _, _ = update_cutoff(state, np.zeros(st.n_free), st, 1.0, hs_form, step=7)
-        assert new.theta == 0
-        assert new.frozen_at == 3
-        assert new.eta_star is frozen
+        prob, frozen = self._setup()
+        theta, eta_star, _, _ = update_cutoff(0, frozen, 0.01 * np.ones_like(frozen), prob)
+        assert theta == 0
+        assert eta_star is frozen
 
 
 class TestFluidStep:
     def _params(self, dt=0.01, eps=1e-3, nu=1.0):
-        return SchemeParams(nu=nu, delta=0.1, epsilon=eps, s=1.75, dt=dt)
+        return SchemeParams(nu=nu, delta=0.1, epsilon=eps, dt=dt)
 
     def test_zero_data_one_iteration(self):
         fl, st, lay = tiny_spaces(2, 2)
@@ -160,8 +157,7 @@ class TestFluidStep:
         fl, st, lay = tiny_spaces(4, 2)
         prof = st.profile(np.zeros(st.n_free))
         forms = assemble_all(fl, lay, prof, prof)
-        params = SchemeParams(nu=1e-4, delta=0.1, epsilon=1.0, s=1.75,
-                              dt=0.5, max_picard=1)
+        params = SchemeParams(nu=1e-4, delta=0.1, epsilon=1.0, dt=0.5, max_picard=1)
         u_n = 50.0 * rng.normal(size=fl.n_free)
         with pytest.raises(PicardDivergence):
             fluid_step(fl, lay, forms, params, u_n, np.zeros(st.n_free),
@@ -199,6 +195,7 @@ class TestRunPath:
         for n in range(1, traj.n_steps + 1):
             shared = traj.u[n][prob.layout.shared_free]
             assert np.array_equal(shared, traj.v[n][0::2])
+        assert np.all(traj.ledger.picard_rel <= prob.params.tol_picard)
 
     def test_zero_amplitude_seed_independent(self):
         base = dict(noise={"K": 3, "q": [1.0, 0.5, 0.25],
@@ -280,6 +277,23 @@ class TestCollapse:
         prob = self._suction_problem()
         traj = run_path(prob, 0)
         assert traj.n_steps == prob.N
+
+    def test_forms_assembled_until_the_drop(self, monkeypatch):
+        # eta* is frozen after the dropping step, so its forms serve the rest
+        import stochfsi.scheme as scheme
+
+        calls = []
+
+        def counting(*args):
+            calls.append(1)
+            return assemble_all(*args)
+
+        monkeypatch.setattr(scheme, "assemble_all", counting)
+        for prob, stops in ((self._suction_problem(), True), (make_problem(), False)):
+            calls.clear()
+            traj = run_path(prob, 0)
+            assert traj.stopped == stops and traj.n_steps == prob.N
+            assert len(calls) == traj.tau_idx
 
     def test_hs_branch_collapse(self):
         # generous gap, tight Sobolev band: violent wall motion trips the
