@@ -265,6 +265,18 @@ def with_axis_value(cfg: RunConfig, axis: str, value) -> RunConfig:
     return parse_config(data)
 
 
+def problem_at_axis_value(cfg: RunConfig, problem: PathProblem, axis: str,
+                          value) -> PathProblem:
+    """The problem of one sweep value, derived from ``problem``, the build
+    of ``cfg``: the spaces, the layout, ``HsForm``, the initial vectors and
+    their admissibility do not depend on N or epsilon, so only the
+    parameters, N and the step pressures are set anew."""
+    cfg = with_axis_value(cfg, axis, value)
+    params = dataclasses.replace(problem.params, epsilon=cfg.physics["epsilon"], dt=cfg.dt)
+    P_in, P_out = step_pressures(cfg)
+    return dataclasses.replace(problem, params=params, N=cfg.time["N"], P_in=P_in, P_out=P_out)
+
+
 # ----------------------------------------------------------------------
 # scenario construction
 
@@ -374,11 +386,13 @@ def write_manifest(path: str, cfg: RunConfig, extra: dict | None = None):
 
 
 def write_sweep_csv(path: str, result):
+    """One row per value; a statistic that is None (every path at that
+    value failed) is an empty cell."""
     cols = ["value", "div_l2t", "max_E_mean", "sum_D_mean", "frac_stopped", "failed"]
     lines = [",".join(cols)]
     for row in result.rows:
-        lines.append(",".join(repr(row[c]) if c in ("value", "failed") else _fmt(row[c])
-                              for c in cols))
+        lines.append(",".join("" if row[c] is None else repr(row[c]) if c in ("value", "failed")
+                              else _fmt(row[c]) for c in cols))
     if result.slope is not None:
         lines.append(f"# fitted log-log slope: {_fmt(result.slope)}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -421,7 +435,7 @@ def run(cfg: RunConfig, problem: PathProblem, out_dir: str | None = None) -> int
     values = cfg.run["sweep_values"]
     write_manifest(os.path.join(out, "manifest.json"), cfg,
                    {"mode": "sweep", "axis": axis, "values": values})
-    result = diagnostics.sweep(cfg, axis, values)
+    result = diagnostics.sweep(cfg, problem, axis, values)
     write_sweep_csv(os.path.join(out, "table.csv"), result)
     failed = sum(row["failed"] for row in result.rows)
     if failed:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 
 import numpy as np
@@ -214,32 +214,6 @@ def stochastic_error(traj: Trajectory, refinement: int) -> float:
 # ensembles
 
 
-class Welford:
-    """Streaming mean/variance accumulation in fixed visit order."""
-
-    def __init__(self):
-        self.n = 0
-        self.mean = 0.0
-        self.m2 = 0.0
-
-    def add(self, x: float):
-        self.n += 1
-        d = x - self.mean
-        self.mean += d / self.n
-        self.m2 += d * (x - self.mean)
-
-    @property
-    def var(self) -> float:
-        return self.m2 / (self.n - 1) if self.n > 1 else 0.0
-
-    @property
-    def ci95(self) -> float:
-        return 1.96 * np.sqrt(self.var / self.n) if self.n else 0.0
-
-    def summary(self) -> dict:
-        return {"mean": self.mean, "var": self.var, "ci95": self.ci95, "n": self.n}
-
-
 _STAT_NAMES = ("max_E", "sum_D", "sum_C1", "sum_C2", "div_sq_int")
 
 
@@ -257,22 +231,29 @@ def path_statistics(traj: Trajectory) -> dict:
     }
 
 
+def _summary(xs: list) -> dict:
+    """Mean, sample variance, 95% half-width and count of ``xs``; a value
+    that needs more samples than there are is None."""
+    x = np.asarray(xs, dtype=float)
+    n = x.size
+    var = float(x.var(ddof=1)) if n > 1 else None
+    return {"mean": float(x.mean()) if n else None, "var": var,
+            "ci95": 1.96 * float(np.sqrt(var / n)) if n > 1 else None, "n": n}
+
+
 @dataclass
 class EnsembleReport:
+    """Statistics over the paths that did not fail; each is None when
+    too few survived to define it."""
+
     M: int
     stats: dict
-    frac_stopped: float
-    mean_tau: float
+    frac_stopped: float | None
+    mean_tau: float | None
     failures: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "M": self.M,
-            "stats": self.stats,
-            "frac_stopped": self.frac_stopped,
-            "mean_tau": self.mean_tau,
-            "failures": self.failures,
-        }
+        return asdict(self)
 
 
 # failures of one path that leave the rest of an ensemble meaningful
@@ -314,24 +295,13 @@ def ensemble_run(problem: PathProblem, M: int, ledger_dir: str | None = None) ->
     else:
         results = list(map(run_one, range(M)))
 
-    acc = {name: Welford() for name in _STAT_NAMES}
-    stopped = Welford()
-    tau = Welford()
-    failures = []
-    for idx, stats, err in results:
-        if err is not None:
-            failures.append({"path": idx, "error": err})
-            continue
-        for name in _STAT_NAMES:
-            acc[name].add(stats[name])
-        stopped.add(1.0 if stats["stopped"] else 0.0)
-        tau.add(stats["tau_time"])
+    survived = [stats for _, stats, err in results if err is None]
     return EnsembleReport(
         M=M,
-        stats={name: acc[name].summary() for name in _STAT_NAMES},
-        frac_stopped=stopped.mean if stopped.n else 0.0,
-        mean_tau=tau.mean if tau.n else 0.0,
-        failures=failures,
+        stats={name: _summary([s[name] for s in survived]) for name in _STAT_NAMES},
+        frac_stopped=_summary([s["stopped"] for s in survived])["mean"],
+        mean_tau=_summary([s["tau_time"] for s in survived])["mean"],
+        failures=[{"path": idx, "error": err} for idx, _, err in results if err is not None],
     )
 
 
@@ -347,16 +317,20 @@ class SweepResult:
     slope: float | None
 
 
-def sweep(config, axis: str, values, M: int | None = None) -> SweepResult:
+def sweep(config, problem: PathProblem, axis: str, values) -> SweepResult:
     """Re-run the ensemble for each value of N or epsilon with common
     per-path seeds, and fit the log-log slope of the monitored statistic.
 
     For the epsilon axis the monitored statistic is the ensemble mean of
     ||div^{eta*} u||_{L^2(0,T;L^2)} (target slope 1/2); for the N axis it
-    is the estimated E[max_n E^n] (target: flat).  Each row counts its
-    failed paths in ``failed``; the statistics cover the others only.
+    is the estimated E[max_n E^n] (target: flat).  ``problem`` is the
+    build of ``config``, and each value's problem is derived from it;
+    each value runs ``config.run["M"]`` paths.  Each row counts its
+    failed paths in ``failed``; the statistics cover the others only, and
+    are None at a value where every path failed.  The slope is None
+    unless every value has a positive statistic.
     """
-    from . import cli as _cli
+    from . import cli as _cli  # cli imports this module
 
     if axis not in ("N", "epsilon"):
         raise ConfigError(f"sweep.axis: must be 'N' or 'epsilon', got {axis!r}")
@@ -368,13 +342,12 @@ def sweep(config, axis: str, values, M: int | None = None) -> SweepResult:
 
     rows = []
     for val in values:
-        cfg = _cli.with_axis_value(config, axis, val)
-        problem = _cli.build_problem(cfg)
-        report = ensemble_run(problem, M or cfg.run["M"])
+        report = ensemble_run(_cli.problem_at_axis_value(config, problem, axis, val),
+                              config.run["M"])
         div_mean_sq = report.stats["div_sq_int"]["mean"]
         rows.append({
             "value": val,
-            "div_l2t": float(np.sqrt(max(div_mean_sq, 0.0))),
+            "div_l2t": None if div_mean_sq is None else float(np.sqrt(max(div_mean_sq, 0.0))),
             "max_E_mean": report.stats["max_E"]["mean"],
             "sum_D_mean": report.stats["sum_D"]["mean"],
             "frac_stopped": report.frac_stopped,
@@ -382,10 +355,8 @@ def sweep(config, axis: str, values, M: int | None = None) -> SweepResult:
         })
 
     slope = None
-    if len(values) >= 2:
+    y = [row["div_l2t" if axis == "epsilon" else "max_E_mean"] for row in rows]
+    if len(values) >= 2 and all(v is not None and v > 0 for v in y):
         x = np.log(np.asarray(values, dtype=float))
-        key = "div_l2t" if axis == "epsilon" else "max_E_mean"
-        y = np.asarray([row[key] for row in rows], dtype=float)
-        if np.all(y > 0):
-            slope = float(np.polyfit(x, np.log(y), 1)[0])
+        slope = float(np.polyfit(x, np.log(np.asarray(y, dtype=float)), 1)[0])
     return SweepResult(axis=axis, values=values, rows=rows, slope=slope)

@@ -29,6 +29,7 @@ offline, term by term.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse.linalg as spla
@@ -231,20 +232,21 @@ class EnergyLedger:
     picard_rel: np.ndarray   # relative update of the last Picard iterate
 
     @classmethod
-    def allocate(cls, N: int) -> "EnergyLedger":
-        """Records for N steps: E has N+1 levels, theta and picard_iters
-        are integers, and theta starts at 1."""
-        kw = {f.name: np.zeros(N + 1 if f.name == "E" else N,
-                               dtype=int if f.name in ("theta", "picard_iters") else float)
-              for f in fields(cls)}
-        kw["theta"] += 1
-        return cls(**kw)
-
-    def truncate(self, n: int) -> "EnergyLedger":
-        kw = {}
-        for name, arr in self.__dict__.items():
-            kw[name] = arr[: n + 1] if name == "E" else arr[:n]
-        return EnergyLedger(**kw)
+    def from_rows(cls, E0: float, rows: list) -> "EnergyLedger":
+        """The ledger of E[0] and one row per step (see ``step``): E is E0
+        followed by the rows' E_next, every other field is its column, and
+        theta and picard_iters are integers.  A row whose keys are not every
+        field but E, plus E_next, raises ValueError."""
+        names = [f.name for f in fields(cls) if f.name != "E"]
+        keys = {*names, "E_next"}
+        for n, row in enumerate(rows):
+            if row.keys() != keys:
+                raise ValueError(f"ledger row {n}: keys {sorted(row.keys() ^ keys)} "
+                                 f"differ from the EnergyLedger fields")
+        return cls(E=np.array([E0, *(row["E_next"] for row in rows)], dtype=float),
+                   **{name: np.array([row[name] for row in rows],
+                                     dtype=int if name in ("theta", "picard_iters") else float)
+                      for name in names})
 
 
 @dataclass
@@ -334,105 +336,100 @@ def energy(u, v, eta, M_u, M_s, S) -> float:
         + 0.5 * float(eta @ (S @ eta))
 
 
+class State(NamedTuple):
+    """A path at one integer level (the first four fields, the level's
+    arrays), with what the next step reuses: the cutoff flag after the
+    last fold and the last assembled forms with their trace constant
+    (None before the first step)."""
+
+    u: np.ndarray
+    v: np.ndarray
+    eta: np.ndarray
+    eta_star: np.ndarray
+    theta: int
+    forms: AssembledForms | None
+    trace_const: float | None
+
+
+def step(problem: PathProblem, state: State, n: int, noise_path: NoisePath):
+    """One Lie step from level n: the structure substep, the cutoff fold,
+    then the fluid substep on the frozen geometry.
+
+    Returns (state at level n+1, v^{n+1/2}, row), where row holds the
+    step's entry of every EnergyLedger field but E, plus E_next.  E_half
+    and C1 are measured with the step's M_eta, and E_next with
+    M_eta + M_delta, the weighted mass of the level the fluid solve ends
+    on, so each step's balance closes exactly and the energies telescope.
+    """
+    fl, st, prm = problem.fluid, problem.structure, problem.params
+    dt, M_s, S = prm.dt, st.M, st.S1 + st.S2
+    u, v, eta = state.u, state.v, state.eta
+    eh, vh = structure_step(eta, v, dt, st)
+
+    # eta* moves only while theta is 1, so the forms of the step that
+    # drops it serve every later step
+    forms, trace_const = state.forms, state.trace_const
+    theta, eta_star, min_gap, hs_value = update_cutoff(state.theta, state.eta_star, eh, problem)
+    if state.theta == 1:
+        forms = assemble_all(fl, problem.layout, st.profile(state.eta_star), st.profile(eta_star))
+        trace_const = trace_dissipation_constant(fl, forms, prm)
+
+    xi = noise_path.xi(n)
+    P_in, P_out = float(problem.P_in[n]), float(problem.P_out[n])
+    u_new, v_new, stats = fluid_step(fl, problem.layout, forms, prm, u, v, vh, xi, P_in, P_out)
+
+    # structure-substep pieces are exact polarization identities
+    dv, deta, du, dvf = vh - v, eh - eta, u_new - u, v_new - vh
+    vhalf_gap = float(dv @ (M_s @ dv))
+    div_sq = u_new @ (forms.P @ u_new)
+    g_state = state_l2_sq(u, v, forms.M_sq, M_s)
+    u_sq, v_sq = u @ (forms.M_eta @ u), v @ (M_s @ v)
+    row = dict(
+        E_half=energy(u, vh, eh, forms.M_eta, M_s, S),
+        D=dt * (prm.nu * float(u_new @ (forms.K @ u_new)) + (1.0 / prm.epsilon) * float(div_sq)),
+        C1=0.5 * vhalf_gap + 0.5 * float(deta @ (S @ deta)),
+        C2=0.25 * float(du @ (forms.M_eta @ du)) + 0.25 * float(dvf @ (M_s @ dvf)),
+        div_residual=float(np.sqrt(max(div_sq, 0.0))),
+        theta=theta, min_gap=min_gap, hs_norm=hs_value,
+        stoch_work=xi * float(u_sq + v_sq), incr_norm=float(np.sqrt(noise_path.u0_norm_sq(n))),
+        xi=xi, S_bound=xi * xi * float(u_sq + 2.0 * v_sq),
+        g_hs_sq=problem.noise.phi_hs_sq * g_state, g_state_sq=g_state,
+        pressure_work=P_in * float(fl.flux_in @ u_new) - P_out * float(fl.flux_out @ u_new),
+        P_in=P_in, P_out=P_out, vhalf_gap_sq=vhalf_gap, trace_const=trace_const,
+        picard_iters=stats.iterations, picard_rel=stats.rel_update,
+        E_next=energy(u_new, v_new, eh, forms.M_eta + forms.M_delta, M_s, S),
+    )
+    return State(u_new, v_new, eh, eta_star, theta, forms, trace_const), vh, row
+
+
 def run_path(problem: PathProblem, path_index: int = 0) -> Trajectory:
-    """Integrate one seeded path of the splitting scheme.
+    """Integrate one seeded path of the splitting scheme, step by step.
 
     The loop keeps marching on the frozen artificial geometry after the
-    cutoff engages (halt_at_stop truncates instead).  Ledger entries are
-    arranged so that the per-step energy balance telescopes exactly: the
-    end-of-step energy is evaluated with the same weighted mass matrices
-    that entered the fluid solve.
+    cutoff engages (halt_at_stop stops after the step that drops theta).
+    E[0] is measured with the first step's M_eta and every later E[n+1]
+    is that step's E_next, so the per-step energy balance telescopes
+    exactly.  The history keeps each level's arrays, never a state, so
+    only the current forms stay alive.
     """
     check_initial_admissibility(problem)
-    fl, st, lay = problem.fluid, problem.structure, problem.layout
-    prm, N = problem.params, problem.N
-    dt = prm.dt
-    M_s, S = st.M, st.S1 + st.S2
+    st = problem.structure
+    noise_path = sample_path(problem.noise, problem.N, problem.params.dt, path_index)
+    u0 = problem.u0.copy()
+    u0[problem.layout.shared_free] = problem.v0[0::2]  # kinematic compatibility at the nodes
+    start = State(u0, problem.v0, problem.eta0, problem.eta0, 1, None, None)
 
-    noise_path = sample_path(problem.noise, N, dt, path_index)
-
-    u = np.zeros((N + 1, fl.n_free))
-    v = np.zeros((N + 1, st.n_free))
-    eta = np.zeros((N + 1, st.n_free))
-    v_half_arr = np.zeros((N, st.n_free))
-    eta_star = np.zeros((N + 1, st.n_free))
-    u[0], v[0], eta[0] = problem.u0, problem.v0, problem.eta0
-    u[0][lay.shared_free] = v[0][0::2]  # kinematic compatibility at the nodes
-    eta_star[0] = problem.eta0
-    led = EnergyLedger.allocate(N)
-
-    theta = 1
-    n_done = 0
-
-    for n in range(N):
-        eh, vh = structure_step(eta[n], v[n], dt, st)
-        eta[n + 1], v_half_arr[n] = eh, vh
-
-        # eta* moves only while theta is 1, so the forms of the step that
-        # drops it serve every later step
-        moving = theta == 1
-        theta, eta_star[n + 1], min_gap, hs_value = update_cutoff(theta, eta_star[n], eh, problem)
-        if moving:
-            forms = assemble_all(fl, lay, st.profile(eta_star[n]), st.profile(eta_star[n + 1]))
-            trace_const = trace_dissipation_constant(fl, forms, prm)
-
-        if n == 0:
-            led.E[0] = energy(u[0], v[0], eta[0], forms.M_eta, M_s, S)
-
-        # structure-substep balance pieces (exact polarization identities)
-        dv = vh - v[n]
-        vhalf_gap = float(dv @ (M_s @ dv))
-        C1 = 0.5 * vhalf_gap + 0.5 * float((eh - eta[n]) @ (S @ (eh - eta[n])))
-        E_half = energy(u[n], vh, eh, forms.M_eta, M_s, S)
-
-        xi = noise_path.xi(n)
-        Pin, Pout = float(problem.P_in[n]), float(problem.P_out[n])
-        u_new, v_new, stats = fluid_step(fl, lay, forms, prm, u[n], v[n], vh, xi, Pin, Pout)
-        u[n + 1], v[n + 1] = u_new, v_new
-
-        du = u_new - u[n]
-        dvf = v_new - vh
-        led.E_half[n] = E_half
-        led.C1[n] = C1
-        led.vhalf_gap_sq[n] = vhalf_gap
-        div_sq = u_new @ (forms.P @ u_new)
-        led.D[n] = dt * (prm.nu * float(u_new @ (forms.K @ u_new))
-                         + (1.0 / prm.epsilon) * float(div_sq))
-        led.C2[n] = 0.25 * float(du @ (forms.M_eta @ du)) \
-            + 0.25 * float(dvf @ (M_s @ dvf))
-        led.div_residual[n] = float(np.sqrt(max(div_sq, 0.0)))
-        led.theta[n] = theta
-        led.min_gap[n] = min_gap
-        led.hs_norm[n] = hs_value
-        g_state = state_l2_sq(u[n], v[n], forms.M_sq, M_s)
-        led.xi[n] = xi
-        led.g_state_sq[n] = g_state
-        led.g_hs_sq[n] = problem.noise.phi_hs_sq * g_state
-        u_sq, v_sq = u[n] @ (forms.M_eta @ u[n]), v[n] @ (M_s @ v[n])
-        led.stoch_work[n] = xi * float(u_sq + v_sq)
-        led.S_bound[n] = xi * xi * float(u_sq + 2.0 * v_sq)
-        led.incr_norm[n] = float(np.sqrt(noise_path.u0_norm_sq(n)))
-        led.pressure_work[n] = Pin * float(fl.flux_in @ u_new) \
-            - Pout * float(fl.flux_out @ u_new)
-        led.P_in[n], led.P_out[n] = Pin, Pout
-        led.picard_iters[n] = stats.iterations
-        led.picard_rel[n] = stats.rel_update
-        led.trace_const[n] = trace_const
-
-        led.E[n + 1] = energy(u_new, v_new, eh, forms.M_eta + forms.M_delta, M_s, S)
-
-        n_done = n + 1
-        if problem.halt_at_stop and theta == 0:
+    state, vh, row = step(problem, start, 0, noise_path)
+    E0 = energy(u0, problem.v0, problem.eta0, state.forms.M_eta, st.M, st.S1 + st.S2)
+    history = [(state[:4], vh, row)]
+    for n in range(1, problem.N):
+        if problem.halt_at_stop and state.theta == 0:
             break
+        state, vh, row = step(problem, state, n, noise_path)
+        history.append((state[:4], vh, row))
 
-    return Trajectory(
-        dt=dt,
-        n_steps=n_done,
-        u=u[: n_done + 1],
-        v=v[: n_done + 1],
-        eta=eta[: n_done + 1],
-        v_half=v_half_arr[:n_done],
-        eta_star=eta_star[: n_done + 1],
-        ledger=led.truncate(n_done),
-        noise=noise_path,
-    )
+    levels, v_half, rows = zip(*history)
+    u, v, eta, eta_star = map(np.array, zip(start[:4], *levels))
+    return Trajectory(dt=problem.params.dt, n_steps=len(rows), u=u, v=v, eta=eta,
+                      v_half=np.array(v_half), eta_star=eta_star,
+                      ledger=EnergyLedger.from_rows(E0, rows), noise=noise_path)

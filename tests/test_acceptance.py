@@ -113,7 +113,7 @@ def _epsilon_sweep():
             noise={"K": 0, "q": [], "amplitude": [], "seed": 1},
             run={"M": 1, "mode": "ensemble"},
         )
-        _cache["eps_sweep"] = sweep(cfg, "epsilon", [1e-2, 1e-3, 1e-4])
+        _cache["eps_sweep"] = sweep(cfg, build_problem(cfg), "epsilon", [1e-2, 1e-3, 1e-4])
     return _cache["eps_sweep"]
 
 

@@ -14,6 +14,7 @@ from stochfsi.cli import (
     load_config,
     main,
     parse_config,
+    problem_at_axis_value,
     run,
     step_pressures,
     with_axis_value,
@@ -262,6 +263,8 @@ class TestRunArtifacts:
         assert "ensemble failed: 3 of 3 paths" in capsys.readouterr().err
         report = json.loads((out / "report.json").read_text())
         assert [f["path"] for f in report["failures"]] == [0, 1, 2]
+        assert report["frac_stopped"] is None and report["mean_tau"] is None
+        assert report["stats"]["max_E"] == {"mean": None, "var": None, "ci95": None, "n": 0}
         assert list(out.glob("ledger_*.csv")) == []
 
 
@@ -330,7 +333,8 @@ class TestMain:
         assert "sweep failed: 2 of 2 paths" in capsys.readouterr().err
         header, *rows = (out / "table.csv").read_text().splitlines()
         assert header.split(",")[-1] == "failed"
-        assert [row.split(",")[-1] for row in rows] == ["1", "1"]
+        assert [row.split(",")[1:] for row in rows] == [["", "", "", "", "1"]] * 2
+        assert not any(row.startswith("#") for row in rows)  # no slope
 
     def test_one_build_per_command(self, tmp_path, monkeypatch):
         builds = []
@@ -345,7 +349,7 @@ class TestMain:
         parse_config(data)
         assert len(builds) == 0
         path = write_cfg(tmp_path, data)
-        expected = {"run": 1, "validate": 1, "sweep": 3}
+        expected = {"run": 1, "validate": 1, "sweep": 1}
         for command, extra in (("run", ["--out", str(tmp_path / "run")]),
                                ("validate", []),
                                ("sweep", ["--axis", "epsilon", "--values", "1e-2,1e-3",
@@ -362,6 +366,19 @@ class TestAxisOverride:
         assert c2.time["N"] == 8 and c2.run["mode"] == "ensemble"
         c3 = with_axis_value(cfg, "epsilon", 1e-4)
         assert c3.physics["epsilon"] == 1e-4
+
+    @pytest.mark.parametrize("axis,value", [("epsilon", 1e-4), ("N", 8)])
+    def test_derived_problem_runs_as_built(self, axis, value):
+        # a sweep value's problem, derived from the base build, gives the
+        # same path as a fresh build of that value's config
+        cfg = parse_config({**MINIMAL, "pressure": {"kind": "half-sine", "amplitude": 2.0,
+                                                    "duration": 0.1}})
+        derived = problem_at_axis_value(cfg, build_problem(cfg), axis, value)
+        built = build_problem(with_axis_value(cfg, axis, value))
+        assert derived.params == built.params and derived.N == built.N == len(derived.P_in)
+        a, b = run_path(derived, 0).ledger, run_path(built, 0).ledger
+        for f in dataclasses.fields(EnergyLedger):
+            assert np.array_equal(getattr(a, f.name), getattr(b, f.name)), f.name
 
     @pytest.mark.parametrize("axis,value,field", [
         ("epsilon", 0.0, "physics.epsilon"),

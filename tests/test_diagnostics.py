@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,6 @@ from conftest import make_config, make_problem
 from stochfsi import scheme
 from stochfsi.cli import build_problem
 from stochfsi.diagnostics import (
-    Welford,
     ensemble_run,
     ledger_positivity_min,
     stochastic_error,
@@ -129,9 +130,10 @@ class TestTightness:
 def synthetic_one_step_trajectory(spec, dt, state_sq, path_index):
     """Trajectory shell carrying only what stochastic_error consumes."""
     path = sample_path(spec, 1, dt, path_index)
-    led = EnergyLedger.allocate(1)
-    led.xi[0] = float(spec.amplitude @ path.increments[0])
-    led.g_state_sq[0] = state_sq
+    row = {f.name: 0.0 for f in fields(EnergyLedger) if f.name != "E"}
+    row.update(theta=1, picard_iters=0, E_next=0.0, g_state_sq=state_sq,
+               xi=float(spec.amplitude @ path.increments[0]))
+    led = EnergyLedger.from_rows(0.0, [row])
     z = np.zeros((2, 1))
     return Trajectory(dt=dt, n_steps=1, u=z, v=z, eta=z,
                       v_half=z[:1], eta_star=z, ledger=led, noise=path)
@@ -238,11 +240,11 @@ class TestSweep:
     def test_single_value_sweep_equals_ensemble(self):
         cfg = make_config(domain={"nz": 4, "nr": 2}, time={"T": 0.25, "N": 8},
                           run={"M": 4, "mode": "ensemble"})
-        res = sweep(cfg, "epsilon", [1e-3])
+        prob = build_problem(cfg)
+        res = sweep(cfg, prob, "epsilon", [1e-3])
         assert len(res.rows) == 1
         assert res.rows[0]["failed"] == 0
         assert res.slope is None
-        prob = build_problem(cfg)
         rep = ensemble_run(prob, 4)
         assert res.rows[0]["max_E_mean"] == pytest.approx(rep.stats["max_E"]["mean"])
         assert res.rows[0]["div_l2t"] == pytest.approx(
@@ -250,10 +252,11 @@ class TestSweep:
 
     def test_axis_validation(self):
         cfg = make_config()
+        prob = build_problem(cfg)
         with pytest.raises(ConfigError):
-            sweep(cfg, "nu", [1.0])
+            sweep(cfg, prob, "nu", [1.0])
         with pytest.raises(ConfigError):
-            sweep(cfg, "N", [32, 16, 64])
+            sweep(cfg, prob, "N", [32, 16, 64])
 
 
 class TestLedgerChecks:
@@ -266,14 +269,6 @@ class TestLedgerChecks:
     def test_structure_identity_small(self):
         traj = run_path(make_problem(), 0)
         assert structure_identity_residuals(traj).max() <= 1e-11
-
-    def test_welford_matches_numpy(self, rng):
-        xs = rng.normal(size=200)
-        w = Welford()
-        for x in xs:
-            w.add(float(x))
-        assert w.mean == pytest.approx(xs.mean(), rel=1e-12)
-        assert w.var == pytest.approx(xs.var(ddof=1), rel=1e-10)
 
 
 class TestMoreCoverage:
@@ -293,7 +288,7 @@ class TestMoreCoverage:
     def test_sweep_over_N_axis(self):
         cfg = make_config(domain={"nz": 4, "nr": 2}, time={"T": 0.25, "N": 8},
                           run={"M": 2, "mode": "ensemble"})
-        res = sweep(cfg, "N", [8, 16])
+        res = sweep(cfg, build_problem(cfg), "N", [8, 16])
         assert len(res.rows) == 2
         assert all(np.isfinite(row["max_E_mean"]) for row in res.rows)
 
@@ -318,6 +313,20 @@ class TestMoreCoverage:
         rep = ensemble_run(prob, 3)
         assert len(rep.failures) == 3
         assert all("PicardDivergence" in f["error"] for f in rep.failures)
+        # with no surviving path no statistic is defined
+        assert rep.frac_stopped is None and rep.mean_tau is None
+        for summary in rep.stats.values():
+            assert summary == {"mean": None, "var": None, "ci95": None, "n": 0}
+
+    def test_statistics_over_surviving_paths(self):
+        prob = make_problem(domain={"nz": 4, "nr": 2}, time={"T": 0.25, "N": 8})
+        one = ensemble_run(prob, 1)
+        assert one.stats["sum_D"]["n"] == 1 and one.stats["sum_D"]["mean"] is not None
+        assert one.stats["sum_D"]["var"] is None and one.stats["sum_D"]["ci95"] is None
+        xs = np.array([run_path(prob, i).ledger.D.sum() for i in range(3)])
+        s = ensemble_run(prob, 3).stats["sum_D"]
+        assert s["n"] == 3 and s["mean"] == xs.mean() and s["var"] == xs.var(ddof=1)
+        assert s["ci95"] == 1.96 * np.sqrt(xs.var(ddof=1) / 3)
 
     def test_non_integer_thread_count_is_config_error(self, monkeypatch):
         monkeypatch.setenv("STOCHFSI_THREADS", "abc")

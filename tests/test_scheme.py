@@ -1,17 +1,26 @@
+import gc
+import weakref
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 import oracle_dense as od
 from conftest import make_config, make_problem
+from stochfsi import scheme
 from stochfsi.cli import build_problem
+from stochfsi.diagnostics import write_ledger_csv
 from stochfsi.discretization import assemble_advection, assemble_all, build_spaces
 from stochfsi.errors import InitialDataError, PicardDivergence
 from stochfsi.geometry import ReferenceDomain
-from stochfsi.noise import NoiseSpec
+from stochfsi.noise import NoiseSpec, sample_path
 from stochfsi.scheme import (
+    EnergyLedger,
     SchemeParams,
+    State,
     fluid_step,
     run_path,
+    step,
     structure_step,
     trace_dissipation_constant,
     update_cutoff,
@@ -222,6 +231,66 @@ class TestRunPath:
             slope = (traj.eta[n + 1] - traj.eta[n]) / traj.dt
             scale = max(np.abs(traj.eta[n]).max() / traj.dt, 1.0)
             assert np.abs(slope - traj.v_half[n]).max() <= 1e-10 * scale
+
+
+class TestStepKernel:
+    def _rows(self, traj):
+        led = traj.ledger
+        names = [f.name for f in fields(EnergyLedger) if f.name != "E"]
+        return [{**{name: getattr(led, name)[n] for name in names}, "E_next": led.E[n + 1]}
+                for n in range(traj.n_steps)]
+
+    def test_rows_rebuild_the_ledger(self):
+        traj = run_path(make_problem(time={"T": 0.125, "N": 4}), 0)
+        rebuilt = EnergyLedger.from_rows(traj.ledger.E[0], self._rows(traj))
+        for f in fields(EnergyLedger):
+            want, got = getattr(traj.ledger, f.name), getattr(rebuilt, f.name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), f.name
+
+    def test_row_with_missing_or_extra_key_raises(self):
+        traj = run_path(make_problem(time={"T": 0.125, "N": 4}), 0)
+        missing = self._rows(traj)
+        del missing[2]["xi"]
+        with pytest.raises(ValueError, match=r"ledger row 2: keys \['xi'\]"):
+            EnergyLedger.from_rows(0.0, missing)
+        extra = self._rows(traj)
+        extra[0]["E"] = 1.0
+        with pytest.raises(ValueError, match=r"ledger row 0: keys \['E'\]"):
+            EnergyLedger.from_rows(0.0, extra)
+
+    def test_csv_columns_are_the_step_row(self, tmp_path):
+        # the header is step, t, the ledger fields in field order, E_next;
+        # past step and t it names exactly a step row's keys and E
+        prob = make_problem(time={"T": 0.125, "N": 4})
+        start = State(prob.u0, prob.v0, prob.eta0, prob.eta0, 1, None, None)
+        noise = sample_path(prob.noise, prob.N, prob.params.dt, 0)
+        _, _, row = step(prob, start, 0, noise)
+        path = tmp_path / "ledger.csv"
+        write_ledger_csv(str(path), run_path(prob, 0))
+        header = path.read_text().splitlines()[0].split(",")
+        assert header == ["step", "t", *(f.name for f in fields(EnergyLedger)), "E_next"]
+        assert set(header[2:]) == {*row, "E"} and len(header) == len(row) + 3
+
+    def test_one_earlier_forms_alive_per_assembly(self, monkeypatch):
+        # the path history keeps arrays, never a state: at each assembly
+        # only the forms in the current state may still be alive
+        refs, alive = [], []
+
+        def counting(*args):
+            count = sum(r() is not None for r in refs)
+            if count > 1:  # reference cycles only go at collection
+                gc.collect()
+                count = sum(r() is not None for r in refs)
+            alive.append(count)
+            forms = assemble_all(*args)
+            refs.append(weakref.ref(forms))
+            return forms
+
+        monkeypatch.setattr(scheme, "assemble_all", counting)
+        prob = make_problem()
+        traj = run_path(prob, 0)
+        assert not traj.stopped and len(alive) == prob.N
+        assert alive[0] == 0 and max(alive) == 1
 
 
 class TestCollapse:
