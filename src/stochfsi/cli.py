@@ -56,7 +56,6 @@ _DEFAULTS = {
         "q": [],
         "amplitude": [],
         "seed": None,
-        "generator": "philox4x64-np",
         "sampling": "auto",
     },
     "run": {
@@ -162,8 +161,7 @@ def _numbers(value, field: str, want: str = "a number") -> list:
 
 def _noise_spec(noise: dict) -> NoiseSpec:
     return NoiseSpec(K=noise["K"], q=noise["q"], amplitude=noise["amplitude"],
-                     seed=noise["seed"], generator_id=noise["generator"],
-                     sampling=noise["sampling"])
+                     seed=noise["seed"], sampling=noise["sampling"])
 
 
 # the fields besides "kind" that each kind of an open section takes
@@ -227,17 +225,23 @@ def parse_config(data: dict) -> RunConfig:
     if nz["seed"] is None:
         nz["seed"] = merged["run"]["master_seed"]
     nz["seed"] = _number(nz["seed"], "noise.seed", "an integer")
-    _noise_spec(nz)  # checks the lengths against K, the generator and the sampling
+    spec = _noise_spec(nz)  # checks the lengths against K and the sampling mode
 
     r = merged["run"]
     _require(r["mode"] in ("path", "ensemble", "sweep"),
              f"run.mode: unknown mode {r['mode']!r}")
+    Ns = [merged["time"]["N"]]
     if r["mode"] == "sweep":
         _require(r["sweep_axis"] in ("N", "epsilon"),
                  f"run.sweep_axis: must be 'N' or 'epsilon', got {r['sweep_axis']!r}")
         want = "an integer >= 1" if r["sweep_axis"] == "N" else "a number > 0"
-        r["sweep_values"] = _numbers(r["sweep_values"], "run.sweep_values", want)
-        _require(r["sweep_values"], "run.sweep_values: need at least one value")
+        values = r["sweep_values"] = _numbers(r["sweep_values"], "run.sweep_values", want)
+        _require(values, "run.sweep_values: need at least one value")
+        _require(values in (sorted(values), sorted(values, reverse=True)),
+                 "run.sweep_values: must be sorted")
+        Ns += values if r["sweep_axis"] == "N" else []
+    for N in Ns:  # dyadic sampling needs every N a power of two
+        spec.resolve_sampling(N)
     _require(isinstance(r["halt_at_stop"], bool),
              f"run.halt_at_stop: must be true or false, got {r['halt_at_stop']!r}")
     _require(isinstance(merged["output"]["directory"], str),

@@ -330,8 +330,8 @@ class StructureSpace:
             S1[sl, sl] += s1_loc
             S2[sl, sl] += s2_loc
         self.M = M[np.ix_(self.free, self.free)]
-        self.S1 = S1[np.ix_(self.free, self.free)]
-        self.S2 = S2[np.ix_(self.free, self.free)]
+        # the stiffness of the beam energy, H^1 plus H^2 seminorm
+        self.S = (S1 + S2)[np.ix_(self.free, self.free)]
         # Int phi_a dz, for || R + eta ||_{L^2}^2 = R^2 L + 2 R l.eta + eta.M.eta
         l_full = np.zeros(self.ndof_full)
         for e in range(n_el):
@@ -363,7 +363,7 @@ class StructureSpace:
     def h2_norm_of_gap(self, vec_free: np.ndarray, R: float) -> float:
         """|| R + eta ||_{H^2(0,L)} with the full L2 + H1 + H2 seminorms."""
         e = np.asarray(vec_free, dtype=float)
-        return float(np.sqrt(self.gap_l2_sq(e, R) + e @ self.S1 @ e + e @ self.S2 @ e))
+        return float(np.sqrt(self.gap_l2_sq(e, R) + e @ self.S @ e))
 
 
 def _indptr(major: np.ndarray, n: int) -> np.ndarray:
@@ -514,21 +514,20 @@ def build_spaces(domain: ReferenceDomain, n_struct: int):
 
 @dataclass
 class AssembledForms:
-    """Every operator of the fluid substep that moves with eta*.
+    """Every operator of the fluid substep that moves with eta*, at one
+    level of eta*.
 
     All fluid matrices live on the free DOFs.  ``M_eta`` carries weight
-    R + eta*_n, ``M_delta`` weight (eta*_{n+1} - eta*_n) (evaluated as an
-    exact pointwise difference so that M_eta + M_delta telescopes to the
-    next level's weighted mass), ``M_sq`` weight (R + eta*_n)^2 for the
-    Hilbert-Schmidt norm of the noise operator.  ``K`` is the viscous
-    form including its factor 2 (apply nu externally), ``P`` the reduced
-    integration divergence penalty (apply 1/eps externally).  The beam
-    matrices and the flux vectors do not move; they live on
-    ``StructureSpace`` and ``FluidSpace``.
+    R + eta*, ``M_sq`` weight (R + eta*)^2 for the Hilbert-Schmidt norm
+    of the noise operator.  ``K`` is the viscous form including its
+    factor 2 (apply nu externally), ``P`` the reduced integration
+    divergence penalty (apply 1/eps externally).  ``w_q`` and ``s_q`` are
+    R + eta* and its slope at the full-rule points.  The beam matrices and
+    the flux vectors do not move; they live on ``StructureSpace`` and
+    ``FluidSpace``.
     """
 
     M_eta: sp.csr_matrix
-    M_delta: sp.csr_matrix
     M_sq: sp.csr_matrix
     K: sp.csr_matrix
     P: sp.csr_matrix
@@ -536,27 +535,21 @@ class AssembledForms:
     s_q: np.ndarray
 
 
-def assemble_all(
-    fluid: FluidSpace,
-    layout: CoupledLayout,
-    profile_star_n: WallProfile,
-    profile_star_np1: WallProfile,
-) -> AssembledForms:
-    """Assemble every eta*-dependent operator of the fluid substep.
+def assemble_all(fluid: FluidSpace, layout: CoupledLayout,
+                 profile: WallProfile) -> AssembledForms:
+    """Assemble every eta*-dependent operator of the fluid substep at the
+    level whose wall is ``profile``.
 
     Entries depend on the wall only through values/slopes at quadrature
     points, so equal profiles produce bit-identical matrices.
     """
     R = fluid.domain.R
-    w_q, s_q = fluid.wall_samples(profile_star_n, R=R, reduced=False)
-    w1_q, s1_q = fluid.wall_samples(profile_star_n, R=R, reduced=True)
-    w_next = R + profile_star_np1.value(fluid.q_full.z)
-    delta_q = w_next - w_q
+    w_q, s_q = fluid.wall_samples(profile, R=R, reduced=False)
+    w1_q, s1_q = fluid.wall_samples(profile, R=R, reduced=True)
 
     csr = layout.fluid_csr
     return AssembledForms(
         M_eta=csr(element_mass(fluid, w_q)),
-        M_delta=csr(element_mass(fluid, delta_q)),
         M_sq=csr(element_mass(fluid, w_q * w_q)),
         K=csr(element_viscous(fluid, w_q, s_q)),
         P=csr(element_penalty(fluid, w1_q, s1_q)),

@@ -56,7 +56,6 @@ class NoiseSpec:
     q: np.ndarray
     amplitude: np.ndarray
     seed: int
-    generator_id: str = "philox4x64-np"
     sampling: str = "auto"  # auto | per-step | dyadic
 
     def __post_init__(self):
@@ -72,14 +71,8 @@ class NoiseSpec:
             raise ConfigError("noise.amplitude: nonzero amplitudes with K = 0")
         if np.any(q <= 0):
             raise ConfigError("noise.q: covariance eigenvalues must be > 0")
-        if self.generator_id != "philox4x64-np":
-            raise ConfigError(f"noise.generator: unknown generator {self.generator_id!r}")
         if self.sampling not in ("auto", "per-step", "dyadic"):
             raise ConfigError(f"noise.sampling: unknown mode {self.sampling!r}")
-
-    @property
-    def trace_q(self) -> float:
-        return float(self.q.sum())
 
     @property
     def phi_hs_sq(self) -> float:

@@ -32,6 +32,7 @@ from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import cho_factor, cho_solve
 
@@ -93,9 +94,9 @@ def structure_step(eta: np.ndarray, v: np.ndarray, dt: float,
     Substituting the displacement update eta_half = eta + dt*v_half into
     the velocity equation gives the SPD system
 
-        (M_s + dt^2 (S1+S2)) v_half = M_s v - dt (S1+S2) eta.
+        (M_s + dt^2 S) v_half = M_s v - dt S eta.
     """
-    S = structure.S1 + structure.S2
+    S = structure.S
     A = structure.M + dt * dt * S
     b = structure.M @ v - dt * (S @ eta)
     try:
@@ -112,6 +113,7 @@ def fluid_step(
     fluid: FluidSpace,
     layout: CoupledLayout,
     forms: AssembledForms,
+    M_next: sp.csr_matrix,
     params: SchemeParams,
     u_n: np.ndarray,
     v_n: np.ndarray,
@@ -121,6 +123,11 @@ def fluid_step(
     P_out: float,
 ):
     """Coupled implicit fluid/wall-velocity solve on the frozen geometry.
+
+    ``forms`` are level n's, the frozen geometry; level n+1 enters only
+    through its weighted mass ``M_next``.  The mass term is the average
+    ½ (M_eta + M_next), the discrete geometric-conservation term: tested
+    with the solution it leaves ½ u.M_next.u, level n+1's kinetic energy.
 
     Unknown vector x = [fluid free DOFs | interior wall slopes]; the wall
     velocity block is tested with the Hermite functions, so the mass
@@ -137,7 +144,7 @@ def fluid_step(
     dt = params.dt
     n_free, n_x = fluid.n_free, layout.n_x
 
-    A_fluid = (forms.M_eta.data + 0.5 * forms.M_delta.data
+    A_fluid = (0.5 * (forms.M_eta.data + M_next.data)
                + params.nu * dt * forms.K.data
                + (dt / params.epsilon) * forms.P.data)
     M_norm = layout.coupled_csc(forms.M_eta.data)
@@ -337,46 +344,49 @@ def energy(u, v, eta, M_u, M_s, S) -> float:
 
 
 class State(NamedTuple):
-    """A path at one integer level (the first four fields, the level's
-    arrays), with what the next step reuses: the cutoff flag after the
-    last fold and the last assembled forms with their trace constant
-    (None before the first step)."""
+    """A path at one integer level: the level's arrays (the first four
+    fields), the cutoff flag after the last fold, and the level's forms
+    with their trace constant, which the step from this level uses."""
 
     u: np.ndarray
     v: np.ndarray
     eta: np.ndarray
     eta_star: np.ndarray
     theta: int
-    forms: AssembledForms | None
-    trace_const: float | None
+    forms: AssembledForms
+    trace_const: float
+
+
+def level_forms(problem: PathProblem, eta_star: np.ndarray):
+    """The forms of the level whose artificial displacement is eta_star,
+    and their trace constant."""
+    forms = assemble_all(problem.fluid, problem.layout, problem.structure.profile(eta_star))
+    return forms, trace_dissipation_constant(problem.fluid, forms, problem.params)
 
 
 def step(problem: PathProblem, state: State, n: int, noise_path: NoisePath):
     """One Lie step from level n: the structure substep, the cutoff fold,
-    then the fluid substep on the frozen geometry.
+    then the fluid substep on the frozen geometry eta*_n.
 
     Returns (state at level n+1, v^{n+1/2}, row), where row holds the
-    step's entry of every EnergyLedger field but E, plus E_next.  E_half
-    and C1 are measured with the step's M_eta, and E_next with
-    M_eta + M_delta, the weighted mass of the level the fluid solve ends
-    on, so each step's balance closes exactly and the energies telescope.
+    step's entry of every EnergyLedger field but E, plus E_next.  Level
+    n's forms measure the row but E_next, which takes level n+1's M_eta,
+    the matrix the next step measures with: the energies telescope
+    exactly by construction.  Level n+1's forms are assembled only when
+    the fold moved eta* to the candidate (theta is 1); else n's carry over.
     """
     fl, st, prm = problem.fluid, problem.structure, problem.params
-    dt, M_s, S = prm.dt, st.M, st.S1 + st.S2
-    u, v, eta = state.u, state.v, state.eta
+    dt, M_s, S = prm.dt, st.M, st.S
+    u, v, eta, forms = state.u, state.v, state.eta, state.forms
     eh, vh = structure_step(eta, v, dt, st)
 
-    # eta* moves only while theta is 1, so the forms of the step that
-    # drops it serve every later step
-    forms, trace_const = state.forms, state.trace_const
     theta, eta_star, min_gap, hs_value = update_cutoff(state.theta, state.eta_star, eh, problem)
-    if state.theta == 1:
-        forms = assemble_all(fl, problem.layout, st.profile(state.eta_star), st.profile(eta_star))
-        trace_const = trace_dissipation_constant(fl, forms, prm)
+    forms_next, trace_next = level_forms(problem, eta_star) if theta else (forms, state.trace_const)
 
     xi = noise_path.xi(n)
     P_in, P_out = float(problem.P_in[n]), float(problem.P_out[n])
-    u_new, v_new, stats = fluid_step(fl, problem.layout, forms, prm, u, v, vh, xi, P_in, P_out)
+    u_new, v_new, stats = fluid_step(fl, problem.layout, forms, forms_next.M_eta, prm,
+                                     u, v, vh, xi, P_in, P_out)
 
     # structure-substep pieces are exact polarization identities
     dv, deta, du, dvf = vh - v, eh - eta, u_new - u, v_new - vh
@@ -395,41 +405,40 @@ def step(problem: PathProblem, state: State, n: int, noise_path: NoisePath):
         xi=xi, S_bound=xi * xi * float(u_sq + 2.0 * v_sq),
         g_hs_sq=problem.noise.phi_hs_sq * g_state, g_state_sq=g_state,
         pressure_work=P_in * float(fl.flux_in @ u_new) - P_out * float(fl.flux_out @ u_new),
-        P_in=P_in, P_out=P_out, vhalf_gap_sq=vhalf_gap, trace_const=trace_const,
+        P_in=P_in, P_out=P_out, vhalf_gap_sq=vhalf_gap, trace_const=state.trace_const,
         picard_iters=stats.iterations, picard_rel=stats.rel_update,
-        E_next=energy(u_new, v_new, eh, forms.M_eta + forms.M_delta, M_s, S),
+        E_next=energy(u_new, v_new, eh, forms_next.M_eta, M_s, S),
     )
-    return State(u_new, v_new, eh, eta_star, theta, forms, trace_const), vh, row
+    return State(u_new, v_new, eh, eta_star, theta, forms_next, trace_next), vh, row
 
 
 def run_path(problem: PathProblem, path_index: int = 0) -> Trajectory:
     """Integrate one seeded path of the splitting scheme, step by step.
 
-    The loop keeps marching on the frozen artificial geometry after the
-    cutoff engages (halt_at_stop stops after the step that drops theta).
-    E[0] is measured with the first step's M_eta and every later E[n+1]
-    is that step's E_next, so the per-step energy balance telescopes
-    exactly.  The history keeps each level's arrays, never a state, so
-    only the current forms stay alive.
+    E[0] is measured with level 0's forms, assembled before the loop, and
+    every later E[n+1] is step n's E_next, so the energies telescope
+    exactly (see ``step``).  The loop keeps marching on the frozen
+    artificial geometry after the cutoff engages (halt_at_stop stops after
+    the step that drops theta).  The history keeps each level's arrays,
+    never a state, so only the current level's forms stay alive.
     """
     check_initial_admissibility(problem)
-    st = problem.structure
     noise_path = sample_path(problem.noise, problem.N, problem.params.dt, path_index)
     u0 = problem.u0.copy()
     u0[problem.layout.shared_free] = problem.v0[0::2]  # kinematic compatibility at the nodes
-    start = State(u0, problem.v0, problem.eta0, problem.eta0, 1, None, None)
-
-    state, vh, row = step(problem, start, 0, noise_path)
-    E0 = energy(u0, problem.v0, problem.eta0, state.forms.M_eta, st.M, st.S1 + st.S2)
-    history = [(state[:4], vh, row)]
-    for n in range(1, problem.N):
-        if problem.halt_at_stop and state.theta == 0:
-            break
+    st = problem.structure
+    state = State(u0, problem.v0, problem.eta0, problem.eta0, 1,
+                  *level_forms(problem, problem.eta0))
+    E0 = energy(u0, problem.v0, problem.eta0, state.forms.M_eta, st.M, st.S)
+    first, history = state[:4], []
+    for n in range(problem.N):
         state, vh, row = step(problem, state, n, noise_path)
         history.append((state[:4], vh, row))
+        if problem.halt_at_stop and state.theta == 0:
+            break
 
     levels, v_half, rows = zip(*history)
-    u, v, eta, eta_star = map(np.array, zip(start[:4], *levels))
+    u, v, eta, eta_star = map(np.array, zip(first, *levels))
     return Trajectory(dt=problem.params.dt, n_steps=len(rows), u=u, v=v, eta=eta,
                       v_half=np.array(v_half), eta_star=eta_star,
                       ledger=EnergyLedger.from_rows(E0, rows), noise=noise_path)

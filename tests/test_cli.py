@@ -49,6 +49,7 @@ class TestLoadConfig:
             ({"physics": {"viscosity": 1.0}}, "physics.viscosity"),
             ({"solver": {"damping": 0.5}}, "solver.damping"),
             ({"solver": {"damping_after": 20}}, "solver.damping_after"),
+            ({"noise": {"generator": "philox4x64-np"}}, "noise.generator"),
             ({"pressure": {"kind": "constant", "P_inn": 1.0}}, "pressure.P_inn"),
             ({"pressure": {"kind": "constant", "duration": 0.1}}, "pressure.duration"),
             ({"initial": {"eta0": {"kind": "sine2", "amplitud": 0.1}}},
@@ -278,6 +279,31 @@ class TestMain:
         path = write_cfg(tmp_path, {**MINIMAL, "physics": {"delta": -1}})
         assert main(["validate", "--config", path]) == 2
         assert "physics.delta" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("data,field", [
+        ({"run": {"mode": "sweep", "sweep_axis": "epsilon",
+                  "sweep_values": [1e-3, 1e-2, 1e-4]}}, "run.sweep_values"),
+        ({"time": {"T": 0.25, "N": 6}, "noise": {"sampling": "dyadic"}}, "noise.sampling"),
+        ({"noise": {"sampling": "dyadic"},
+          "run": {"mode": "sweep", "sweep_axis": "N", "sweep_values": [4, 6]}},
+         "noise.sampling"),
+    ])
+    def test_run_time_faults_exit_2_at_load(self, tmp_path, capsys, data, field):
+        # unsorted sweep values and dyadic sampling at an N that is not a
+        # power of two fail before anything is written, not inside the run
+        path = write_cfg(tmp_path, {**MINIMAL, **data})
+        out = tmp_path / "out"
+        for command in (["validate"], ["run", "--out", str(out)]):
+            assert main([*command, "--config", path]) == 2
+            assert capsys.readouterr().err.startswith(f"config error: {field}: ")
+        assert not out.exists()
+
+    def test_unsorted_sweep_command_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", write_cfg(tmp_path, MINIMAL), "--axis", "epsilon",
+                     "--values", "1e-3,1e-2,1e-4", "--out", str(out)]) == 2
+        assert "config error: run.sweep_values: must be sorted" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_run_path_cli(self, tmp_path):
         path = write_cfg(tmp_path, {

@@ -27,12 +27,12 @@ class TestEnergy:
     def _forms(self, nz, nr):
         fl, st, lay = build_spaces(ReferenceDomain(L=1.0, R=1.0, nz=nz, nr=nr), nz)
         prof = st.profile(np.zeros(st.n_free))
-        return fl, st, lay, assemble_all(fl, lay, prof, prof)
+        return fl, st, lay, assemble_all(fl, lay, prof)
 
     def test_zero_state(self):
         fl, st, lay, forms = self._forms(2, 2)
         assert energy(np.zeros(fl.n_free), np.zeros(st.n_free), np.zeros(st.n_free),
-                      forms.M_eta, st.M, st.S1 + st.S2) == 0.0
+                      forms.M_eta, st.M, st.S) == 0.0
 
     def test_uniform_axial_field_half_c_squared_L(self):
         # u == (c, 0) on every node, masks ignored: E = 1/2 c^2 L; evaluated
@@ -48,7 +48,7 @@ class TestEnergy:
         u = rng.normal(size=fl.n_free)
         v = rng.normal(size=st.n_free)
         eta = rng.normal(size=st.n_free)
-        ours = energy(u, v, eta, forms.M_eta, st.M, st.S1 + st.S2)
+        ours = energy(u, v, eta, forms.M_eta, st.M, st.S)
 
         df = od.DenseFluid(1.0, 1.0, 2, 2)
         M_o = od.dense_weighted_mass(df, lambda z: 1.0)[np.ix_(df.free, df.free)]
@@ -340,9 +340,8 @@ class TestMoreCoverage:
         # raises DegenerateJacobian; each path records it and writes no ledger
         real = scheme.assemble_all
 
-        def sunk(fl, lay, prof_n, prof_np1):
-            return real(fl, lay, WallProfile(prof_n.L, prof_n.vals - 2.0, prof_n.slopes),
-                        prof_np1)
+        def sunk(fl, lay, prof):
+            return real(fl, lay, WallProfile(prof.L, prof.vals - 2.0, prof.slopes))
 
         monkeypatch.setattr(scheme, "assemble_all", sunk)
         monkeypatch.delenv("STOCHFSI_THREADS", raising=False)

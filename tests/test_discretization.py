@@ -62,9 +62,9 @@ class TestBuildSpaces:
         fl, st, lay = spaces(4, 2)
         walls = [random_wall(rng, 4), random_wall(rng, 4, scale=0.05)]
         for prof in walls:
-            forms = assemble_all(fl, lay, prof, walls[0])
+            forms = assemble_all(fl, lay, prof)
             B = advection_matrix(fl, lay, forms, rng.normal(size=lay.n_x))
-            for mat in (forms.M_eta, forms.M_delta, forms.M_sq, forms.K, forms.P, B):
+            for mat in (forms.M_eta, forms.M_sq, forms.K, forms.P, B):
                 assert mat.shape == (fl.n_free, fl.n_free)
                 assert np.array_equal(mat.indices, lay.indices)
                 assert np.array_equal(mat.indptr, lay.indptr)
@@ -117,8 +117,8 @@ class TestWeightedMass:
         fl, st, lay = spaces(5, 3)
         prof = random_wall(rng, 5)
         prof2 = WallProfile(1.0, prof.vals.copy(), prof.slopes.copy())
-        f1 = assemble_all(fl, lay, prof, prof)
-        f2 = assemble_all(fl, lay, prof2, prof2)
+        f1 = assemble_all(fl, lay, prof)
+        f2 = assemble_all(fl, lay, prof2)
         for name in ("M_eta", "K", "P", "M_sq"):
             a, b = getattr(f1, name), getattr(f2, name)
             assert np.array_equal(a.data, b.data)
@@ -158,7 +158,7 @@ class TestViscousAndPenalty:
     def test_advection_skew_100_random_vectors(self, rng):
         fl, st, lay = spaces(4, 2)
         prof = random_wall(rng, 4)
-        forms = assemble_all(fl, lay, prof, prof)
+        forms = assemble_all(fl, lay, prof)
         adv = assemble_advection(fl, forms)
         for _ in range(100):
             # a fresh transport field (u, v) for each test vector
@@ -191,8 +191,7 @@ class TestStructureStiffness:
         errs = []
         for n_el in (4, 8, 16, 32):
             st = StructureSpace(1.0, n_el)
-            S = st.S1 + st.S2
-            w = eigh(S, st.M, eigvals_only=True)
+            w = eigh(st.S, st.M, eigvals_only=True)
             errs.append(abs(w.min() - lam_exact) / lam_exact)
         orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
         assert errs[-1] < 1e-5
@@ -200,7 +199,7 @@ class TestStructureStiffness:
 
     def test_stiffness_spd(self):
         st = StructureSpace(1.0, 6)
-        w = np.linalg.eigvalsh(st.S1 + st.S2)
+        w = np.linalg.eigvalsh(st.S)
         assert w.min() > 0
 
 
@@ -225,7 +224,7 @@ def test_operator_oracle_equivalence(nz, nr, rng):
     fl, st, lay = spaces(nz, nr, L, R)
     eta = 0.1 * rng.uniform(-1, 1, st.n_free) if st.n_free else np.zeros(0)
     prof = st.profile(eta)
-    forms = assemble_all(fl, lay, prof, prof)
+    forms = assemble_all(fl, lay, prof)
     df = od.DenseFluid(L, R, nz, nr)
 
     def eta_f(z):
@@ -254,8 +253,7 @@ def test_operator_oracle_equivalence(nz, nr, rng):
 
     M_o, S1_o, S2_o, free_o = od.dense_structure(L, nz)
     assert np.allclose(st.M, M_o[np.ix_(free_o, free_o)], atol=1e-13)
-    assert np.allclose(st.S1, S1_o[np.ix_(free_o, free_o)], atol=1e-12)
-    assert np.allclose(st.S2, S2_o[np.ix_(free_o, free_o)], atol=1e-10)
+    assert np.allclose(st.S, (S1_o + S2_o)[np.ix_(free_o, free_o)], atol=1e-12)
 
 
 @pytest.mark.parametrize("nz,nr", [(2, 2), (4, 2), (3, 3)])
@@ -265,7 +263,7 @@ def test_advection_oracle_equivalence(nz, nr, rng):
     fl, st, lay = spaces(nz, nr)
     eta = 0.1 * rng.uniform(-1, 1, st.n_free)
     prof = st.profile(eta)
-    forms = assemble_all(fl, lay, prof, prof)
+    forms = assemble_all(fl, lay, prof)
     x = rng.normal(size=lay.n_x)
     u, v = x[:fl.n_free], x[lay.beam_to_x]
     B = advection_matrix(fl, lay, forms, x).toarray()
@@ -394,4 +392,4 @@ def test_degenerate_jacobian_raised_in_assembly():
     vals[2] = -1.5  # wall through the floor
     prof = WallProfile(1.0, vals, np.zeros(5))
     with pytest.raises(DegenerateJacobian):
-        assemble_all(fl, lay, prof, prof)
+        assemble_all(fl, lay, prof)

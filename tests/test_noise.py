@@ -48,10 +48,6 @@ class TestSpecValidation:
         with pytest.raises(ConfigError):
             NoiseSpec(K=2, q=np.array([1.0, 0.0]), amplitude=np.zeros(2), seed=1)
 
-    def test_trace_recorded(self):
-        sp = spec4()
-        assert sp.trace_q == pytest.approx(1.0 + 0.25 + 1 / 9 + 0.0625)
-
     def test_dyadic_requires_power_of_two(self):
         sp = spec4(sampling="dyadic")
         with pytest.raises(ConfigError):
@@ -151,13 +147,15 @@ class TestApplyG:
         dom = ReferenceDomain(L=1.0, R=1.0, nz=2, nr=2)
         fl, st, lay = build_spaces(dom, 2)
         prof = WallProfile.zero(1.0, 2)
-        forms = assemble_all(fl, lay, prof, prof)
+        forms = assemble_all(fl, lay, prof)
         params = SchemeParams(nu=1.0, delta=0.1, epsilon=1e-3, dt=0.01)
         v_half = rng.normal(size=st.n_free)
         zero_u, zero_v = np.zeros(fl.n_free), np.zeros(st.n_free)
-        quiet = fluid_step(fl, lay, forms, params, zero_u, zero_v, v_half, 0.0, 1.0, 0.0)
+        quiet = fluid_step(fl, lay, forms, forms.M_eta, params, zero_u, zero_v, v_half,
+                           0.0, 1.0, 0.0)
         xi = float(spec4().amplitude @ np.array([0.3, -0.1, 0.2, 0.05]))
-        forced = fluid_step(fl, lay, forms, params, zero_u, zero_v, v_half, xi, 1.0, 0.0)
+        forced = fluid_step(fl, lay, forms, forms.M_eta, params, zero_u, zero_v, v_half,
+                            xi, 1.0, 0.0)
         assert np.array_equal(quiet[0], forced[0]) and np.array_equal(quiet[1], forced[1])
 
     def test_zero_increment_zero_forcing(self):
@@ -170,7 +168,7 @@ class TestLipschitzAndGrowth:
         dom = ReferenceDomain(L=1.0, R=1.0, nz=6, nr=3)
         fl, st, lay = build_spaces(dom, 6)
         prof = st.profile(0.08 * np.sin(np.arange(st.n_free)))
-        forms = assemble_all(fl, lay, prof, prof)
+        forms = assemble_all(fl, lay, prof)
         return fl, lay, forms
 
     def test_lipschitz_ratio_constant_across_scales(self, rng):

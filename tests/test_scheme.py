@@ -52,8 +52,8 @@ class TestStructureStep:
         # E^{n+1/2} + C1 = E^n exactly, for arbitrary (eta, v)
         fl, st, lay = tiny_spaces(8, 2)
         prof = st.profile(np.zeros(st.n_free))
-        forms = assemble_all(fl, lay, prof, prof)
-        S = st.S1 + st.S2
+        forms = assemble_all(fl, lay, prof)
+        S = st.S
         dt = 0.05
         for _ in range(100):
             eta = rng.normal(size=st.n_free)
@@ -108,8 +108,8 @@ class TestFluidStep:
     def test_zero_data_one_iteration(self):
         fl, st, lay = tiny_spaces(2, 2)
         prof = st.profile(np.zeros(st.n_free))
-        forms = assemble_all(fl, lay, prof, prof)
-        u, v, stats = fluid_step(fl, lay, forms, self._params(),
+        forms = assemble_all(fl, lay, prof)
+        u, v, stats = fluid_step(fl, lay, forms, forms.M_eta, self._params(),
                                  np.zeros(fl.n_free), np.zeros(st.n_free),
                                  np.zeros(st.n_free), 0.0, 0.0, 0.0)
         assert np.all(u == 0.0) and np.all(v == 0.0)
@@ -121,7 +121,8 @@ class TestFluidStep:
         fl, st, lay = tiny_spaces(nz, nr)
         eta_n = 0.05 * rng.uniform(-1, 1, st.n_free) if st.n_free else np.zeros(0)
         eta_np1 = eta_n + 0.02 * rng.uniform(-1, 1, st.n_free) if st.n_free else eta_n
-        forms = assemble_all(fl, lay, st.profile(eta_n), st.profile(eta_np1))
+        forms = assemble_all(fl, lay, st.profile(eta_n))
+        M_next = assemble_all(fl, lay, st.profile(eta_np1)).M_eta
         params = self._params()
         u_n = 0.5 * rng.normal(size=fl.n_free)
         v_n = 0.3 * rng.normal(size=st.n_free)
@@ -131,7 +132,7 @@ class TestFluidStep:
                          amplitude=np.array([0.3, 0.1]), seed=4)
         dW = np.array([0.05, -0.02])
         xi = float(spec.amplitude @ dW)
-        u1, v1, stats = fluid_step(fl, lay, forms, params, u_n, v_n, v_half,
+        u1, v1, stats = fluid_step(fl, lay, forms, M_next, params, u_n, v_n, v_half,
                                    xi, 1.0, 0.0)
         u1_o, v1_o = od.mirror_fluid_step(
             L, R, nz, nr, eta_n, eta_np1, u_n, v_n, v_half, xi,
@@ -146,7 +147,7 @@ class TestFluidStep:
 
         fl, st, lay = tiny_spaces(4, 2)
         prof = st.profile(0.05 * rng.uniform(-1, 1, st.n_free))
-        forms = assemble_all(fl, lay, prof, prof)
+        forms = assemble_all(fl, lay, prof)
         calls = []
 
         def counting(*args):
@@ -157,7 +158,7 @@ class TestFluidStep:
         u_n = rng.normal(size=fl.n_free)
         v_n = rng.normal(size=st.n_free)
         u_n[lay.shared_free] = v_n[0::2]
-        _, _, stats = fluid_step(fl, lay, forms, self._params(), u_n, v_n, v_n,
+        _, _, stats = fluid_step(fl, lay, forms, forms.M_eta, self._params(), u_n, v_n, v_n,
                                  0.0, 1.0, 0.0)
         assert stats.iterations > 1
         assert len(calls) == 1
@@ -165,17 +166,17 @@ class TestFluidStep:
     def test_picard_divergence_raises(self, rng):
         fl, st, lay = tiny_spaces(4, 2)
         prof = st.profile(np.zeros(st.n_free))
-        forms = assemble_all(fl, lay, prof, prof)
+        forms = assemble_all(fl, lay, prof)
         params = SchemeParams(nu=1e-4, delta=0.1, epsilon=1.0, dt=0.5, max_picard=1)
         u_n = 50.0 * rng.normal(size=fl.n_free)
         with pytest.raises(PicardDivergence):
-            fluid_step(fl, lay, forms, params, u_n, np.zeros(st.n_free),
+            fluid_step(fl, lay, forms, forms.M_eta, params, u_n, np.zeros(st.n_free),
                        np.zeros(st.n_free), 0.0, 0.0, 0.0)
 
     def test_trace_constant_positive(self):
         fl, st, lay = tiny_spaces(4, 2)
         prof = st.profile(np.zeros(st.n_free))
-        forms = assemble_all(fl, lay, prof, prof)
+        forms = assemble_all(fl, lay, prof)
         c = trace_dissipation_constant(fl, forms, self._params())
         assert np.isfinite(c) and c > 0
 
@@ -262,7 +263,8 @@ class TestStepKernel:
         # the header is step, t, the ledger fields in field order, E_next;
         # past step and t it names exactly a step row's keys and E
         prob = make_problem(time={"T": 0.125, "N": 4})
-        start = State(prob.u0, prob.v0, prob.eta0, prob.eta0, 1, None, None)
+        start = State(prob.u0, prob.v0, prob.eta0, prob.eta0, 1,
+                      *scheme.level_forms(prob, prob.eta0))
         noise = sample_path(prob.noise, prob.N, prob.params.dt, 0)
         _, _, row = step(prob, start, 0, noise)
         path = tmp_path / "ledger.csv"
@@ -271,9 +273,20 @@ class TestStepKernel:
         assert header == ["step", "t", *(f.name for f in fields(EnergyLedger)), "E_next"]
         assert set(header[2:]) == {*row, "E"} and len(header) == len(row) + 3
 
+    def test_energy_is_its_levels_energy(self):
+        # E[n] is the energy of level n measured with the M_eta of that
+        # level's own assembly, bit for bit: the energies telescope exactly
+        prob = make_problem()
+        traj = run_path(prob, 0)
+        fl, st = prob.fluid, prob.structure
+        for n in range(traj.n_steps + 1):
+            M_eta = assemble_all(fl, prob.layout, st.profile(traj.eta_star[n])).M_eta
+            want = scheme.energy(traj.u[n], traj.v[n], traj.eta[n], M_eta, st.M, st.S)
+            assert traj.ledger.E[n] == want, n
+
     def test_one_earlier_forms_alive_per_assembly(self, monkeypatch):
         # the path history keeps arrays, never a state: at each assembly
-        # only the forms in the current state may still be alive
+        # only the forms of the current level may still be alive
         refs, alive = [], []
 
         def counting(*args):
@@ -289,7 +302,7 @@ class TestStepKernel:
         monkeypatch.setattr(scheme, "assemble_all", counting)
         prob = make_problem()
         traj = run_path(prob, 0)
-        assert not traj.stopped and len(alive) == prob.N
+        assert not traj.stopped and len(alive) == prob.N + 1
         assert alive[0] == 0 and max(alive) == 1
 
 
@@ -348,7 +361,9 @@ class TestCollapse:
         assert traj.n_steps == prob.N
 
     def test_forms_assembled_until_the_drop(self, monkeypatch):
-        # eta* is frozen after the dropping step, so its forms serve the rest
+        # level 0 and every level eta* moves to: tau_idx assemblies on a
+        # stopped path (the frozen level's forms serve the rest), N + 1 on a
+        # path that never stops
         import stochfsi.scheme as scheme
 
         calls = []
@@ -362,7 +377,7 @@ class TestCollapse:
             calls.clear()
             traj = run_path(prob, 0)
             assert traj.stopped == stops and traj.n_steps == prob.N
-            assert len(calls) == traj.tau_idx
+            assert len(calls) == (traj.tau_idx if stops else prob.N + 1)
 
     def test_hs_branch_collapse(self):
         # generous gap, tight Sobolev band: violent wall motion trips the
