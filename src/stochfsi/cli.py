@@ -341,7 +341,7 @@ def build_problem(cfg: RunConfig) -> PathProblem:
     the initial data checked for admissibility (``InitialDataError``)."""
     domain = ReferenceDomain(L=cfg.domain["L"], R=cfg.domain["R"],
                              nz=cfg.domain["nz"], nr=cfg.domain["nr"])
-    fluid, structure, layout = build_spaces(domain, domain.nz)
+    fluid, structure, layout = build_spaces(domain)
     params = SchemeParams(
         nu=cfg.physics["nu"], delta=cfg.physics["delta"],
         epsilon=cfg.physics["epsilon"], dt=cfg.dt,

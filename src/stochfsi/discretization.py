@@ -33,7 +33,7 @@ import scipy.sparse as sp
 from .errors import ConfigError, DegenerateJacobian
 from .geometry import ReferenceDomain, WallProfile, hermite_shapes, locate
 
-_GAUSS = {n: np.polynomial.legendre.leggauss(n) for n in (1, 2, 3, 4, 5, 6, 8)}
+_GAUSS = {n: np.polynomial.legendre.leggauss(n) for n in (1, 2, 4, 6, 8)}
 
 
 # ----------------------------------------------------------------------
@@ -396,7 +396,7 @@ class CoupledLayout:
     def __init__(self, fluid: FluidSpace, structure: StructureSpace):
         if structure.n_el != fluid.nz:
             raise ConfigError(
-                f"layout: n_struct ({structure.n_el}) must equal nz ({fluid.nz})"
+                f"layout: the beam's n_el ({structure.n_el}) must equal nz ({fluid.nz})"
             )
         self.fluid = fluid
         self.structure = structure
@@ -488,22 +488,12 @@ class CoupledLayout:
         """Wall-velocity beam vector from a coupled solution vector."""
         return x[self.beam_to_x].copy()
 
-    def embed_beam_vector(self, b: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.n_x)
-        np.add.at(out, self.beam_to_x, b)
-        return out
 
-
-def build_spaces(domain: ReferenceDomain, n_struct: int):
-    """Construct the fluid, structure and coupling layout for one domain.
-
-    The structure nodes must be collocated with the top-boundary fluid
-    nodes, so n_struct must equal nz.
-    """
-    if n_struct != domain.nz:
-        raise ConfigError(f"build_spaces: n_struct ({n_struct}) must equal nz ({domain.nz})")
+def build_spaces(domain: ReferenceDomain):
+    """Construct the fluid, structure and coupling layout for one domain;
+    the beam nodes are collocated with the top-boundary fluid nodes."""
     fluid = FluidSpace(domain)
-    structure = StructureSpace(domain.L, n_struct)
+    structure = StructureSpace(domain.L, domain.nz)
     layout = CoupledLayout(fluid, structure)
     return fluid, structure, layout
 
@@ -587,6 +577,21 @@ def assemble_advection(fluid: FluidSpace, forms: AssembledForms) -> np.ndarray:
 _HS_OUTER, _HS_INNER, _HS_GRADED, _HS_BAND = 6, 8, 16, 32
 
 
+def _gauss_on(ends, rule):
+    """Gauss points and weights on the intervals between consecutive
+    ``ends`` (along the last axis), flattened along it."""
+    x, w = _GAUSS[rule]
+    a, b = ends[..., :-1, None], ends[..., 1:, None]
+    shape = ends.shape[:-1] + (-1,)
+    return ((a + b) / 2 + (b - a) / 2 * x).reshape(shape), ((b - a) / 2 * w).reshape(shape)
+
+
+def _graded(a, b):
+    """Ends of the split of [a, b] into pieces halving toward a."""
+    g = np.append(0.0, 0.5 ** np.arange(_HS_GRADED, -1, -1))
+    return a[..., None] + (b - a)[..., None] * g
+
+
 class HsForm:
     """Quadratic form computing || R + eta ||_{H^s(0,L)}^2 on one beam mesh.
 
@@ -607,75 +612,58 @@ class HsForm:
             raise ConfigError(f"physics.s: must lie in (3/2, 2), got {s}")
         sigma = s - 1.0
         st = structure
-        L, n_el, h_el = st.L, st.n_el, st.h
-        h_band = h_el / _HS_BAND
-
-        def basis(z, deriv):
-            """Derivative ``deriv`` of every full-DOF shape at z; (len(z), ndof_full)."""
-            idx, xi = locate(z, h_el, n_el)
-            out = np.zeros((z.size, st.ndof_full))
-            out[np.arange(z.size)[:, None], 2 * idx[:, None] + np.arange(4)] = \
-                np.stack(hermite_shapes(xi, h_el, deriv), axis=1)
-            return out
-
-        gx, gw = _GAUSS[_HS_OUTER]
-        zo = ((gx + 1) / 2)[None, :] * h_el + np.arange(n_el)[:, None] * h_el
-        wo = np.tile(gw * h_el / 2, n_el)
-        zo = zo.ravel()
-        Bo = basis(zo, 1)
-
-        gxi, gwi = _GAUSS[_HS_INNER]
+        L, n_el, h = st.L, st.n_el, st.h
+        h_band = h / _HS_BAND
+        el = 2 * np.arange(n_el)[:, None] + np.arange(4)
         Q = np.zeros((st.ndof_full, st.ndof_full))
-        breaks = np.linspace(0.0, L, n_el + 1)
-        for i in range(zo.size):
-            zi = zo[i]
-            pieces = []
-            for lo, hi in ((0.0, zi - h_band), (zi + h_band, L)):
-                if hi <= lo:
-                    continue
-                pts = [lo] + [b for b in breaks if lo < b < hi] + [hi]
-                # geometric grading toward the band edge inside the
-                # adjacent piece (integrand ~ |t|^(1-2*sigma) there)
-                edge = zi - h_band if hi <= zi else zi + h_band
-                for a, b in zip(pts[:-1], pts[1:]):
-                    if (hi <= zi and b == edge) or (lo >= zi and a == edge):
-                        width = b - a
-                        fracs = width * 0.5 ** np.arange(_HS_GRADED, 0, -1)
-                        sub = [a] + list(a + fracs) + [b] if lo >= zi else \
-                              [a] + list(b - fracs[::-1]) + [b]
-                        sub = sorted(set(sub))
-                        pieces.extend(zip(sub[:-1], sub[1:]))
-                    else:
-                        pieces.append((a, b))
-            if not pieces:
-                continue
-            a_arr = np.array([p[0] for p in pieces])
-            b_arr = np.array([p[1] for p in pieces])
-            zeta = (a_arr[:, None] + b_arr[:, None]) / 2 + (b_arr - a_arr)[:, None] / 2 * gxi[None, :]
-            wz = (b_arr - a_arr)[:, None] / 2 * gwi[None, :]
-            zeta = zeta.ravel()
-            wz = wz.ravel()
-            D = Bo[i][None, :] - basis(zeta, 1)
-            kern = wz / np.abs(zi - zeta) ** (1 + 2 * sigma)
-            Q += wo[i] * ((D.T * kern) @ D)
+
+        def add(dofs, blocks):
+            np.add.at(Q, (dofs[:, :, None], dofs[:, None, :]), blocks)
+
+        def dH(x):
+            return np.stack(hermite_shapes(x, h, 1), axis=-1)
+
+        # Local rules on [0, 1]: the outer one, the inner one on another
+        # element, and the inner one on the outer point's own element, whose
+        # two pieces beside the band are graded toward it (the integrand
+        # ~ |t|^(1-2*sigma) there).  The Gauss-6 points lie at least 0.0338 h
+        # from their element's ends and the band half-width is h/32, so the
+        # band never leaves its element, and on the uniform mesh the kernel
+        # between elements e and e+d depends only on the offset d.
+        unit = np.array([0.0, 1.0])
+        xo, wo = _gauss_on(unit, _HS_OUTER)
+        xi, wi = _gauss_on(unit, _HS_INNER)
+        beta = 1.0 / _HS_BAND
+        ends = np.stack([_graded(xo - beta, 0.0)[:, ::-1], _graded(xo + beta, 1.0)], axis=1)
+        x_own, w_own = (a.reshape(xo.size, -1) for a in _gauss_on(ends, _HS_INNER))
+
+        def gram(d, x, w, D):
+            """Sum of kernel * D D^T over the outer points and the inner
+            points x (weights w) of the element d further on, one per d."""
+            kern = wo[:, None] * w / np.abs(d[:, None, None] + x - xo[:, None]) ** (1 + 2 * sigma)
+            return h ** (1 - 2 * sigma) * np.einsum("dkm,kma,kmb->dab", kern, D, D)
+
+        # one 8x8 block per offset f - e != 0 on the [outer, inner] DOFs of
+        # elements e and f; the own element's 4x4 block of H'(x) - H'(xi),
+        # padded, lands on [e, e] in the same scatter
+        dHo = dH(xo)[:, None, :]
+        D_far = np.concatenate(np.broadcast_arrays(dHo, -dH(xi)), axis=-1)
+        own = np.pad(gram(np.zeros(1), x_own, w_own, dHo - dH(x_own)), ((0, 0), (0, 4), (0, 4)))
+        far = np.arange(1, n_el)
+        table = np.concatenate([gram(-far[::-1], xi, wi, D_far), own, gram(far, xi, wi, D_far)])
+        e, f = np.divmod(np.arange(n_el * n_el), n_el)
+        add(np.concatenate([el[e], el[f]], axis=1), table[f - e + n_el - 1])
 
         # band correction: quadrature with breakpoints at element nodes
         # and at h_band, L - h_band where the weight has kinks
-        cb = sorted(set(list(breaks) + [h_band, L - h_band]))
-        gxc, gwc = _GAUSS[8]
-        zc, wc = [], []
-        for a, b in zip(cb[:-1], cb[1:]):
-            zc.append((a + b) / 2 + (b - a) / 2 * gxc)
-            wc.append((b - a) / 2 * gwc)
-        zc = np.concatenate(zc)
-        wc = np.concatenate(wc)
-        corr_w = (np.minimum(h_band, zc) ** (2 - 2 * sigma)
-                  + np.minimum(h_band, L - zc) ** (2 - 2 * sigma)) / (2 - 2 * sigma)
-        Bc = basis(zc, 2)
-        Q += (Bc.T * (wc * corr_w)) @ Bc
+        zc, wc = _gauss_on(np.unique(np.r_[np.linspace(0.0, L, n_el + 1), h_band, L - h_band]), 8)
+        wc = wc * (np.minimum(h_band, zc) ** (2 - 2 * sigma)
+                   + np.minimum(h_band, L - zc) ** (2 - 2 * sigma)) / (2 - 2 * sigma)
+        idx, xc = locate(zc, h, n_el)
+        ddH = np.stack(hermite_shapes(xc, h, 2), axis=-1)
+        add(el[idx], wc[:, None, None] * ddH[:, :, None] * ddH[:, None, :])
 
-        fr = st.free
-        self.Q = Q[np.ix_(fr, fr)]
+        self.Q = Q[np.ix_(st.free, st.free)]
         self.structure = st
 
     def norm(self, eta_free: np.ndarray, R: float) -> float:

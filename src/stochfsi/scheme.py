@@ -153,8 +153,8 @@ def fluid_step(
     rhs[:n_free] = (1.0 + xi) * (forms.M_eta @ u_n) \
         + dt * (P_in * fluid.flux_in - P_out * fluid.flux_out)
     M_s = layout.structure.M
-    rhs += layout.embed_beam_vector(M_s @ v_half)
-    rhs += xi * layout.embed_beam_vector(M_s @ v_n)
+    rhs[layout.beam_to_x] += M_s @ v_half
+    rhs[layout.beam_to_x] += xi * (M_s @ v_n)
 
     x = np.zeros(n_x)
     x[:n_free] = u_n
@@ -183,7 +183,7 @@ def fluid_step(
     )
 
 
-def trace_dissipation_constant(fluid: FluidSpace, forms: AssembledForms,
+def trace_dissipation_constant(layout: CoupledLayout, forms: AssembledForms,
                                params: SchemeParams) -> float:
     """Largest ratio of (inlet flux)^2 + (outlet flux)^2 to the dissipation
     rate form nu*K + (1/eps)*P over the free fluid space.
@@ -192,9 +192,11 @@ def trace_dissipation_constant(fluid: FluidSpace, forms: AssembledForms,
     2x2 Gram matrix of the two flux functionals in the dissipation inner
     product - two sparse solves, computed once per assembly because the
     form moves with eta*.  Used to absorb the pressure work into half the
-    dissipation with an explicit constant.
+    dissipation with an explicit constant.  K and P share the layout's
+    fluid pattern, so the form is arithmetic on their data arrays.
     """
-    A = (params.nu * forms.K + (1.0 / params.epsilon) * forms.P).tocsc()
+    fluid = layout.fluid
+    A = layout.csr(params.nu * forms.K.data + (1.0 / params.epsilon) * forms.P.data).tocsc()
     try:
         lu = spla.splu(A)
         x_in = lu.solve(fluid.flux_in)
@@ -361,7 +363,7 @@ def level_forms(problem: PathProblem, eta_star: np.ndarray):
     """The forms of the level whose artificial displacement is eta_star,
     and their trace constant."""
     forms = assemble_all(problem.fluid, problem.layout, problem.structure.profile(eta_star))
-    return forms, trace_dissipation_constant(problem.fluid, forms, problem.params)
+    return forms, trace_dissipation_constant(problem.layout, forms, problem.params)
 
 
 def step(problem: PathProblem, state: State, n: int, noise_path: NoisePath):

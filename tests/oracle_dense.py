@@ -3,11 +3,16 @@
 Everything here is written with plain Python loops, dense numpy arrays
 and its own shape-function formulas; it shares only the DOF numbering
 convention (dof = 2*(ir*(nz+1)+iz) + comp, comp 0 = axial) and the same
-quadrature orders with the package, never its assembly code.  Used by the
-oracle-equivalence tests on tiny meshes.
+quadrature orders with the package, never its assembly code.  Used by
+the oracle-equivalence tests on tiny meshes.  The H^s matrix reads the
+package's quadrature constants, so that a constant breaking the
+condition the package's per-offset construction relies on (the band
+stays inside its element) shows up as a mismatch.
 """
 
 import numpy as np
+
+from stochfsi.discretization import _HS_BAND, _HS_GRADED, _HS_INNER, _HS_OUTER
 
 G1 = np.polynomial.legendre.leggauss(1)
 G2 = np.polynomial.legendre.leggauss(2)
@@ -223,6 +228,86 @@ def dense_structure(L, n_el):
         S2[sl, sl] += s2
     free = np.arange(2, nd - 2)
     return M, S1, S2, free
+
+
+# ----------------------------------------------------------------------
+# fractional Sobolev matrix
+
+
+def _hermite_derivative(xi, h, deriv):
+    """First or second z-derivative of the four local Hermite shapes at
+    local abscissae xi, (len(xi), 4)."""
+    if deriv == 1:
+        cols = [(-6 * xi + 6 * xi**2) / h, 1 - 4 * xi + 3 * xi**2,
+                (6 * xi - 6 * xi**2) / h, 3 * xi**2 - 2 * xi]
+    else:
+        cols = [(-6 + 12 * xi) / h**2, (-4 + 6 * xi) / h,
+                (6 - 12 * xi) / h**2, (6 * xi - 2) / h]
+    return np.stack(cols, axis=1)
+
+
+def dense_hs_matrix(L, n_el, s):
+    """Gagliardo matrix of the H^s norm on the free beam DOFs, built one
+    outer quadrature point at a time from explicit piece lists of the
+    inner integral, with dense basis rows; the quadrature constants are the
+    package's, so the comparison checks the construction, not the rule."""
+    sigma = s - 1.0
+    h_el = L / n_el
+    h_band = h_el / _HS_BAND
+    nd = 2 * (n_el + 1)
+
+    def basis(z, deriv):
+        e = np.minimum((z / h_el).astype(int), n_el - 1)
+        out = np.zeros((z.size, nd))
+        out[np.arange(z.size)[:, None], 2 * e[:, None] + np.arange(4)] = \
+            _hermite_derivative(z / h_el - e, h_el, deriv)
+        return out
+
+    gx, gw = np.polynomial.legendre.leggauss(_HS_OUTER)
+    zo = (((gx + 1) / 2)[None, :] * h_el + np.arange(n_el)[:, None] * h_el).ravel()
+    wo = np.tile(gw * h_el / 2, n_el)
+    Bo = basis(zo, 1)
+
+    gxi, gwi = np.polynomial.legendre.leggauss(_HS_INNER)
+    Q = np.zeros((nd, nd))
+    breaks = np.linspace(0.0, L, n_el + 1)
+    for i in range(zo.size):
+        zi = zo[i]
+        pieces = []
+        for lo, hi in ((0.0, zi - h_band), (zi + h_band, L)):
+            if hi <= lo:
+                continue
+            pts = [lo] + [b for b in breaks if lo < b < hi] + [hi]
+            # geometric grading toward the band edge inside the adjacent piece
+            edge = zi - h_band if hi <= zi else zi + h_band
+            for a, b in zip(pts[:-1], pts[1:]):
+                if (hi <= zi and b == edge) or (lo >= zi and a == edge):
+                    fracs = (b - a) * 0.5 ** np.arange(_HS_GRADED, 0, -1)
+                    sub = [a] + list(a + fracs) + [b] if lo >= zi else \
+                        [a] + list(b - fracs[::-1]) + [b]
+                    sub = sorted(set(sub))
+                    pieces.extend(zip(sub[:-1], sub[1:]))
+                else:
+                    pieces.append((a, b))
+        a_arr = np.array([p[0] for p in pieces])[:, None]
+        b_arr = np.array([p[1] for p in pieces])[:, None]
+        zeta = ((a_arr + b_arr) / 2 + (b_arr - a_arr) / 2 * gxi).ravel()
+        wz = ((b_arr - a_arr) / 2 * gwi).ravel()
+        D = Bo[i][None, :] - basis(zeta, 1)
+        kern = wz / np.abs(zi - zeta) ** (1 + 2 * sigma)
+        Q += wo[i] * ((D.T * kern) @ D)
+
+    # band correction, breakpoints at the element nodes and at the kinks
+    cb = sorted(set(list(breaks) + [h_band, L - h_band]))
+    gxc, gwc = np.polynomial.legendre.leggauss(8)
+    zc = np.concatenate([(a + b) / 2 + (b - a) / 2 * gxc for a, b in zip(cb[:-1], cb[1:])])
+    wc = np.concatenate([(b - a) / 2 * gwc for a, b in zip(cb[:-1], cb[1:])])
+    corr_w = (np.minimum(h_band, zc) ** (2 - 2 * sigma)
+              + np.minimum(h_band, L - zc) ** (2 - 2 * sigma)) / (2 - 2 * sigma)
+    Bc = basis(zc, 2)
+    Q += (Bc.T * (wc * corr_w)) @ Bc
+    free = np.arange(2, nd - 2)
+    return Q[np.ix_(free, free)]
 
 
 # ----------------------------------------------------------------------

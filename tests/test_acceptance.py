@@ -300,7 +300,7 @@ def test_criterion_10_dense_oracle_equivalence(rng):
     worst = 0.0
     for nz, nr in ((1, 1), (2, 2)):
         L = R = 1.0
-        fl, st, lay = build_spaces(ReferenceDomain(L=L, R=R, nz=nz, nr=nr), nz)
+        fl, st, lay = build_spaces(ReferenceDomain(L=L, R=R, nz=nz, nr=nr))
         eta = 0.1 * rng.uniform(-1, 1, st.n_free) if st.n_free else np.zeros(0)
         eta2 = eta + (0.03 * rng.uniform(-1, 1, st.n_free) if st.n_free else 0.0)
         forms = assemble_all(fl, lay, st.profile(eta))

@@ -25,7 +25,7 @@ from stochfsi.scheme import EnergyLedger, Trajectory, energy, run_path
 
 class TestEnergy:
     def _forms(self, nz, nr):
-        fl, st, lay = build_spaces(ReferenceDomain(L=1.0, R=1.0, nz=nz, nr=nr), nz)
+        fl, st, lay = build_spaces(ReferenceDomain(L=1.0, R=1.0, nz=nz, nr=nr))
         prof = st.profile(np.zeros(st.n_free))
         return fl, st, lay, assemble_all(fl, lay, prof)
 

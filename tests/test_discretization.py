@@ -4,6 +4,8 @@ from scipy.optimize import brentq
 
 import oracle_dense as od
 from stochfsi.discretization import (
+    CoupledLayout,
+    FluidSpace,
     HsForm,
     StructureSpace,
     assemble_advection,
@@ -19,7 +21,7 @@ from stochfsi.geometry import ReferenceDomain, WallProfile
 
 
 def spaces(nz, nr, L=1.0, R=1.0):
-    return build_spaces(ReferenceDomain(L=L, R=R, nz=nz, nr=nr), nz)
+    return build_spaces(ReferenceDomain(L=L, R=R, nz=nz, nr=nr))
 
 
 def random_wall(rng, n_el, scale=0.15, L=1.0):
@@ -71,7 +73,8 @@ class TestBuildSpaces:
 
     def test_inconsistent_counts_rejected(self):
         with pytest.raises(ConfigError):
-            build_spaces(ReferenceDomain(L=1.0, R=1.0, nz=2, nr=2), 3)
+            CoupledLayout(FluidSpace(ReferenceDomain(L=1.0, R=1.0, nz=2, nr=2)),
+                          StructureSpace(1.0, 3))
 
 
 class TestWeightedMass:
@@ -382,6 +385,18 @@ class TestHsNorm:
         n1 = hs_norm(prof, 1.0, 1.75)
         n3 = hs_norm(prof, 3.0, 1.75)
         assert n3 > n1
+
+
+@pytest.mark.parametrize("s", [1.55, 1.75, 1.9])
+@pytest.mark.parametrize("L", [1.0, 1.5, 4.0])
+@pytest.mark.parametrize("n_el", [1, 2, 3, 4, 7, 8, 32])
+def test_hs_matrix_matches_per_point_reference(n_el, L, s):
+    # the per-offset blocks against the per-outer-point construction
+    Q = HsForm(StructureSpace(L, n_el), s).Q
+    ref = od.dense_hs_matrix(L, n_el, s)
+    assert Q.shape == ref.shape
+    if ref.size:  # one element has no free DOF
+        assert np.abs(Q - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 def test_degenerate_jacobian_raised_in_assembly():

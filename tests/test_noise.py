@@ -145,7 +145,7 @@ class TestApplyG:
 
     def test_zero_state_zero_forcing(self, rng):
         dom = ReferenceDomain(L=1.0, R=1.0, nz=2, nr=2)
-        fl, st, lay = build_spaces(dom, 2)
+        fl, st, lay = build_spaces(dom)
         prof = WallProfile.zero(1.0, 2)
         forms = assemble_all(fl, lay, prof)
         params = SchemeParams(nu=1.0, delta=0.1, epsilon=1e-3, dt=0.01)
@@ -166,7 +166,7 @@ class TestApplyG:
 class TestLipschitzAndGrowth:
     def _setup(self):
         dom = ReferenceDomain(L=1.0, R=1.0, nz=6, nr=3)
-        fl, st, lay = build_spaces(dom, 6)
+        fl, st, lay = build_spaces(dom)
         prof = st.profile(0.08 * np.sin(np.arange(st.n_free)))
         forms = assemble_all(fl, lay, prof)
         return fl, lay, forms
