@@ -21,9 +21,17 @@ The fluid substep's nonlinearity (transport field u - v r e_r) is
 resolved by Picard iteration on the frozen transport only.  Because the
 assembled advection operator is skew for *any* frozen field, testing the
 solved system with its own solution yields the discrete energy balance
-exactly at every iterate, converged or not; the ledger records every
-quantity appearing in that balance so the inequalities can be re-checked
-offline, term by term.
+at every iterate, converged or not, up to the accuracy of the linear
+solve.  A step factors its coupled matrix once, at the first iterate;
+each later iterate refines from the previous one with that factor until
+the normwise backward error of its own system is at most SOLVE_BERR
+(1e-15, what a direct sparse solve reaches on these systems), and a
+sweep that fails to halve that error refactors on the iterate's own
+matrix.  So every iterate solves its own frozen-transport system to
+direct-solve accuracy.  The ledger records every quantity appearing in
+the balance, with the step's factorizations and the backward error of
+its returned solve, so the inequalities can be re-checked offline, term
+by term.
 """
 
 from __future__ import annotations
@@ -59,10 +67,16 @@ class SchemeParams:
     max_picard: int = 50
 
 
+# normwise backward error fluid_step refines a later Picard iterate to
+SOLVE_BERR = 1e-15
+
+
 @dataclass
 class PicardStats:
     iterations: int
     rel_update: float
+    lu_factors: int      # factorizations in the step's fluid solve
+    solve_berr: float    # backward error of the returned iterate's solve
 
 
 def band(problem: PathProblem, eta: np.ndarray) -> tuple[float, float]:
@@ -109,6 +123,49 @@ def structure_step(eta: np.ndarray, v: np.ndarray, dt: float,
     return eta_half, v_half
 
 
+def _splu(A: sp.csc_matrix):
+    """Sparse LU without pivoting, in a symmetric ordering of A + A^T.
+
+    Every matrix factored here has an SPD symmetric part, so its LU exists
+    with positive pivots and no row exchange is needed for stability
+    (Golub & Van Loan, LAA 28, 1979); see notes/decisions.md."""
+    return spla.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                     options=dict(SymmetricMode=True))
+
+
+def _norm_inf(A: sp.csc_matrix) -> float:
+    """||A||_inf, the largest absolute row sum, from the CSC arrays."""
+    return float(np.bincount(A.indices, np.abs(A.data), A.shape[0]).max())
+
+
+def _backward_error(r: np.ndarray, A_norm: float, g: np.ndarray, b_norm: float) -> float:
+    """Normwise backward error ||r|| / (||A|| ||g|| + ||b||) in the max
+    norm of the approximate solution g with residual r = b - A g; a zero
+    residual is exact (and guards 0/0)."""
+    r_norm = float(np.abs(r).max())
+    return 0.0 if r_norm == 0.0 else r_norm / (A_norm * float(np.abs(g).max()) + b_norm)
+
+
+def _refine(A: sp.csc_matrix, lu, g: np.ndarray, rhs: np.ndarray, b_norm: float):
+    """Iterative refinement of g toward the solution of A x = rhs with the
+    factor ``lu`` of a nearby matrix: each sweep adds lu.solve(rhs - A g).
+
+    Returns (x, backward error) once the error is at most SOLVE_BERR, or
+    None as soon as a sweep fails to halve it (the factor is too stale).
+    Halving bounds the sweeps, since the error starts at most 1."""
+    A_norm = _norm_inf(A)
+    g, last = g.copy(), np.inf
+    while True:
+        r = rhs - A @ g
+        berr = _backward_error(r, A_norm, g, b_norm)
+        if berr <= SOLVE_BERR:
+            return g, berr
+        if not berr <= 0.5 * last:
+            return None
+        g += lu.solve(r)
+        last = berr
+
+
 def fluid_step(
     fluid: FluidSpace,
     layout: CoupledLayout,
@@ -140,6 +197,16 @@ def fluid_step(
     each iterate only applies it.  Initial iterate: u_n with the
     wall-velocity block overwritten by the half-step wall velocity.  The
     noise enters through the step's coefficient xi (``NoisePath.xi``).
+
+    The step factors once, at its first iterate, and solves it directly.
+    Each later iterate's matrix differs only in its advection, so it is
+    solved by iterative refinement (``_refine``) from the previous iterate
+    with that factor, to a normwise backward error of at most SOLVE_BERR;
+    a sweep that fails to halve the error refactors on this iterate's
+    matrix, which later iterates then refine with.  Every returned iterate
+    thus solves its own frozen-transport system to direct-solve accuracy.
+    The stats carry the factorizations and the returned solve's backward
+    error (one residual more when that solve came from a fresh factor).
     """
     dt = params.dt
     n_free, n_x = fluid.n_free, layout.n_x
@@ -161,11 +228,17 @@ def fluid_step(
     x[layout.beam_to_x] = v_half
 
     adv = assemble_advection(fluid, forms)
-    rel = np.inf
+    b_norm = float(np.abs(rhs).max())
+    lu, factors, rel = None, 0, np.inf
     for it in range(1, params.max_picard + 1):
         A = layout.coupled_csc(A_fluid + dt * layout.advection_data(adv, x))
         try:
-            x_new = spla.splu(A).solve(rhs)
+            refined = None if lu is None else _refine(A, lu, x, rhs, b_norm)
+            if refined is None:
+                lu, factors = _splu(A), factors + 1
+                x_new, berr = lu.solve(rhs), None
+            else:
+                x_new, berr = refined
         except RuntimeError as exc:
             raise SolverFailure(f"fluid solve failed: {exc}") from exc
         if not np.all(np.isfinite(x_new)):
@@ -176,7 +249,10 @@ def fluid_step(
         rel = num / max(den, 1e-30)
         x = x_new
         if rel <= params.tol_picard:
-            return x[:n_free].copy(), layout.extract_v(x), PicardStats(it, rel)
+            if berr is None:
+                berr = _backward_error(rhs - A @ x, _norm_inf(A), x, b_norm)
+            return (x[:n_free].copy(), layout.extract_v(x),
+                    PicardStats(it, rel, factors, berr))
     raise PicardDivergence(
         f"fluid Picard iteration did not converge: rel update {rel:.3e} "
         f"after {params.max_picard} iterations"
@@ -193,12 +269,15 @@ def trace_dissipation_constant(layout: CoupledLayout, forms: AssembledForms,
     product - two sparse solves, computed once per assembly because the
     form moves with eta*.  Used to absorb the pressure work into half the
     dissipation with an explicit constant.  K and P share the layout's
-    fluid pattern, so the form is arithmetic on their data arrays.
+    fluid pattern, so the form is arithmetic on their data arrays; it is
+    bitwise symmetric, so its CSR arrays are its CSC arrays as well.
     """
     fluid = layout.fluid
-    A = layout.csr(params.nu * forms.K.data + (1.0 / params.epsilon) * forms.P.data).tocsc()
+    n = fluid.n_free
+    A = sp.csc_matrix((params.nu * forms.K.data + (1.0 / params.epsilon) * forms.P.data,
+                       layout.indices, layout.indptr), shape=(n, n))
     try:
-        lu = spla.splu(A)
+        lu = _splu(A)
         x_in = lu.solve(fluid.flux_in)
         x_out = lu.solve(fluid.flux_out)
     except RuntimeError as exc:
@@ -239,14 +318,17 @@ class EnergyLedger:
     trace_const: np.ndarray
     picard_iters: np.ndarray
     picard_rel: np.ndarray   # relative update of the last Picard iterate
+    lu_factors: np.ndarray   # LU factorizations in the fluid solve
+    solve_berr: np.ndarray   # normwise backward error of the returned solve
 
     @classmethod
     def from_rows(cls, E0: float, rows: list) -> "EnergyLedger":
         """The ledger of E[0] and one row per step (see ``step``): E is E0
         followed by the rows' E_next, every other field is its column, and
-        theta and picard_iters are integers.  A row whose keys are not every
-        field but E, plus E_next, raises ValueError."""
+        theta, picard_iters and lu_factors are integers.  A row whose keys
+        are not every field but E, plus E_next, raises ValueError."""
         names = [f.name for f in fields(cls) if f.name != "E"]
+        ints = ("theta", "picard_iters", "lu_factors")
         keys = {*names, "E_next"}
         for n, row in enumerate(rows):
             if row.keys() != keys:
@@ -254,7 +336,7 @@ class EnergyLedger:
                                  f"differ from the EnergyLedger fields")
         return cls(E=np.array([E0, *(row["E_next"] for row in rows)], dtype=float),
                    **{name: np.array([row[name] for row in rows],
-                                     dtype=int if name in ("theta", "picard_iters") else float)
+                                     dtype=int if name in ints else float)
                       for name in names})
 
 
@@ -409,6 +491,7 @@ def step(problem: PathProblem, state: State, n: int, noise_path: NoisePath):
         pressure_work=P_in * float(fl.flux_in @ u_new) - P_out * float(fl.flux_out @ u_new),
         P_in=P_in, P_out=P_out, vhalf_gap_sq=vhalf_gap, trace_const=state.trace_const,
         picard_iters=stats.iterations, picard_rel=stats.rel_update,
+        lu_factors=stats.lu_factors, solve_berr=stats.solve_berr,
         E_next=energy(u_new, v_new, eh, forms_next.M_eta, M_s, S),
     )
     return State(u_new, v_new, eh, eta_star, theta, forms_next, trace_next), vh, row

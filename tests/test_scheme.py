@@ -1,3 +1,4 @@
+import contextlib
 import gc
 import weakref
 from dataclasses import fields
@@ -29,6 +30,18 @@ from stochfsi.scheme import (
 
 def tiny_spaces(nz=2, nr=2, L=1.0, R=1.0):
     return build_spaces(ReferenceDomain(L=L, R=R, nz=nz, nr=nr))
+
+
+def factored_matrices(monkeypatch):
+    """The list of every matrix scheme hands to spla.splu from now on."""
+    seen, splu = [], scheme.spla.splu
+
+    def recording(A, *args, **kwargs):
+        seen.append(A.copy())
+        return splu(A, *args, **kwargs)
+
+    monkeypatch.setattr(scheme.spla, "splu", recording)
+    return seen
 
 
 class TestStructureStep:
@@ -163,6 +176,70 @@ class TestFluidStep:
         assert stats.iterations > 1
         assert len(calls) == 1
 
+    def _random_4x2_step(self, rng, params):
+        """Stats of one fluid step from a random compatible state on a
+        random 4x2 wall."""
+        fl, st, lay = tiny_spaces(4, 2)
+        forms = assemble_all(fl, lay, st.profile(0.05 * rng.uniform(-1, 1, st.n_free)))
+        u_n = rng.normal(size=fl.n_free)
+        v_n = rng.normal(size=st.n_free)
+        u_n[lay.shared_free] = v_n[0::2]
+        return fluid_step(fl, lay, forms, forms.M_eta, params, u_n, v_n, v_n, 0.0, 1.0, 0.0)[2]
+
+    def test_one_factorization_per_step(self, rng, monkeypatch):
+        factored = factored_matrices(monkeypatch)
+        stats = self._random_4x2_step(rng, self._params())
+        assert stats.iterations > 1
+        assert len(factored) == 1 and stats.lu_factors == 1
+        assert stats.solve_berr <= 1e-15
+
+    def test_stale_factor_refactors(self, rng, monkeypatch):
+        # strong advection (the probe's dt 0.5, nu 1e-3) moves the later
+        # iterates' matrices far enough from the first that a refinement
+        # sweep stops halving the backward error; each such iterate is
+        # refactored and still solved to SOLVE_BERR
+        factored = factored_matrices(monkeypatch)
+        stats = self._random_4x2_step(rng, SchemeParams(nu=1e-3, delta=0.1, epsilon=1e-3,
+                                                        dt=0.5, max_picard=200))
+        assert 1 < stats.lu_factors == len(factored) < stats.iterations
+        assert stats.solve_berr <= 1e-15
+
+    @pytest.mark.parametrize("regime", ["suite", "probe"])
+    @pytest.mark.parametrize("nz,nr", [(1, 1), (2, 2), (4, 2), (3, 3)])
+    def test_coupled_symmetric_part_spd(self, nz, nr, regime, rng, monkeypatch):
+        # the premise of factoring without pivoting (notes/decisions.md): the
+        # symmetric part of the coupled matrix is SPD, for a random transport
+        # field, at the suite's dt/eps/nu and at the probe's dt 0.5, nu 1e-3
+        prm = make_problem().params
+        dt, nu = (prm.dt, prm.nu) if regime == "suite" else (0.5, 1e-3)
+        params = SchemeParams(nu=nu, delta=prm.delta, epsilon=prm.epsilon, dt=dt,
+                              max_picard=1)
+        fl, st, lay = tiny_spaces(nz, nr)
+        forms = assemble_all(fl, lay, st.profile(0.05 * rng.uniform(-1, 1, st.n_free)))
+        factored = factored_matrices(monkeypatch)
+        v_half = rng.normal(size=st.n_free)
+        with contextlib.suppress(PicardDivergence):
+            fluid_step(fl, lay, forms, forms.M_eta, params, rng.normal(size=fl.n_free),
+                       v_half, v_half, 0.0, 1.0, 0.0)
+        A = factored[0].toarray()
+        assert np.linalg.eigvalsh(0.5 * (A + A.T)).min() > 0
+
+    @pytest.mark.parametrize("mesh", ["4x2", "3x3", "default"])
+    def test_trace_form_bitwise_symmetric(self, mesh, rng, monkeypatch):
+        # nu*K + P/eps is handed to splu as CSC on the fluid CSR pattern,
+        # which is the same matrix only because it is bitwise symmetric
+        if mesh == "default":
+            prob = make_problem()
+            fl, st, lay, params = prob.fluid, prob.structure, prob.layout, prob.params
+            eta = prob.eta0
+        else:
+            fl, st, lay = tiny_spaces(*map(int, mesh.split("x")))
+            params, eta = self._params(), 0.05 * rng.uniform(-1, 1, st.n_free)
+        factored = factored_matrices(monkeypatch)
+        trace_dissipation_constant(lay, assemble_all(fl, lay, st.profile(eta)), params)
+        A, = factored
+        assert (A != A.T).nnz == 0
+
     def test_picard_divergence_raises(self, rng):
         fl, st, lay = tiny_spaces(4, 2)
         prof = st.profile(np.zeros(st.n_free))
@@ -206,6 +283,11 @@ class TestRunPath:
             shared = traj.u[n][prob.layout.shared_free]
             assert np.array_equal(shared, traj.v[n][0::2])
         assert np.all(traj.ledger.picard_rel <= prob.params.tol_picard)
+
+    def test_every_fluid_solve_to_backward_error(self):
+        led = run_path(make_problem(), 0).ledger
+        assert np.all(led.solve_berr <= 1e-15)
+        assert np.all(led.lu_factors >= 1)
 
     def test_zero_amplitude_seed_independent(self):
         base = dict(noise={"K": 3, "q": [1.0, 0.5, 0.25],
