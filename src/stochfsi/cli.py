@@ -123,7 +123,7 @@ _RANGES = {
     "a number": lambda x: True,
     "a number > 0": lambda x: x > 0,
     "a number in (3/2, 2)": lambda x: 1.5 < x < 2.0,
-    "an integer": lambda x: True,
+    "an integer in [0, 2^64)": lambda x: 0 <= x < 2**64,
     "an integer >= 0": lambda x: x >= 0,
     "an integer >= 1": lambda x: x >= 1,
 }
@@ -136,7 +136,7 @@ _NUMERIC = {
                 "epsilon": "a number > 0", "s": "a number in (3/2, 2)"},
     "time": {"T": "a number > 0", "N": "an integer >= 1"},
     "noise": {"K": "an integer >= 0"},
-    "run": {"M": "an integer >= 1", "master_seed": "an integer"},
+    "run": {"M": "an integer >= 1", "master_seed": "an integer in [0, 2^64)"},
     "solver": {"tol_picard": "a number > 0", "max_picard": "an integer >= 1"},
 }
 
@@ -224,7 +224,7 @@ def parse_config(data: dict) -> RunConfig:
     nz["amplitude"] = _numbers(nz["amplitude"], "noise.amplitude")
     if nz["seed"] is None:
         nz["seed"] = merged["run"]["master_seed"]
-    nz["seed"] = _number(nz["seed"], "noise.seed", "an integer")
+    nz["seed"] = _number(nz["seed"], "noise.seed", "an integer in [0, 2^64)")
     spec = _noise_spec(nz)  # checks the lengths against K and the sampling mode
 
     r = merged["run"]

@@ -57,19 +57,14 @@ def _estimate(traj: Trajectory, delta: float | None, sharp: bool):
                          + np.abs(led.stoch_work) + 0.25 * led.vhalf_gap_sq)
 
 
-def fluid_inequality_sharp(traj: Trajectory) -> np.ndarray:
-    """Signed, scale-normalized violation of the pre-absorption estimate
+def fluid_inequality_violations(traj: Trajectory, delta: float, sharp: bool = True) -> np.ndarray:
+    """Signed, scale-normalized violation of the fluid substep's estimate,
+    in its sharp pre-absorption form
 
     E^{n+1} + D + C2 <= E^{n+1/2} + dt*PW + S_bound + |(G dW, U^n)|
-                         + 1/4 ||v^{n+1/2} - v^n||^2.
-    """
-    led = traj.ledger
-    diss, gain = _estimate(traj, None, sharp=True)
-    return (led.E[1:] + diss + led.C2 - (led.E_half + gain)) / _scale(led)
+                         + 1/4 ||v^{n+1/2} - v^n||^2,
 
-
-def fluid_inequality_classical(traj: Trajectory, delta: float) -> np.ndarray:
-    """Signed violation of the estimate in its classical shape,
+    or in its classical shape
 
     E^{n+1} + D/2 + C2 <= E^{n+1/2} + C_P dt (P_in^2 + P_out^2)
         + C_G ||dW||^2 ||G||_HS^2 + |(G dW, U^n)| + 1/4 ||v^{n+1/2}-v^n||^2,
@@ -79,7 +74,7 @@ def fluid_inequality_classical(traj: Trajectory, delta: float) -> np.ndarray:
     the sharpest constant the Cauchy-Schwarz/Young chain provides.
     """
     led = traj.ledger
-    diss, gain = _estimate(traj, delta, sharp=False)
+    diss, gain = _estimate(traj, delta, sharp)
     return (led.E[1:] + diss + led.C2 - (led.E_half + gain)) / _scale(led)
 
 

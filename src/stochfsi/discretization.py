@@ -9,18 +9,20 @@ mesh of O = (0,L) x (0,1), with essential masks
 Masked degrees of freedom are eliminated (rows/columns removed), never
 penalized.  Natural conditions are left to the weak form.
 
-Structure displacement: cubic Hermite beam elements on a uniform
-partition of (0,L), clamped at both ends by removing the end value and
-slope DOFs.  Structure velocity at integer steps lives in the piecewise
-linear trace space of the fluid mesh's top row (that is the kinematic
-identification); the half-step velocity produced by the structure solve
-lives in the Hermite space.
+Structure displacement and velocity: cubic Hermite beam elements on a
+uniform partition of (0,L), one per cell column, clamped at both ends by
+removing the end value and slope DOFs.  The wall velocity lives in this
+space at every level; ``CoupledLayout`` identifies its interior nodal
+values with the fluid's top-row vertical DOFs.
 
 All fluid integrals use tensor 2x2 Gauss except the divergence penalty,
 which is integrated with the 1-point (reduced) rule to avoid Q1 penalty
-locking.  All 1D structure/trace integrals use 4-point Gauss per element,
-which is exact for every polynomial integrand appearing here (up to the
-degree-6 products of two cubics).
+locking.  The beam matrices use 4-point Gauss per element, which is
+exact for every polynomial integrand appearing there (up to the degree-6
+products of two cubics).  The H^s form's Gagliardo double integral is
+not polynomial: it uses 6-point Gauss for the outer variable, 8-point
+Gauss for the inner one on pieces graded toward the excluded diagonal
+band, and 8-point Gauss for the band correction (see ``HsForm``).
 """
 
 from __future__ import annotations
@@ -234,43 +236,28 @@ def _pullback_coefficients(w_q, s_q, r_q, weight) -> np.ndarray:
     return np.concatenate([b, b * t, b * t * t, b * inv * inv, b * inv, b * t * inv], axis=1)
 
 
-def _blocks(cell_major: np.ndarray) -> np.ndarray:
-    """(ncell, 64) element entries as (2, 2, ncell, 4, 4) blocks, indexed
-    [row component, column component, cell, row node, column node]; a view,
-    so the cell-major memory order ``fluid_csr`` reads is kept."""
-    return cell_major.reshape(-1, 2, 2, 4, 4).transpose(1, 2, 0, 3, 4)
-
-
-def _both_components(local: np.ndarray) -> np.ndarray:
-    """A scalar (ncell, 16) block acting alike on each velocity component,
-    as the element blocks of the vector form."""
-    out = np.zeros((local.shape[0], 2, 2, 16))
-    out[:, 0, 0] = out[:, 1, 1] = local
-    return _blocks(out)
-
-
 def element_mass(fs: FluidSpace, w_q: np.ndarray) -> np.ndarray:
-    """Element blocks of the mass with scalar weight w(z) sampled at the
-    full-rule points; the same block acts on each velocity component."""
-    return _both_components(w_q @ fs.mass_table)
+    """Scalar (ncell, 16) element blocks of the mass with weight w(z)
+    sampled at the full-rule points; the same block acts on each velocity
+    component."""
+    return w_q @ fs.mass_table
 
 
 def element_viscous(fs: FluidSpace, w_q, s_q) -> np.ndarray:
-    """Element blocks of the pulled-back viscous form
-    2*Int (R+eta) D^eta(phi_j) : D^eta(phi_i).
+    """(ncell, 64) element blocks of the pulled-back viscous form
+    2*Int (R+eta) D^eta(phi_j) : D^eta(phi_i), indexed [cell, row
+    component, column component, row node, column node].
 
     The kinematic viscosity is applied by the caller, so the assembled
     operator is exactly twice the weighted symmetric-gradient Gram matrix.
     """
-    coef = _pullback_coefficients(w_q, s_q, fs.q_full.r, w_q)
-    return _blocks(coef @ fs.viscous_table)
+    return _pullback_coefficients(w_q, s_q, fs.q_full.r, w_q) @ fs.viscous_table
 
 
 def element_penalty(fs: FluidSpace, w1_q, s1_q) -> np.ndarray:
-    """Element blocks of the div^eta . div^eta Gram matrix with the
-    reduced (1-point) rule."""
-    coef = _pullback_coefficients(w1_q, s1_q, fs.q_reduced.r, 1.0)
-    return _blocks(coef @ fs.penalty_table)
+    """(ncell, 64) element blocks, laid out as ``element_viscous``'s, of
+    the div^eta . div^eta Gram matrix with the reduced (1-point) rule."""
+    return _pullback_coefficients(w1_q, s1_q, fs.q_reduced.r, 1.0) @ fs.penalty_table
 
 
 def assemble_flux_vectors_full(fs: FluidSpace):
@@ -286,7 +273,7 @@ def assemble_flux_vectors_full(fs: FluidSpace):
 
 
 # ----------------------------------------------------------------------
-# structure (Hermite beam) and trace (piecewise linear) spaces
+# structure space (clamped Hermite beam)
 
 
 def _hermite_tables(h: float, rule: int = 4):
@@ -298,11 +285,19 @@ def _hermite_tables(h: float, rule: int = 4):
     return xi, w1 * h / 2, H, dH, ddH
 
 
+def _add_blocks(Q: np.ndarray, dofs: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """Add (k, m, m) element blocks, in order, onto the full beam matrix Q
+    at each block's (k, m) DOFs; returns Q."""
+    np.add.at(Q, (dofs[:, :, None], dofs[:, None, :]), blocks)
+    return Q
+
+
 class StructureSpace:
     """Clamped Hermite beam on n_el uniform elements of (0, L).
 
     DOF layout (full): [val_0, slope_0, val_1, slope_1, ...]; the free
-    vector drops both DOFs of the two end nodes.
+    vector drops both DOFs of the two end nodes.  ``element_dofs[e]`` are
+    the four full DOFs of element e.
     """
 
     def __init__(self, L: float, n_el: int):
@@ -317,25 +312,20 @@ class StructureSpace:
         self.free = np.flatnonzero(free)
         self.n_free = self.free.size
 
+        self.element_dofs = 2 * np.arange(n_el)[:, None] + np.arange(4)
+
         _, wq, H, dH, ddH = _hermite_tables(self.h)
-        M = np.zeros((self.ndof_full, self.ndof_full))
-        S1 = np.zeros_like(M)
-        S2 = np.zeros_like(M)
-        m_loc = np.einsum("q,aq,bq->ab", wq, H, H)
-        s1_loc = np.einsum("q,aq,bq->ab", wq, dH, dH)
-        s2_loc = np.einsum("q,aq,bq->ab", wq, ddH, ddH)
-        for e in range(n_el):
-            sl = slice(2 * e, 2 * e + 4)
-            M[sl, sl] += m_loc
-            S1[sl, sl] += s1_loc
-            S2[sl, sl] += s2_loc
+        M, S1, S2 = (_add_blocks(np.zeros((self.ndof_full,) * 2), self.element_dofs,
+                                 np.einsum("q,aq,bq->ab", wq, D, D)) for D in (H, dH, ddH))
         self.M = M[np.ix_(self.free, self.free)]
         # the stiffness of the beam energy, H^1 plus H^2 seminorm
         self.S = (S1 + S2)[np.ix_(self.free, self.free)]
         # Int phi_a dz, for || R + eta ||_{L^2}^2 = R^2 L + 2 R l.eta + eta.M.eta
+        # the values are broadcast by hand: numpy 2.4's add.at reads past a
+        # 1-D value array that it should broadcast against a 2-D index
         l_full = np.zeros(self.ndof_full)
-        for e in range(n_el):
-            l_full[2 * e:2 * e + 4] += np.einsum("q,aq->a", wq, H)
+        np.add.at(l_full, self.element_dofs,
+                  np.broadcast_to(np.einsum("q,aq->a", wq, H), self.element_dofs.shape))
         self.lin = l_full[self.free]
 
     def to_full(self, vec_free: np.ndarray) -> np.ndarray:
@@ -389,8 +379,10 @@ class CoupledLayout:
     Every fluid form lives on the reference mesh, so the wall moves its
     coefficients but never its sparsity.  Both patterns are built once
     here: the CSR pattern (``indptr``, ``indices``) of the free-DOF fluid
-    forms, filled from element blocks by ``fluid_csr``, and the CSC
-    pattern of the coupled matrices on x, filled by ``coupled_csc``.
+    forms, and the CSC pattern of the coupled matrices on x, filled by
+    ``coupled_csc``.  Element blocks reach the fluid pattern by one scatter
+    per block shape: ``scalar_data`` for (ncell, 16) blocks acting alike on
+    each velocity component, ``vector_data`` for (ncell, 64) ones.
     """
 
     def __init__(self, fluid: FluidSpace, structure: StructureSpace):
@@ -410,7 +402,7 @@ class CoupledLayout:
         beam_to_x[1::2] = n_free + np.arange(n_int)
         self.beam_to_x = beam_to_x
 
-        # fluid pattern: entry [c, p, q, a, b] of the cell-major element
+        # fluid pattern: entry [c, p, q, a, b] of the (ncell, 64) element
         # blocks couples component p of node cells[c, a] with component q
         # of node cells[c, b]; entries on masked DOFs drop out
         dof = fluid.full_to_free[2 * fluid.cells[:, None, :] + np.arange(2)[:, None]]
@@ -436,7 +428,7 @@ class CoupledLayout:
         column = np.arange(len(fluid.cells)) % fluid.nz
         self._adv_inputs = np.concatenate([
             x_pad[2 * fluid.cells], x_pad[2 * fluid.cells + 1],
-            beam_pad[2 * column[:, None] + np.arange(4)]], axis=1)
+            beam_pad[structure.element_dofs[column]]], axis=1)
 
         # coupled pattern on x, column-major for the sparse LU: the fluid
         # entries plus the beam mass at the wall-velocity positions
@@ -460,22 +452,24 @@ class CoupledLayout:
         n = self.fluid.n_free
         return sp.csr_matrix((data, self.indices, self.indptr), shape=(n, n))
 
-    def fluid_csr(self, blocks: np.ndarray) -> sp.csr_matrix:
-        """Sum (2, 2, ncell, 4, 4) element blocks, indexed [row component,
-        column component, cell, row node, column node], into the free-DOF
-        matrix on the fixed fluid pattern."""
-        entries = blocks.transpose(2, 0, 1, 3, 4).reshape(-1)
-        return self.csr(np.bincount(self._slot, weights=entries[self._keep],
-                                    minlength=self.indices.size))
+    def scalar_data(self, blocks: np.ndarray) -> np.ndarray:
+        """Fluid-pattern data summing scalar (ncell, 16) element blocks,
+        each put on both velocity components."""
+        return np.bincount(self._diag_slot, weights=blocks.ravel()[self._diag_src],
+                           minlength=self.indices.size)
+
+    def vector_data(self, blocks: np.ndarray) -> np.ndarray:
+        """Fluid-pattern data summing (ncell, 64) element blocks, indexed
+        [cell, row component, column component, row node, column node]."""
+        return np.bincount(self._slot, weights=blocks.ravel()[self._keep],
+                           minlength=self.indices.size)
 
     def advection_data(self, adv: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Fluid-pattern data of the skew advection operator for the
         transport field of the coupled vector x, from the per-step map
         ``adv`` built by ``assemble_advection``."""
         inputs = np.append(x, 0.0)[self._adv_inputs]
-        local = adv @ inputs[:, :, None]
-        return np.bincount(self._diag_slot, weights=local.ravel()[self._diag_src],
-                           minlength=self.indices.size)
+        return self.scalar_data(adv @ inputs[:, :, None])
 
     def coupled_csc(self, fluid_data: np.ndarray) -> sp.csc_matrix:
         """Matrix on x: a fluid-pattern data array plus the beam mass."""
@@ -537,12 +531,12 @@ def assemble_all(fluid: FluidSpace, layout: CoupledLayout,
     w_q, s_q = fluid.wall_samples(profile, R=R, reduced=False)
     w1_q, s1_q = fluid.wall_samples(profile, R=R, reduced=True)
 
-    csr = layout.fluid_csr
+    csr, scalar, vector = layout.csr, layout.scalar_data, layout.vector_data
     return AssembledForms(
-        M_eta=csr(element_mass(fluid, w_q)),
-        M_sq=csr(element_mass(fluid, w_q * w_q)),
-        K=csr(element_viscous(fluid, w_q, s_q)),
-        P=csr(element_penalty(fluid, w1_q, s1_q)),
+        M_eta=csr(scalar(element_mass(fluid, w_q))),
+        M_sq=csr(scalar(element_mass(fluid, w_q * w_q))),
+        K=csr(vector(element_viscous(fluid, w_q, s_q))),
+        P=csr(vector(element_penalty(fluid, w1_q, s1_q))),
         w_q=w_q,
         s_q=s_q,
     )
@@ -614,11 +608,7 @@ class HsForm:
         st = structure
         L, n_el, h = st.L, st.n_el, st.h
         h_band = h / _HS_BAND
-        el = 2 * np.arange(n_el)[:, None] + np.arange(4)
-        Q = np.zeros((st.ndof_full, st.ndof_full))
-
-        def add(dofs, blocks):
-            np.add.at(Q, (dofs[:, :, None], dofs[:, None, :]), blocks)
+        el = st.element_dofs
 
         def dH(x):
             return np.stack(hermite_shapes(x, h, 1), axis=-1)
@@ -652,7 +642,8 @@ class HsForm:
         far = np.arange(1, n_el)
         table = np.concatenate([gram(-far[::-1], xi, wi, D_far), own, gram(far, xi, wi, D_far)])
         e, f = np.divmod(np.arange(n_el * n_el), n_el)
-        add(np.concatenate([el[e], el[f]], axis=1), table[f - e + n_el - 1])
+        Q = _add_blocks(np.zeros((st.ndof_full,) * 2),
+                        np.concatenate([el[e], el[f]], axis=1), table[f - e + n_el - 1])
 
         # band correction: quadrature with breakpoints at element nodes
         # and at h_band, L - h_band where the weight has kinks
@@ -661,7 +652,7 @@ class HsForm:
                    + np.minimum(h_band, L - zc) ** (2 - 2 * sigma)) / (2 - 2 * sigma)
         idx, xc = locate(zc, h, n_el)
         ddH = np.stack(hermite_shapes(xc, h, 2), axis=-1)
-        add(el[idx], wc[:, None, None] * ddH[:, :, None] * ddH[:, None, :])
+        _add_blocks(Q, el[idx], wc[:, None, None] * ddH[:, :, None] * ddH[:, None, :])
 
         self.Q = Q[np.ix_(st.free, st.free)]
         self.structure = st

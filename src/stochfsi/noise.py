@@ -41,7 +41,7 @@ _PURPOSE_BRIDGE = 3
 def _gen(seed: int, purpose: int, a: int, b: int) -> Generator:
     """Generator at counter block (0, b, a, purpose) under key (seed, const)."""
     counter = [0, int(b) & (2**64 - 1), int(a) & (2**64 - 1), int(purpose)]
-    return Generator(Philox(counter=counter, key=[int(seed) & (2**64 - 1), _KEY_STREAM]))
+    return Generator(Philox(counter=counter, key=[int(seed), _KEY_STREAM]))
 
 
 def _is_pow2(n: int) -> bool:
@@ -67,8 +67,8 @@ class NoiseSpec:
             raise ConfigError(f"noise.K: must be >= 0, got {self.K}")
         if q.shape != (self.K,) or amp.shape != (self.K,):
             raise ConfigError("noise.q / noise.amplitude: length must equal K")
-        if self.K == 0 and amp.size and np.any(amp != 0):
-            raise ConfigError("noise.amplitude: nonzero amplitudes with K = 0")
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError(f"noise.seed: must be an integer in [0, 2^64), got {self.seed!r}")
         if np.any(q <= 0):
             raise ConfigError("noise.q: covariance eigenvalues must be > 0")
         if self.sampling not in ("auto", "per-step", "dyadic"):

@@ -19,8 +19,7 @@ from stochfsi.cli import build_problem
 from stochfsi.diagnostics import (
     combined_step_violations,
     ensemble_run,
-    fluid_inequality_classical,
-    fluid_inequality_sharp,
+    fluid_inequality_violations,
     ledger_positivity_min,
     stochastic_error,
     structure_identity_residuals,
@@ -82,9 +81,9 @@ def test_criterion_02_fluid_energy_inequality():
     worst_sharp = -np.inf
     worst_classical = -np.inf
     for traj in noisy_trajectories():
-        worst_sharp = max(worst_sharp, float(fluid_inequality_sharp(traj).max()))
-        worst_classical = max(
-            worst_classical, float(fluid_inequality_classical(traj, 0.1).max()))
+        worst_sharp = max(worst_sharp, float(fluid_inequality_violations(traj, 0.1).max()))
+        worst_classical = max(worst_classical, float(
+            fluid_inequality_violations(traj, 0.1, sharp=False).max()))
     ok = worst_sharp <= TOL_ROUNDOFF and worst_classical <= TOL_ROUNDOFF
     assert _report(2, "fluid energy inequality", ok,
                    f"max violation sharp {worst_sharp:.3e}, classical {worst_classical:.3e}")
@@ -241,7 +240,8 @@ def test_criterion_08_deterministic_reduction_and_temporal_order():
     prob_ref = build_problem(make_config(time={"T": 0.5, "N": 1024}, **det))
     ref = run_path(prob_ref, 0)
     fl, st = prob_ref.fluid, prob_ref.structure
-    G_u = prob_ref.layout.fluid_csr(element_mass(fl, np.ones_like(fl.q_full.z)))
+    lay = prob_ref.layout
+    G_u = lay.csr(lay.scalar_data(element_mass(fl, np.ones_like(fl.q_full.z))))
     S = st.S
 
     def err(traj):

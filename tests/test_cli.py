@@ -19,6 +19,13 @@ from stochfsi.cli import (
     step_pressures,
     with_axis_value,
 )
+from stochfsi.diagnostics import (
+    combined_step_violations,
+    fluid_inequality_violations,
+    ledger_positivity_min,
+    structure_identity_residuals,
+    summed_inequality_violations,
+)
 from stochfsi.errors import ConfigError, DegenerateJacobian, InitialDataError
 from stochfsi.scheme import EnergyLedger, run_path
 
@@ -68,6 +75,26 @@ class TestLoadConfig:
         assert main(["validate", "--config", path]) == 2
         assert "config error: initial.eta0: wall gap" in capsys.readouterr().err
 
+    def test_bump_wall_runs_within_every_ledger_check(self):
+        cfg = parse_config({**MINIMAL, "pressure": {"kind": "constant", "P_in": 1.0},
+                            "initial": {"eta0": {"kind": "bump", "amplitude": 0.05}}})
+        traj = run_path(build_problem(cfg), 0)
+        assert traj.eta[0].any()
+        delta = cfg.physics["delta"]
+        worst = max([structure_identity_residuals(traj).max()] + [
+            check(traj, delta, sharp).max() for sharp in (True, False)
+            for check in (fluid_inequality_violations, combined_step_violations,
+                          summed_inequality_violations)])
+        assert worst <= 1e-9
+        assert ledger_positivity_min(traj) >= 0.0
+
+    def test_bump_without_interior_node_exit_2(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, {"time": {"T": 0.25, "N": 4}, "domain": {"nz": 1, "nr": 2},
+                                    "initial": {"eta0": {"kind": "bump", "amplitude": 0.05}}})
+        assert main(["validate", "--config", path]) == 2
+        assert ("config error: initial.eta0: bump needs an interior structure node"
+                in capsys.readouterr().err)
+
     @pytest.mark.parametrize("data,field", [
         ({"domain": {"L": "a"}}, "domain.L"),
         ({"domain": {"nz": "x"}}, "domain.nz"),
@@ -79,6 +106,9 @@ class TestLoadConfig:
         ({"domain": {"L": float("inf")}}, "domain.L"),
         ({"run": {"halt_at_stop": "false"}}, "run.halt_at_stop"),
         ({"output": {"directory": 5}}, "output.directory"),
+        ({"noise": {"seed": -1}}, "noise.seed"),
+        ({"noise": {"seed": 2**64}}, "noise.seed"),
+        ({"run": {"master_seed": -1}}, "run.master_seed"),
     ])
     def test_wrong_typed_value_exit_2(self, tmp_path, capsys, data, field):
         path = write_cfg(tmp_path, {**MINIMAL, **data})

@@ -40,7 +40,7 @@ class TestEnergy:
         fl, st, lay, forms = self._forms(4, 3)
         blocks = element_mass(fl, fl.wall_samples(st.profile(np.zeros(st.n_free)), 1.0)[0])
         c = 0.7
-        E = 0.5 * c * c * float(blocks[0, 0].sum())
+        E = 0.5 * c * c * float(blocks.sum())
         assert E == pytest.approx(0.5 * c * c * 1.0, rel=1e-13)
 
     def test_random_state_matches_dense_oracle(self, rng):
@@ -112,7 +112,7 @@ class TestTightness:
         traj = run_path(prob, 0)
         fl, lay = prob.fluid, prob.layout
         prof = prob.structure.profile(np.zeros(prob.structure.n_free))
-        G_u = lay.fluid_csr(element_mass(fl, fl.wall_samples(prof, 1.0)[0] * 0 + 1.0))
+        G_u = lay.csr(lay.scalar_data(element_mass(fl, fl.wall_samples(prof, 1.0)[0] * 0 + 1.0)))
         out = tightness_diagnostic(traj, G_u, prob.structure.M, k_max=4)
         assert out["sup_scaled"] == 0.0
 
@@ -122,7 +122,7 @@ class TestTightness:
         fl, lay = prob.fluid, prob.layout
         prof = prob.structure.profile(np.zeros(prob.structure.n_free))
         ones = fl.wall_samples(prof, 1.0)[0] * 0 + 1.0
-        G_u = lay.fluid_csr(element_mass(fl, ones))
+        G_u = lay.csr(lay.scalar_data(element_mass(fl, ones)))
         out = tightness_diagnostic(traj, G_u, prob.structure.M, k_max=4)
         assert np.isfinite(out["sup_scaled"]) and out["sup_scaled"] > 0
 

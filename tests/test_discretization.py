@@ -71,6 +71,16 @@ class TestBuildSpaces:
                 assert np.array_equal(mat.indices, lay.indices)
                 assert np.array_equal(mat.indptr, lay.indptr)
 
+    @pytest.mark.parametrize("nz,nr", [(4, 2), (3, 3)])
+    def test_scalar_scatter_is_vector_scatter_on_both_components(self, rng, nz, nr):
+        # a scalar block put on each velocity component, as the vector
+        # scatter sees it, sums to the same data bit for bit
+        fl, st, lay = spaces(nz, nr)
+        local = rng.normal(size=(len(fl.cells), 16))
+        both = np.zeros((len(fl.cells), 2, 2, 16))
+        both[:, 0, 0] = both[:, 1, 1] = local
+        assert np.array_equal(lay.scalar_data(local), lay.vector_data(both.reshape(-1, 64)))
+
     def test_inconsistent_counts_rejected(self):
         with pytest.raises(ConfigError):
             CoupledLayout(FluidSpace(ReferenceDomain(L=1.0, R=1.0, nz=2, nr=2)),
@@ -86,8 +96,7 @@ class TestWeightedMass:
         blocks = element_mass(fl, fl.wall_samples(prof, 1.0)[0])
         M = np.zeros((fl.ndof, fl.ndof))
         for p in (0, 1):
-            for q in (0, 1):
-                M[np.ix_(2 * fl.cells[0] + p, 2 * fl.cells[0] + q)] += blocks[p, q, 0]
+            M[np.ix_(2 * fl.cells[0] + p, 2 * fl.cells[0] + p)] += blocks[0].reshape(4, 4)
         Mz = M[0::2, 0::2]
         # global node order (0,0), (1,0), (0,1), (1,1): tensor product of
         # the 1D mass h/6 [[2,1],[1,2]] with itself
@@ -105,14 +114,14 @@ class TestWeightedMass:
         prof = st.profile(eta)
         blocks = element_mass(fl, fl.wall_samples(prof, 1.2)[0])
         # 1^T M 1 of the axial component, summed cell by cell
-        total = blocks[0, 0].sum()
+        total = blocks.sum()
         exact = 1.2 * 1.0 + st.lin @ eta  # height-1 channel
         assert total == pytest.approx(exact, rel=1e-13)
 
     def test_positive_definite_for_positive_weight(self, rng):
         fl, st, lay = spaces(3, 2)
         prof = random_wall(rng, 3, scale=0.2)
-        M = lay.fluid_csr(element_mass(fl, fl.wall_samples(prof, 1.0)[0]))
+        M = lay.csr(lay.scalar_data(element_mass(fl, fl.wall_samples(prof, 1.0)[0])))
         w = np.linalg.eigvalsh(M.toarray())
         assert w.min() > 0
 
@@ -135,13 +144,13 @@ class TestViscousAndPenalty:
         blocks = element_viscous(fl, *fl.wall_samples(prof, 1.0))
         # a rigid translation has zero strain in every cell
         const = np.array([0.7, -1.3])
-        per_cell = np.einsum("pqcab,q->pca", blocks, const)
+        per_cell = np.einsum("cpqab,q->cpa", blocks.reshape(-1, 2, 2, 4, 4), const)
         assert np.abs(per_cell).max() <= 1e-12
 
     def test_viscous_spsd(self, rng):
         fl, st, lay = spaces(3, 2)
         prof = random_wall(rng, 3)
-        K = lay.fluid_csr(element_viscous(fl, *fl.wall_samples(prof, 1.0)))
+        K = lay.csr(lay.vector_data(element_viscous(fl, *fl.wall_samples(prof, 1.0))))
         w = np.linalg.eigvalsh(K.toarray())
         assert w.min() >= -1e-12
 
@@ -151,8 +160,8 @@ class TestViscousAndPenalty:
         # produce zero penalty residual
         fl, st, lay = spaces(nz, nr)
         prof = WallProfile.zero(1.0, nz)
-        P = lay.fluid_csr(element_penalty(fl, *fl.wall_samples(prof, 1.0, reduced=True))
-                          ).toarray()
+        P = lay.csr(lay.vector_data(
+            element_penalty(fl, *fl.wall_samples(prof, 1.0, reduced=True)))).toarray()
         w, V = np.linalg.eigh(P)
         null = V[:, w < 1e-12]
         if null.size:

@@ -133,7 +133,7 @@ class TestTransformedOperators:
                     e_p = np.eye(2)[p]
                     div[p, a] = transformed_divergence(du_dz * e_p, du_dr * e_p, prof, R, (z, r))
             expected = fs.q_reduced.wq[0] * div[:, None, :, None] * div[None, :, None, :]
-            assert np.allclose(blocks[:, :, c], expected, rtol=1e-12, atol=1e-12)
+            assert np.allclose(blocks[c].reshape(2, 2, 4, 4), expected, rtol=1e-12, atol=1e-12)
 
     def test_degenerate_jacobian_raises(self):
         vals = np.zeros(9)

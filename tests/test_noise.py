@@ -44,6 +44,12 @@ class TestSpecValidation:
         with pytest.raises(ConfigError):
             NoiseSpec(K=0, q=np.zeros(0), amplitude=np.array([1.0]), seed=1)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_key_range_rejected(self, seed):
+        # Philox keys are 64-bit: a wider seed would alias one inside
+        with pytest.raises(ConfigError, match="noise.seed"):
+            NoiseSpec(K=0, q=np.zeros(0), amplitude=np.zeros(0), seed=seed)
+
     def test_nonpositive_covariance_rejected(self):
         with pytest.raises(ConfigError):
             NoiseSpec(K=2, q=np.array([1.0, 0.0]), amplitude=np.zeros(2), seed=1)
