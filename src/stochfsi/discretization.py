@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import cho_factor
 
 from .errors import ConfigError, DegenerateJacobian
 from .geometry import ReferenceDomain, WallProfile, hermite_shapes, locate
@@ -327,6 +328,15 @@ class StructureSpace:
         np.add.at(l_full, self.element_dofs,
                   np.broadcast_to(np.einsum("q,aq->a", wq, H), self.element_dofs.shape))
         self.lin = l_full[self.free]
+        self._step_factors = {}
+
+    def step_factor(self, dt: float):
+        """``cho_factor`` of M + dt^2 S, the structure substep's matrix,
+        made on the first call for each dt: problems derived for another
+        N share this space and step with their own dt."""
+        if dt not in self._step_factors:
+            self._step_factors[dt] = cho_factor(self.M + dt * dt * self.S)
+        return self._step_factors[dt]
 
     def to_full(self, vec_free: np.ndarray) -> np.ndarray:
         full = np.zeros(self.ndof_full)
@@ -382,7 +392,9 @@ class CoupledLayout:
     forms, and the CSC pattern of the coupled matrices on x, filled by
     ``coupled_csc``.  Element blocks reach the fluid pattern by one scatter
     per block shape: ``scalar_data`` for (ncell, 16) blocks acting alike on
-    each velocity component, ``vector_data`` for (ncell, 64) ones.
+    each velocity component, ``vector_data`` for (ncell, 64) ones.  A
+    symmetric form on the fluid pattern goes to a banded Cholesky through
+    ``lower_band``, in the short-direction-first order ``band_perm``.
     """
 
     def __init__(self, fluid: FluidSpace, structure: StructureSpace):
@@ -419,6 +431,21 @@ class CoupledLayout:
         self._diag_slot = self._slot[p == q]
         self._diag_src = (16 * c + ab)[p == q]
 
+        # band of a symmetric form on the fluid pattern: the free DOFs in
+        # the order (iz, ir, component) when nz >= nr, else (ir, iz,
+        # component), so the band spans one line across the shorter
+        # direction; each lower-triangle slot's flat position in the
+        # (band_width + 1, n_free) lower band of scipy's cholesky_banded
+        node, comp = np.divmod(fluid.free, 2)
+        ir, iz = np.divmod(node, fluid.nz + 1)
+        self.band_perm = np.lexsort((comp, ir, iz) if fluid.nz >= fluid.nr else (comp, iz, ir))
+        pos = np.empty(n_free, dtype=int)
+        pos[self.band_perm] = np.arange(n_free)
+        diag = pos[f_rows] - pos[f_cols]
+        self.band_width = int(diag.max())
+        self._band_slot = np.flatnonzero(diag >= 0)
+        self._band_flat = (diag * n_free + pos[f_cols])[self._band_slot]
+
         # inputs of a cell's advection map in x padded by one zero: u_z and
         # u_r at its nodes, then the Hermite DOFs of the wall element above
         # it; masked fluid and clamped wall DOFs read the padded zero
@@ -444,13 +471,24 @@ class CoupledLayout:
         self._fluid_to_x = inv[:keys.size]
         self._beam_data = np.zeros(x_keys.size)
         self._beam_data[inv[keys.size:]] = structure.M[b_rows, b_cols]
-        for pattern in (self.indices, self.indptr, self._x_indices, self._x_indptr):
+        for pattern in (self.indices, self.indptr, self._x_indices, self._x_indptr,
+                        self.band_perm, self._band_slot, self._band_flat):
             pattern.setflags(write=False)  # shared by every matrix built on it
 
     def csr(self, data: np.ndarray) -> sp.csr_matrix:
         """The free-DOF fluid matrix with a data array on the fluid pattern."""
         n = self.fluid.n_free
         return sp.csr_matrix((data, self.indices, self.indptr), shape=(n, n))
+
+    def lower_band(self, data: np.ndarray) -> np.ndarray:
+        """The (band_width + 1, n_free) lower band, in ``band_perm`` order,
+        of the symmetric matrix with a data array on the fluid pattern:
+        entry [i - j, j] is A[i, j] for i >= j, the layout read by
+        ``scipy.linalg.cholesky_banded(..., lower=True)``."""
+        n = self.fluid.n_free
+        band = np.zeros((self.band_width + 1) * n)
+        band[self._band_flat] = data[self._band_slot]
+        return band.reshape(self.band_width + 1, n)
 
     def scalar_data(self, blocks: np.ndarray) -> np.ndarray:
         """Fluid-pattern data summing scalar (ncell, 16) element blocks,

@@ -134,7 +134,8 @@ class WallProfile:
         return self._combine(z, 1)
 
     def min_value(self) -> float:
-        """Exact minimum of eta over [0, L] via per-element cubic critical points."""
+        """Exact minimum of eta over [0, L] via per-element cubic critical
+        points: both roots of each element's eta' are evaluated at once."""
         h = self.h
         v0, v1 = self.vals[:-1], self.vals[1:]
         s0, s1 = self.slopes[:-1], self.slopes[1:]
@@ -142,18 +143,15 @@ class WallProfile:
         a = 6 * (v0 - v1) + 3 * h * (s0 + s1)
         b = 6 * (v1 - v0) - 2 * h * (2 * s0 + s1)
         c = h * s0
-        best = np.minimum(v0, v1)
         disc = b * b - 4 * a * c
+        sign = np.array([[1.0], [-1.0]])
         with np.errstate(invalid="ignore", divide="ignore"):
-            sq = np.sqrt(np.maximum(disc, 0.0))
-            for sign in (1.0, -1.0):
-                xi = np.where(
-                    np.abs(a) > 0,
-                    (-b + sign * sq) / (2 * a),
-                    np.where(np.abs(b) > 0, -c / b, np.nan),
-                )
-                ok = np.isfinite(xi) & (disc >= 0) & (xi > 0) & (xi < 1)
-                h0, h1, h2, h3 = hermite_shapes(np.where(ok, xi, 0.0), h, 0)
-                val = h0 * v0 + h1 * s0 + h2 * v1 + h3 * s1
-                best = np.minimum(best, np.where(ok, val, np.inf))
-        return float(best.min())
+            xi = np.where(
+                np.abs(a) > 0,
+                (-b + sign * np.sqrt(np.maximum(disc, 0.0))) / (2 * a),
+                np.where(np.abs(b) > 0, -c / b, np.nan),
+            )
+        ok = np.isfinite(xi) & (disc >= 0) & (xi > 0) & (xi < 1)
+        h0, h1, h2, h3 = hermite_shapes(np.where(ok, xi, 0.0), h, 0)
+        val = h0 * v0 + h1 * s0 + h2 * v1 + h3 * s1
+        return float(min(np.minimum(v0, v1).min(), np.where(ok, val, np.inf).min()))

@@ -42,7 +42,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_solve, cho_solve_banded, cholesky_banded
 
 from .discretization import (
     AssembledForms,
@@ -108,13 +108,14 @@ def structure_step(eta: np.ndarray, v: np.ndarray, dt: float,
     Substituting the displacement update eta_half = eta + dt*v_half into
     the velocity equation gives the SPD system
 
-        (M_s + dt^2 S) v_half = M_s v - dt S eta.
+        (M_s + dt^2 S) v_half = M_s v - dt S eta,
+
+    whose Cholesky factor the structure space keeps per dt.
     """
     S = structure.S
-    A = structure.M + dt * dt * S
     b = structure.M @ v - dt * (S @ eta)
     try:
-        v_half = cho_solve(cho_factor(A), b)
+        v_half = cho_solve(structure.step_factor(dt), b)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - assembly corruption
         raise SolverFailure(f"structure solve failed: {exc}") from exc
     if not np.all(np.isfinite(v_half)):
@@ -266,25 +267,26 @@ def trace_dissipation_constant(layout: CoupledLayout, forms: AssembledForms,
 
     The numerator is rank two, so the maximum is the top eigenvalue of the
     2x2 Gram matrix of the two flux functionals in the dissipation inner
-    product - two sparse solves, computed once per assembly because the
-    form moves with eta*.  Used to absorb the pressure work into half the
-    dissipation with an explicit constant.  K and P share the layout's
-    fluid pattern, so the form is arithmetic on their data arrays; it is
-    bitwise symmetric, so its CSR arrays are its CSC arrays as well.
+    product, computed once per assembly because the form moves with eta*.
+    Used to absorb the pressure work into half the dissipation with an
+    explicit constant.  K and P share the layout's fluid pattern, so the
+    form is arithmetic on their data arrays.  It is bitwise symmetric and
+    SPD on the free DOFs, so its lower band (``CoupledLayout.lower_band``)
+    is the whole matrix: one banded Cholesky factor and one solve for both
+    flux vectors, and the Gram matrix is formed in the band's ordering,
+    which it does not depend on.  A form that is not SPD or not finite
+    raises SolverFailure.
     """
+    data = params.nu * forms.K.data + (1.0 / params.epsilon) * forms.P.data
+    if not np.all(np.isfinite(data)):
+        raise SolverFailure("trace-constant solve failed: non-finite dissipation form")
     fluid = layout.fluid
-    n = fluid.n_free
-    A = sp.csc_matrix((params.nu * forms.K.data + (1.0 / params.epsilon) * forms.P.data,
-                       layout.indices, layout.indptr), shape=(n, n))
+    F = np.stack([fluid.flux_in, fluid.flux_out], axis=1)[layout.band_perm]
     try:
-        lu = _splu(A)
-        x_in = lu.solve(fluid.flux_in)
-        x_out = lu.solve(fluid.flux_out)
-    except RuntimeError as exc:
+        factor = cholesky_banded(layout.lower_band(data), lower=True, check_finite=False)
+    except np.linalg.LinAlgError as exc:
         raise SolverFailure(f"trace-constant solve failed: {exc}") from exc
-    a = float(fluid.flux_in @ x_in)
-    b = float(fluid.flux_in @ x_out)
-    c = float(fluid.flux_out @ x_out)
+    (a, b), (_, c) = F.T @ cho_solve_banded((factor, True), F, check_finite=False)
     return (a + c) / 2 + np.hypot((a - c) / 2, b)
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import cho_factor, cho_solve
 
 from stochfsi import cli
 from stochfsi.cli import (
@@ -27,7 +28,7 @@ from stochfsi.diagnostics import (
     summed_inequality_violations,
 )
 from stochfsi.errors import ConfigError, DegenerateJacobian, InitialDataError
-from stochfsi.scheme import EnergyLedger, run_path
+from stochfsi.scheme import EnergyLedger, run_path, structure_step
 
 
 def write_cfg(tmp_path, data, name="cfg.json"):
@@ -435,6 +436,21 @@ class TestAxisOverride:
         a, b = run_path(derived, 0).ledger, run_path(built, 0).ledger
         for f in dataclasses.fields(EnergyLedger):
             assert np.array_equal(getattr(a, f.name), getattr(b, f.name)), f.name
+
+    def test_derived_problem_factors_its_own_structure_step(self, rng):
+        # the structure factor is kept per dt on the shared structure space,
+        # so a problem derived for another N steps with a factor of its dt
+        cfg = parse_config(dict(MINIMAL))
+        base = build_problem(cfg)
+        s = base.structure
+        eta, v = rng.normal(size=(2, s.n_free))
+        structure_step(eta, v, base.params.dt, s)
+        derived = problem_at_axis_value(cfg, base, "N", 8)
+        dt = derived.params.dt
+        assert derived.structure is s and dt != base.params.dt
+        _, vh = structure_step(eta, v, dt, derived.structure)
+        fresh = cho_solve(cho_factor(s.M + dt * dt * s.S), s.M @ v - dt * (s.S @ eta))
+        assert np.array_equal(vh, fresh)
 
     @pytest.mark.parametrize("axis,value,field", [
         ("epsilon", 0.0, "physics.epsilon"),

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import oracle_dense as od
 from stochfsi.discretization import FluidSpace, element_penalty, element_viscous
 from stochfsi.errors import DegenerateJacobian
-from stochfsi.geometry import ReferenceDomain, WallProfile
+from stochfsi.geometry import ReferenceDomain, WallProfile, hermite_shapes
 
 
 def ale_map(profile, R, point):
@@ -231,3 +231,31 @@ class TestMinValue:
 
     def test_zero_profile(self):
         assert WallProfile.zero(2.0, 3).min_value() == 0.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n_el=st.integers(1, 32),
+        seed=st.integers(0, 2**32 - 1),
+        slope_scale=st.floats(0.0, 10.0),
+        L=st.floats(0.5, 4.0),
+    )
+    def test_within_sampling_error_of_sampled_minimum(self, n_el, seed, slope_scale, L):
+        # at most the nodal and the sampled minimum, and below the sampled
+        # one by at most max|eta''| dz^2 / 8, the error of sampling at
+        # spacing dz next to a critical point; the cubic's roundoff is
+        # allowed for on the sampled side
+        rng = np.random.default_rng(seed)
+        prof = WallProfile(L, rng.uniform(-1, 1, n_el + 1),
+                           slope_scale * rng.uniform(-1, 1, n_el + 1))
+        zs, dz = np.linspace(0.0, L, 10_001, retstep=True)
+        sampled = prof.value(zs).min()
+        ends = np.array([[0.0], [1.0]])
+        d0, d1, d2, d3 = hermite_shapes(ends, prof.h, 2)
+        curv = np.abs(d0 * prof.vals[:-1] + d1 * prof.slopes[:-1]
+                      + d2 * prof.vals[1:] + d3 * prof.slopes[1:]).max()
+        roundoff = 32 * np.finfo(float).eps * (np.abs(prof.vals).max()
+                                                + prof.h * np.abs(prof.slopes).max())
+        m = prof.min_value()
+        assert m <= prof.vals.min()
+        assert m <= sampled + roundoff
+        assert sampled - m <= curv * dz * dz / 8 + roundoff

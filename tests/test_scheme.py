@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import gc
 import weakref
 from dataclasses import fields
@@ -12,7 +13,7 @@ from stochfsi import scheme
 from stochfsi.cli import build_problem
 from stochfsi.diagnostics import write_ledger_csv
 from stochfsi.discretization import assemble_advection, assemble_all, build_spaces
-from stochfsi.errors import InitialDataError, PicardDivergence
+from stochfsi.errors import InitialDataError, PicardDivergence, SolverFailure
 from stochfsi.geometry import ReferenceDomain
 from stochfsi.noise import NoiseSpec, sample_path
 from stochfsi.scheme import (
@@ -42,6 +43,11 @@ def factored_matrices(monkeypatch):
 
     monkeypatch.setattr(scheme.spla, "splu", recording)
     return seen
+
+
+def trace_form_data(params, forms):
+    """The trace constant's dissipation form nu*K + P/eps on the fluid pattern."""
+    return params.nu * forms.K.data + (1.0 / params.epsilon) * forms.P.data
 
 
 class TestStructureStep:
@@ -224,10 +230,9 @@ class TestFluidStep:
         A = factored[0].toarray()
         assert np.linalg.eigvalsh(0.5 * (A + A.T)).min() > 0
 
-    @pytest.mark.parametrize("mesh", ["4x2", "3x3", "default"])
-    def test_trace_form_bitwise_symmetric(self, mesh, rng, monkeypatch):
-        # nu*K + P/eps is handed to splu as CSC on the fluid CSR pattern,
-        # which is the same matrix only because it is bitwise symmetric
+    def _trace_case(self, mesh, rng):
+        """Spaces, parameters and level forms of a trace-constant test: the
+        default problem's, or a random wall on an nz x nr mesh."""
         if mesh == "default":
             prob = make_problem()
             fl, st, lay, params = prob.fluid, prob.structure, prob.layout, prob.params
@@ -235,10 +240,49 @@ class TestFluidStep:
         else:
             fl, st, lay = tiny_spaces(*map(int, mesh.split("x")))
             params, eta = self._params(), 0.05 * rng.uniform(-1, 1, st.n_free)
-        factored = factored_matrices(monkeypatch)
-        trace_dissipation_constant(lay, assemble_all(fl, lay, st.profile(eta)), params)
-        A, = factored
+        return lay, params, assemble_all(fl, lay, st.profile(eta))
+
+    @pytest.mark.parametrize("mesh", ["4x2", "3x3", "default"])
+    def test_trace_form_bitwise_symmetric(self, mesh, rng):
+        # the banded Cholesky reads only the lower triangle of nu*K + P/eps,
+        # which is the whole matrix only because it is bitwise symmetric
+        lay, params, forms = self._trace_case(mesh, rng)
+        A = lay.csr(trace_form_data(params, forms))
         assert (A != A.T).nnz == 0
+
+    @pytest.mark.parametrize("mesh", ["4x2", "3x3", "default", "2x5"])
+    def test_trace_constant_dense_oracle(self, mesh, rng):
+        # the top eigenvalue of the flux Gram F^T A^{-1} F, solved densely
+        lay, params, forms = self._trace_case(mesh, rng)
+        A = lay.csr(trace_form_data(params, forms))
+        F = np.stack([lay.fluid.flux_in, lay.fluid.flux_out], axis=1)
+        top = np.linalg.eigvalsh(F.T @ np.linalg.solve(A.toarray(), F)).max()
+        assert trace_dissipation_constant(lay, forms, params) == pytest.approx(top, rel=1e-10)
+
+    @pytest.mark.parametrize("mesh", ["4x2", "3x3", "default", "2x5"])
+    def test_trace_band_follows_short_direction(self, mesh, rng):
+        lay, params, forms = self._trace_case(mesh, rng)
+        fl = lay.fluid
+        assert lay.band_width <= 2 * (min(fl.nz, fl.nr) + 2)
+        # the band holds the whole lower triangle of the permuted form
+        data = trace_form_data(params, forms)
+        band = lay.lower_band(data)
+        A = lay.csr(data).toarray()[np.ix_(lay.band_perm, lay.band_perm)]
+        for k in range(lay.band_width + 1):
+            assert np.array_equal(band[k, :fl.n_free - k], np.diag(A, -k))
+        assert np.all(np.tril(A, -lay.band_width - 1) == 0.0)
+
+    @pytest.mark.parametrize("flaw", ["indefinite", "non-finite"])
+    def test_trace_constant_bad_form_raises(self, flaw, rng):
+        lay, params, forms = self._trace_case("4x2", rng)
+        if flaw == "indefinite":
+            forms = dataclasses.replace(forms, P=-forms.P)
+        else:
+            K = forms.K.copy()
+            K.data[0] = np.nan
+            forms = dataclasses.replace(forms, K=K)
+        with pytest.raises(SolverFailure, match="^trace-constant solve failed: "):
+            trace_dissipation_constant(lay, forms, params)
 
     def test_picard_divergence_raises(self, rng):
         fl, st, lay = tiny_spaces(4, 2)
