@@ -29,6 +29,7 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .discretization import HsForm, build_spaces
@@ -378,6 +379,8 @@ def _fmt(x) -> str:
 def write_manifest(path: str, cfg: RunConfig, extra: dict | None = None):
     manifest = {
         "version": __version__,
+        "numpy": np.__version__, "scipy": scipy.__version__,
+        "workers": diagnostics.ensemble_workers(),
         "config": cfg.to_dict(),
         "dt": cfg.dt,
         "effective_seed": cfg.noise["seed"],

@@ -267,6 +267,15 @@ def _run_one(problem: PathProblem, ledger_dir: str | None, idx: int):
     return idx, path_statistics(traj), None
 
 
+def ensemble_workers() -> int:
+    """The STOCHFSI_THREADS worker processes of an ensemble (default 1)."""
+    raw = os.environ.get("STOCHFSI_THREADS", "1") or "1"
+    try:
+        return int(raw)
+    except ValueError:
+        raise ConfigError(f"STOCHFSI_THREADS: must be an integer, got {raw!r}") from None
+
+
 def ensemble_run(problem: PathProblem, M: int, ledger_dir: str | None = None) -> EnsembleReport:
     """Run M seeded paths and aggregate ledger statistics in path order;
     with ``ledger_dir`` each path also writes ``ledger_<index>.csv`` there.
@@ -278,13 +287,8 @@ def ensemble_run(problem: PathProblem, M: int, ledger_dir: str | None = None) ->
     """
     if M < 1:
         raise ConfigError(f"run.M: must be >= 1, got {M}")
-    raw = os.environ.get("STOCHFSI_THREADS", "1") or "1"
-    try:
-        workers = int(raw)
-    except ValueError:
-        raise ConfigError(f"STOCHFSI_THREADS: must be an integer, got {raw!r}") from None
     run_one = partial(_run_one, problem, ledger_dir)
-    if workers > 1:
+    if (workers := ensemble_workers()) > 1:
         with ProcessPoolExecutor(max_workers=workers) as ex:
             results = list(ex.map(run_one, range(M)))
     else:

@@ -468,11 +468,11 @@ class CoupledLayout:
         x_cols, x_rows = np.divmod(x_keys, self.n_x)
         self._x_indices = x_rows.astype(np.int32)
         self._x_indptr = _indptr(x_cols, self.n_x)
-        self._fluid_to_x = inv[:keys.size]
+        self.fluid_to_x = inv[:keys.size]
         self._beam_data = np.zeros(x_keys.size)
         self._beam_data[inv[keys.size:]] = structure.M[b_rows, b_cols]
         for pattern in (self.indices, self.indptr, self._x_indices, self._x_indptr,
-                        self.band_perm, self._band_slot, self._band_flat):
+                        self.fluid_to_x, self.band_perm, self._band_slot, self._band_flat):
             pattern.setflags(write=False)  # shared by every matrix built on it
 
     def csr(self, data: np.ndarray) -> sp.csr_matrix:
@@ -510,9 +510,9 @@ class CoupledLayout:
         return self.scalar_data(adv @ inputs[:, :, None])
 
     def coupled_csc(self, fluid_data: np.ndarray) -> sp.csc_matrix:
-        """Matrix on x: a fluid-pattern data array plus the beam mass."""
+        """Matrix on x: fluid-pattern data (slot k on ``fluid_to_x[k]``) plus the beam mass."""
         data = self._beam_data.copy()
-        data[self._fluid_to_x] += fluid_data
+        data[self.fluid_to_x] += fluid_data
         return sp.csc_matrix((data, self._x_indices, self._x_indptr),
                              shape=(self.n_x, self.n_x))
 

@@ -135,7 +135,8 @@ class WallProfile:
 
     def min_value(self) -> float:
         """Exact minimum of eta over [0, L] via per-element cubic critical
-        points: both roots of each element's eta' are evaluated at once."""
+        points: only the + root of eta', where eta'' = +sqrt(disc)/h^2 >= 0,
+        can be an interior minimum (the - root is a local maximum)."""
         h = self.h
         v0, v1 = self.vals[:-1], self.vals[1:]
         s0, s1 = self.slopes[:-1], self.slopes[1:]
@@ -144,11 +145,10 @@ class WallProfile:
         b = 6 * (v1 - v0) - 2 * h * (2 * s0 + s1)
         c = h * s0
         disc = b * b - 4 * a * c
-        sign = np.array([[1.0], [-1.0]])
         with np.errstate(invalid="ignore", divide="ignore"):
             xi = np.where(
                 np.abs(a) > 0,
-                (-b + sign * np.sqrt(np.maximum(disc, 0.0))) / (2 * a),
+                (-b + np.sqrt(np.maximum(disc, 0.0))) / (2 * a),
                 np.where(np.abs(b) > 0, -c / b, np.nan),
             )
         ok = np.isfinite(xi) & (disc >= 0) & (xi > 0) & (xi < 1)

@@ -22,16 +22,15 @@ resolved by Picard iteration on the frozen transport only.  Because the
 assembled advection operator is skew for *any* frozen field, testing the
 solved system with its own solution yields the discrete energy balance
 at every iterate, converged or not, up to the accuracy of the linear
-solve.  A step factors its coupled matrix once, at the first iterate;
-each later iterate refines from the previous one with that factor until
-the normwise backward error of its own system is at most SOLVE_BERR
-(1e-15, what a direct sparse solve reaches on these systems), and a
-sweep that fails to halve that error refactors on the iterate's own
-matrix.  So every iterate solves its own frozen-transport system to
-direct-solve accuracy.  The ledger records every quantity appearing in
-the balance, with the step's factorizations and the backward error of
-its returned solve, so the inequalities can be re-checked offline, term
-by term.
+solve.  Only the returned iterate enters the balance, so a step factors
+once, at its first iterate; each later one is one refinement sweep with
+that factor, and a sweep that neither halves the normwise backward error
+nor brings it to SOLVE_BERR (1e-15, what a direct sparse solve reaches
+here) refactors.  The returned iterate is refined until it solves its
+own frozen-transport system to SOLVE_BERR.  The ledger records every
+quantity appearing in the balance, with the step's factorizations and
+the backward error of its returned solve, so the inequalities can be
+re-checked offline, term by term.
 """
 
 from __future__ import annotations
@@ -67,7 +66,7 @@ class SchemeParams:
     max_picard: int = 50
 
 
-# normwise backward error fluid_step refines a later Picard iterate to
+# normwise backward error fluid_step refines the returned Picard iterate to
 SOLVE_BERR = 1e-15
 
 
@@ -134,37 +133,28 @@ def _splu(A: sp.csc_matrix):
                      options=dict(SymmetricMode=True))
 
 
-def _norm_inf(A: sp.csc_matrix) -> float:
-    """||A||_inf, the largest absolute row sum, from the CSC arrays."""
-    return float(np.bincount(A.indices, np.abs(A.data), A.shape[0]).max())
-
-
-def _backward_error(r: np.ndarray, A_norm: float, g: np.ndarray, b_norm: float) -> float:
-    """Normwise backward error ||r|| / (||A|| ||g|| + ||b||) in the max
-    norm of the approximate solution g with residual r = b - A g; a zero
-    residual is exact (and guards 0/0)."""
-    r_norm = float(np.abs(r).max())
-    return 0.0 if r_norm == 0.0 else r_norm / (A_norm * float(np.abs(g).max()) + b_norm)
-
-
-def _refine(A: sp.csc_matrix, lu, g: np.ndarray, rhs: np.ndarray, b_norm: float):
+def _refine(A: sp.csc_matrix, lu, g: np.ndarray, rhs: np.ndarray, b_norm: float, sweeps=np.inf):
     """Iterative refinement of g toward the solution of A x = rhs with the
     factor ``lu`` of a nearby matrix: each sweep adds lu.solve(rhs - A g).
 
-    Returns (x, backward error) once the error is at most SOLVE_BERR, or
-    None as soon as a sweep fails to halve it (the factor is too stale).
-    Halving bounds the sweeps, since the error starts at most 1."""
-    A_norm = _norm_inf(A)
+    Returns (x, backward error) once the normwise backward error
+    ||r|| / (||A|| ||x|| + ||rhs||) in the max norm, r = rhs - A x, is at
+    most SOLVE_BERR or after ``sweeps`` sweeps, or None as soon as a sweep
+    fails to halve it (a stale factor).  Halving bounds the sweeps, since
+    the error starts at most 1.  A zero residual is exact (and guards 0/0).
+    """
+    A_norm = float(np.bincount(A.indices, np.abs(A.data), A.shape[0]).max())  # ||A||_inf
     g, last = g.copy(), np.inf
     while True:
         r = rhs - A @ g
-        berr = _backward_error(r, A_norm, g, b_norm)
-        if berr <= SOLVE_BERR:
-            return g, berr
-        if not berr <= 0.5 * last:
+        r_norm = float(np.abs(r).max())
+        berr = 0.0 if r_norm == 0.0 else r_norm / (A_norm * float(np.abs(g).max()) + b_norm)
+        if not (berr <= SOLVE_BERR or berr <= 0.5 * last):
             return None
+        if berr <= SOLVE_BERR or sweeps == 0:
+            return g, berr
         g += lu.solve(r)
-        last = berr
+        last, sweeps = berr, sweeps - 1
 
 
 def fluid_step(
@@ -190,24 +180,23 @@ def fluid_step(
     Unknown vector x = [fluid free DOFs | interior wall slopes]; the wall
     velocity block is tested with the Hermite functions, so the mass
     coupling is the beam mass embedded at the shared/slope positions.
-    All fluid forms share one sparsity pattern, so each system matrix is
-    arithmetic on their data arrays, placed on the layout's coupled one.
+    All fluid forms share one sparsity pattern, so the step's one matrix
+    is arithmetic on their data arrays, on the layout's coupled pattern.
     Picard freezes the transport field a = u - v r e_r at the previous
     iterate; every other term is implicit.  The advection form is linear
     in a on the frozen geometry, so its map is built once per step and
-    each iterate only applies it.  Initial iterate: u_n with the
-    wall-velocity block overwritten by the half-step wall velocity.  The
-    noise enters through the step's coefficient xi (``NoisePath.xi``).
+    each iterate only applies it, in place in the matrix's data.  Initial
+    iterate: u_n with the wall-velocity block overwritten by the half-step
+    wall velocity.  The noise enters through the step's coefficient xi
+    (``NoisePath.xi``).
 
     The step factors once, at its first iterate, and solves it directly.
     Each later iterate's matrix differs only in its advection, so it is
-    solved by iterative refinement (``_refine``) from the previous iterate
-    with that factor, to a normwise backward error of at most SOLVE_BERR;
-    a sweep that fails to halve the error refactors on this iterate's
-    matrix, which later iterates then refine with.  Every returned iterate
-    thus solves its own frozen-transport system to direct-solve accuracy.
-    The stats carry the factorizations and the returned solve's backward
-    error (one residual more when that solve came from a fresh factor).
+    one ``_refine`` sweep from the previous iterate with that factor; a
+    sweep that stalls above SOLVE_BERR refactors on this iterate's matrix.
+    Once the update is below tol_picard, the returned iterate is refined
+    (refactoring if a sweep stalls) to a backward error of at most
+    SOLVE_BERR; the stats carry it and the step's factorizations.
     """
     dt = params.dt
     n_free, n_x = fluid.n_free, layout.n_x
@@ -230,28 +219,35 @@ def fluid_step(
 
     adv = assemble_advection(fluid, forms)
     b_norm = float(np.abs(rhs).max())
+    A = layout.coupled_csc(A_fluid)  # each iterate adds its advection in place
+    fixed = A.data[layout.fluid_to_x]
     lu, factors, rel = None, 0, np.inf
-    for it in range(1, params.max_picard + 1):
-        A = layout.coupled_csc(A_fluid + dt * layout.advection_data(adv, x))
+
+    def solve(g, sweeps):
+        """(x, backward error) from g by ``_refine``, else by a fresh factor."""
+        nonlocal lu, factors
         try:
-            refined = None if lu is None else _refine(A, lu, x, rhs, b_norm)
-            if refined is None:
+            solved = None if lu is None else _refine(A, lu, g, rhs, b_norm, sweeps)
+            if solved is None:
                 lu, factors = _splu(A), factors + 1
-                x_new, berr = lu.solve(rhs), None
-            else:
-                x_new, berr = refined
+                solved = _refine(A, lu, lu.solve(rhs), rhs, b_norm, 0)
         except RuntimeError as exc:
             raise SolverFailure(f"fluid solve failed: {exc}") from exc
-        if not np.all(np.isfinite(x_new)):
+        if solved is None or not np.all(np.isfinite(solved[0])):
             raise SolverFailure("fluid solve produced non-finite values")
+        return solved
+
+    for it in range(1, params.max_picard + 1):
+        A.data[layout.fluid_to_x] = fixed + dt * layout.advection_data(adv, x)
+        x_new, berr = solve(x, 1)
         d = x_new - x
         num = float(np.sqrt(max(d @ (M_norm @ d), 0.0)))
         den = float(np.sqrt(max(x_new @ (M_norm @ x_new), 0.0)))
         rel = num / max(den, 1e-30)
         x = x_new
         if rel <= params.tol_picard:
-            if berr is None:
-                berr = _backward_error(rhs - A @ x, _norm_inf(A), x, b_norm)
+            if berr > SOLVE_BERR:
+                x, berr = solve(x, np.inf)
             return (x[:n_free].copy(), layout.extract_v(x),
                     PicardStats(it, rel, factors, berr))
     raise PicardDivergence(

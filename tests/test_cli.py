@@ -5,6 +5,7 @@ import os
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve
@@ -363,6 +364,19 @@ class TestMain:
         assert main(["run", "--config", path, "--seed", "777", "--out", out]) == 0
         manifest = json.loads((tmp_path / "seeded" / "manifest.json").read_text())
         assert manifest["effective_seed"] == 777
+
+    @pytest.mark.parametrize("threads", [None, "3"])
+    def test_manifest_records_versions_and_workers(self, threads, tmp_path, monkeypatch):
+        if threads is None:
+            monkeypatch.delenv("STOCHFSI_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("STOCHFSI_THREADS", threads)
+        out = tmp_path / "out"
+        assert main(["run", "--config", write_cfg(tmp_path, MINIMAL), "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["numpy"] == np.__version__
+        assert manifest["scipy"] == scipy.__version__
+        assert manifest["workers"] == int(threads or 1)
 
     def test_sweep_cli_writes_table(self, tmp_path):
         path = write_cfg(tmp_path, {

@@ -210,6 +210,73 @@ class TestFluidStep:
         assert 1 < stats.lu_factors == len(factored) < stats.iterations
         assert stats.solve_berr <= 1e-15
 
+    # the suite's 4x2 step, and the stale-factor case above
+    _SOLVE_CASES = {"suite": SchemeParams(nu=1.0, delta=0.1, epsilon=1e-3, dt=0.01),
+                    "stale": SchemeParams(nu=1e-3, delta=0.1, epsilon=1e-3, dt=0.5,
+                                          max_picard=200)}
+
+    @pytest.mark.parametrize("case", sorted(_SOLVE_CASES))
+    def test_one_coupled_matrix_per_step(self, case, rng, monkeypatch):
+        # the step's matrix and M_norm; later iterates write the first in place
+        calls, real = [], scheme.CoupledLayout.coupled_csc
+
+        def counting(layout, data):
+            calls.append(1)
+            return real(layout, data)
+
+        monkeypatch.setattr(scheme.CoupledLayout, "coupled_csc", counting)
+        stats = self._random_4x2_step(rng, self._SOLVE_CASES[case])
+        assert stats.iterations > 2
+        assert len(calls) <= 2
+
+    @pytest.mark.parametrize("case", sorted(_SOLVE_CASES))
+    def test_one_sweep_per_intermediate_iterate(self, case, rng, monkeypatch):
+        # one solve per iterate (a direct solve or a sweep), one more per
+        # refactor, and the returned iterate's refinement to SOLVE_BERR
+        solves, splu = [], scheme.spla.splu
+
+        class Counting:
+            def __init__(self, lu):
+                self.lu = lu
+
+            def solve(self, b):
+                solves.append(1)
+                return self.lu.solve(b)
+
+        monkeypatch.setattr(scheme.spla, "splu", lambda *a, **k: Counting(splu(*a, **k)))
+        stats = self._random_4x2_step(rng, self._SOLVE_CASES[case])
+        assert stats.iterations > 2
+        assert len(solves) <= stats.iterations + 2
+        assert stats.solve_berr <= 1e-15
+
+    @pytest.mark.parametrize("tol", [1e-10, 1e-4])
+    def test_returned_iterate_solves_its_own_system(self, tol, rng, monkeypatch):
+        # each iterate rewrites the step's matrix in place, so after the step
+        # it holds the returned iterate's frozen-transport system; at a loose
+        # Picard tolerance the last sweep alone leaves a larger backward error
+        made, coupled_csc = [], scheme.CoupledLayout.coupled_csc
+        monkeypatch.setattr(scheme.CoupledLayout, "coupled_csc",
+                            lambda layout, data: made.append(coupled_csc(layout, data)) or made[-1])
+        fl, st, lay = tiny_spaces(4, 2)
+        forms = assemble_all(fl, lay, st.profile(0.05 * rng.uniform(-1, 1, st.n_free)))
+        u_n = rng.normal(size=fl.n_free)
+        v_n = rng.normal(size=st.n_free)
+        u_n[lay.shared_free] = v_n[0::2]
+        params = SchemeParams(nu=1.0, delta=0.1, epsilon=1e-3, dt=0.01, tol_picard=tol)
+        u, v, stats = fluid_step(fl, lay, forms, forms.M_eta, params, u_n, v_n, v_n,
+                                 0.0, 1.0, 0.0)
+        assert stats.iterations > 1
+        rhs = np.zeros(lay.n_x)
+        rhs[:fl.n_free] = forms.M_eta @ u_n + params.dt * fl.flux_in
+        rhs[lay.beam_to_x] += st.M @ v_n
+        x = np.zeros(lay.n_x)
+        x[:fl.n_free] = u
+        x[lay.beam_to_x] = v
+        A = made[-1]  # the step's matrix, made after M_norm
+        berr = np.abs(rhs - A @ x).max() / (
+            abs(A).sum(axis=1).max() * np.abs(x).max() + np.abs(rhs).max())
+        assert berr <= 1e-15 and stats.solve_berr <= 1e-15
+
     @pytest.mark.parametrize("regime", ["suite", "probe"])
     @pytest.mark.parametrize("nz,nr", [(1, 1), (2, 2), (4, 2), (3, 3)])
     def test_coupled_symmetric_part_spd(self, nz, nr, regime, rng, monkeypatch):
