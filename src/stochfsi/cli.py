@@ -1,4 +1,4 @@
-"""Configuration, scenario construction and the command-line front end.
+"""Configuration, scenario construction, sweeps and the command-line front end.
 
 Configs are JSON.  Every default is resolved at load time and echoed
 into the run manifest, so a manifest alone reproduces the run.  Pressure
@@ -262,26 +262,6 @@ def load_config(path: str) -> RunConfig:
     return parse_config(_read_json(path))
 
 
-def with_axis_value(cfg: RunConfig, axis: str, value) -> RunConfig:
-    data = json.loads(json.dumps(cfg.to_dict()))
-    section, key = ("time", "N") if axis == "N" else ("physics", "epsilon")
-    data[section][key] = value
-    data["run"]["mode"] = "ensemble"
-    return parse_config(data)
-
-
-def problem_at_axis_value(cfg: RunConfig, problem: PathProblem, axis: str,
-                          value) -> PathProblem:
-    """The problem of one sweep value, derived from ``problem``, the build
-    of ``cfg``: the spaces, the layout, ``HsForm``, the initial vectors and
-    their admissibility do not depend on N or epsilon, so only the
-    parameters, N and the step pressures are set anew."""
-    cfg = with_axis_value(cfg, axis, value)
-    params = dataclasses.replace(problem.params, epsilon=cfg.physics["epsilon"], dt=cfg.dt)
-    P_in, P_out = step_pressures(cfg)
-    return dataclasses.replace(problem, params=params, N=cfg.time["N"], P_in=P_in, P_out=P_out)
-
-
 # ----------------------------------------------------------------------
 # scenario construction
 
@@ -369,6 +349,81 @@ def build_problem(cfg: RunConfig) -> PathProblem:
 
 
 # ----------------------------------------------------------------------
+# sweeps
+
+
+def with_axis_value(cfg: RunConfig, axis: str, value) -> RunConfig:
+    data = json.loads(json.dumps(cfg.to_dict()))
+    section, key = ("time", "N") if axis == "N" else ("physics", "epsilon")
+    data[section][key] = value
+    data["run"]["mode"] = "ensemble"
+    return parse_config(data)
+
+
+def problem_at_axis_value(cfg: RunConfig, problem: PathProblem, axis: str,
+                          value) -> PathProblem:
+    """The problem of one sweep value, derived from ``problem``, the build
+    of ``cfg``: the spaces, the layout, ``HsForm``, the initial vectors and
+    their admissibility do not depend on N or epsilon, so only the
+    parameters, N and the step pressures are set anew."""
+    cfg = with_axis_value(cfg, axis, value)
+    params = dataclasses.replace(problem.params, epsilon=cfg.physics["epsilon"], dt=cfg.dt)
+    P_in, P_out = step_pressures(cfg)
+    return dataclasses.replace(problem, params=params, N=cfg.time["N"], P_in=P_in, P_out=P_out)
+
+
+@dataclass
+class SweepResult:
+    axis: str
+    values: list
+    rows: list
+    slope: float | None
+
+
+def sweep(config: RunConfig, problem: PathProblem, axis: str, values) -> SweepResult:
+    """Re-run the ensemble for each value of N or epsilon with common
+    per-path seeds, and fit the log-log slope of the monitored statistic.
+
+    For the epsilon axis the monitored statistic is the ensemble mean of
+    ||div^{eta*} u||_{L^2(0,T;L^2)} (target slope 1/2); for the N axis it
+    is the estimated E[max_n E^n] (target: flat).  ``problem`` is the
+    build of ``config``, and each value's problem is derived from it;
+    each value runs ``config.run["M"]`` paths.  Each row counts its
+    failed paths in ``failed``; the statistics cover the others only, and
+    are None at a value where every path failed.  The slope is None
+    unless every value has a positive statistic.
+    """
+    if axis not in ("N", "epsilon"):
+        raise ConfigError(f"sweep.axis: must be 'N' or 'epsilon', got {axis!r}")
+    values = list(values)
+    if len(values) < 1:
+        raise ConfigError("sweep.values: need at least one value")
+    if sorted(values) != values and sorted(values, reverse=True) != values:
+        raise ConfigError("sweep.values: must be sorted")
+
+    rows = []
+    for val in values:
+        report = diagnostics.ensemble_run(problem_at_axis_value(config, problem, axis, val),
+                                          config.run["M"])
+        div_mean_sq = report.stats["div_sq_int"]["mean"]
+        rows.append({
+            "value": val,
+            "div_l2t": None if div_mean_sq is None else float(np.sqrt(max(div_mean_sq, 0.0))),
+            "max_E_mean": report.stats["max_E"]["mean"],
+            "sum_D_mean": report.stats["sum_D"]["mean"],
+            "frac_stopped": report.frac_stopped,
+            "failed": len(report.failures),
+        })
+
+    slope = None
+    y = [row["div_l2t" if axis == "epsilon" else "max_E_mean"] for row in rows]
+    if len(values) >= 2 and all(v is not None and v > 0 for v in y):
+        x = np.log(np.asarray(values, dtype=float))
+        slope = float(np.polyfit(x, np.log(np.asarray(y, dtype=float)), 1)[0])
+    return SweepResult(axis=axis, values=values, rows=rows, slope=slope)
+
+
+# ----------------------------------------------------------------------
 # artifacts
 
 
@@ -442,7 +497,7 @@ def run(cfg: RunConfig, problem: PathProblem, out_dir: str | None = None) -> int
     values = cfg.run["sweep_values"]
     write_manifest(os.path.join(out, "manifest.json"), cfg,
                    {"mode": "sweep", "axis": axis, "values": values})
-    result = diagnostics.sweep(cfg, problem, axis, values)
+    result = sweep(cfg, problem, axis, values)
     write_sweep_csv(os.path.join(out, "table.csv"), result)
     failed = sum(row["failed"] for row in result.rows)
     if failed:

@@ -1,4 +1,4 @@
-"""Energy-ledger verification, ensemble statistics and scaling studies.
+"""Energy-ledger verification, ensemble statistics, tightness and stochastic error.
 
 The per-step inequalities are re-checked from ledger entries alone, in
 two forms:
@@ -302,60 +302,3 @@ def ensemble_run(problem: PathProblem, M: int, ledger_dir: str | None = None) ->
         mean_tau=_summary([s["tau_time"] for s in survived])["mean"],
         failures=[{"path": idx, "error": err} for idx, _, err in results if err is not None],
     )
-
-
-# ----------------------------------------------------------------------
-# sweeps
-
-
-@dataclass
-class SweepResult:
-    axis: str
-    values: list
-    rows: list
-    slope: float | None
-
-
-def sweep(config, problem: PathProblem, axis: str, values) -> SweepResult:
-    """Re-run the ensemble for each value of N or epsilon with common
-    per-path seeds, and fit the log-log slope of the monitored statistic.
-
-    For the epsilon axis the monitored statistic is the ensemble mean of
-    ||div^{eta*} u||_{L^2(0,T;L^2)} (target slope 1/2); for the N axis it
-    is the estimated E[max_n E^n] (target: flat).  ``problem`` is the
-    build of ``config``, and each value's problem is derived from it;
-    each value runs ``config.run["M"]`` paths.  Each row counts its
-    failed paths in ``failed``; the statistics cover the others only, and
-    are None at a value where every path failed.  The slope is None
-    unless every value has a positive statistic.
-    """
-    from . import cli as _cli  # cli imports this module
-
-    if axis not in ("N", "epsilon"):
-        raise ConfigError(f"sweep.axis: must be 'N' or 'epsilon', got {axis!r}")
-    values = list(values)
-    if len(values) < 1:
-        raise ConfigError("sweep.values: need at least one value")
-    if sorted(values) != values and sorted(values, reverse=True) != values:
-        raise ConfigError("sweep.values: must be sorted")
-
-    rows = []
-    for val in values:
-        report = ensemble_run(_cli.problem_at_axis_value(config, problem, axis, val),
-                              config.run["M"])
-        div_mean_sq = report.stats["div_sq_int"]["mean"]
-        rows.append({
-            "value": val,
-            "div_l2t": None if div_mean_sq is None else float(np.sqrt(max(div_mean_sq, 0.0))),
-            "max_E_mean": report.stats["max_E"]["mean"],
-            "sum_D_mean": report.stats["sum_D"]["mean"],
-            "frac_stopped": report.frac_stopped,
-            "failed": len(report.failures),
-        })
-
-    slope = None
-    y = [row["div_l2t" if axis == "epsilon" else "max_E_mean"] for row in rows]
-    if len(values) >= 2 and all(v is not None and v > 0 for v in y):
-        x = np.log(np.asarray(values, dtype=float))
-        slope = float(np.polyfit(x, np.log(np.asarray(y, dtype=float)), 1)[0])
-    return SweepResult(axis=axis, values=values, rows=rows, slope=slope)

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import cho_factor
+from scipy.sparse import _sparsetools
 
 from .errors import ConfigError, DegenerateJacobian
 from .geometry import ReferenceDomain, WallProfile, hermite_shapes, locate
@@ -371,6 +372,15 @@ def _indptr(major: np.ndarray, n: int) -> np.ndarray:
     return np.concatenate([[0], np.cumsum(np.bincount(major, minlength=n))]).astype(np.int32)
 
 
+def _check_lengths(data: np.ndarray, indices: np.ndarray, x: np.ndarray, n: int):
+    """Raise ValueError unless data has one entry per pattern slot and x
+    is an n-vector: scipy's compiled mat-vec kernels index both without
+    bounds checks."""
+    if data.shape != indices.shape or x.shape != (n,):
+        raise ValueError(f"mat-vec on a pattern of {indices.size} slots and {n} columns: "
+                         f"got data {data.shape} and x {x.shape}")
+
+
 class CoupledLayout:
     """Index maps realizing the kinematic coupling, and the sparsity
     patterns of every matrix the fluid substep uses.
@@ -389,12 +399,17 @@ class CoupledLayout:
     Every fluid form lives on the reference mesh, so the wall moves its
     coefficients but never its sparsity.  Both patterns are built once
     here: the CSR pattern (``indptr``, ``indices``) of the free-DOF fluid
-    forms, and the CSC pattern of the coupled matrices on x, filled by
-    ``coupled_csc``.  Element blocks reach the fluid pattern by one scatter
-    per block shape: ``scalar_data`` for (ncell, 16) blocks acting alike on
-    each velocity component, ``vector_data`` for (ncell, 64) ones.  A
-    symmetric form on the fluid pattern goes to a banded Cholesky through
-    ``lower_band``, in the short-direction-first order ``band_perm``.
+    forms, and the CSC pattern (``x_indptr``, ``x_indices``) of the coupled
+    matrices on x, whose data ``coupled_data`` fills.  A matrix is its
+    data array on one of them; ``matvec`` and ``coupled_matvec`` multiply
+    by it with the compiled kernels that scipy's ``A @ x`` runs, so their
+    products are bit-identical to scipy's, and ``csr``/``csc`` wrap a data
+    array as a scipy matrix where one is needed.  Element blocks reach the
+    fluid pattern by one scatter per block shape: ``scalar_data`` for
+    (ncell, 16) blocks acting alike on each velocity component,
+    ``vector_data`` for (ncell, 64) ones.  A symmetric form on the fluid
+    pattern goes to a banded Cholesky through ``lower_band``, in the
+    short-direction-first order ``band_perm``.
     """
 
     def __init__(self, fluid: FluidSpace, structure: StructureSpace):
@@ -466,12 +481,12 @@ class CoupledLayout:
             return_inverse=True,
         )
         x_cols, x_rows = np.divmod(x_keys, self.n_x)
-        self._x_indices = x_rows.astype(np.int32)
-        self._x_indptr = _indptr(x_cols, self.n_x)
+        self.x_indices = x_rows.astype(np.int32)
+        self.x_indptr = _indptr(x_cols, self.n_x)
         self.fluid_to_x = inv[:keys.size]
         self._beam_data = np.zeros(x_keys.size)
         self._beam_data[inv[keys.size:]] = structure.M[b_rows, b_cols]
-        for pattern in (self.indices, self.indptr, self._x_indices, self._x_indptr,
+        for pattern in (self.indices, self.indptr, self.x_indices, self.x_indptr,
                         self.fluid_to_x, self.band_perm, self._band_slot, self._band_flat):
             pattern.setflags(write=False)  # shared by every matrix built on it
 
@@ -479,6 +494,25 @@ class CoupledLayout:
         """The free-DOF fluid matrix with a data array on the fluid pattern."""
         n = self.fluid.n_free
         return sp.csr_matrix((data, self.indices, self.indptr), shape=(n, n))
+
+    def csc(self, data: np.ndarray) -> sp.csc_matrix:
+        """The matrix on x with a data array on the coupled pattern."""
+        return sp.csc_matrix((data, self.x_indices, self.x_indptr), shape=(self.n_x, self.n_x))
+
+    def matvec(self, data: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """``csr(data) @ x``, bit for bit: the same compiled kernel."""
+        n = self.fluid.n_free
+        _check_lengths(data, self.indices, x, n)
+        y = np.zeros(n)
+        _sparsetools.csr_matvec(n, n, self.indptr, self.indices, data, x, y)
+        return y
+
+    def coupled_matvec(self, data: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """``csc(data) @ x``, bit for bit: the same compiled kernel."""
+        _check_lengths(data, self.x_indices, x, self.n_x)
+        y = np.zeros(self.n_x)
+        _sparsetools.csc_matvec(self.n_x, self.n_x, self.x_indptr, self.x_indices, data, x, y)
+        return y
 
     def lower_band(self, data: np.ndarray) -> np.ndarray:
         """The (band_width + 1, n_free) lower band, in ``band_perm`` order,
@@ -509,12 +543,12 @@ class CoupledLayout:
         inputs = np.append(x, 0.0)[self._adv_inputs]
         return self.scalar_data(adv @ inputs[:, :, None])
 
-    def coupled_csc(self, fluid_data: np.ndarray) -> sp.csc_matrix:
-        """Matrix on x: fluid-pattern data (slot k on ``fluid_to_x[k]``) plus the beam mass."""
+    def coupled_data(self, fluid_data: np.ndarray) -> np.ndarray:
+        """Coupled-pattern data of the matrix on x: fluid-pattern data (slot
+        k on ``fluid_to_x[k]``) plus the beam mass."""
         data = self._beam_data.copy()
         data[self.fluid_to_x] += fluid_data
-        return sp.csc_matrix((data, self._x_indices, self._x_indptr),
-                             shape=(self.n_x, self.n_x))
+        return data
 
     def extract_v(self, x: np.ndarray) -> np.ndarray:
         """Wall-velocity beam vector from a coupled solution vector."""
@@ -539,9 +573,11 @@ class AssembledForms:
     """Every operator of the fluid substep that moves with eta*, at one
     level of eta*.
 
-    All fluid matrices live on the free DOFs.  ``M_eta`` carries weight
-    R + eta*, ``M_sq`` weight (R + eta*)^2 for the Hilbert-Schmidt norm
-    of the noise operator.  ``K`` is the viscous form including its
+    All fluid matrices live on the free DOFs, each as its data array on
+    the layout's fluid pattern (``CoupledLayout.matvec`` multiplies by one,
+    ``CoupledLayout.csr`` makes it a scipy matrix).  ``M_eta`` carries
+    weight R + eta*, ``M_sq`` weight (R + eta*)^2 for the Hilbert-Schmidt
+    norm of the noise operator.  ``K`` is the viscous form including its
     factor 2 (apply nu externally), ``P`` the reduced integration
     divergence penalty (apply 1/eps externally).  ``w_q`` and ``s_q`` are
     R + eta* and its slope at the full-rule points.  The beam matrices and
@@ -549,10 +585,10 @@ class AssembledForms:
     ``FluidSpace``.
     """
 
-    M_eta: sp.csr_matrix
-    M_sq: sp.csr_matrix
-    K: sp.csr_matrix
-    P: sp.csr_matrix
+    M_eta: np.ndarray
+    M_sq: np.ndarray
+    K: np.ndarray
+    P: np.ndarray
     w_q: np.ndarray
     s_q: np.ndarray
 
@@ -569,12 +605,12 @@ def assemble_all(fluid: FluidSpace, layout: CoupledLayout,
     w_q, s_q = fluid.wall_samples(profile, R=R, reduced=False)
     w1_q, s1_q = fluid.wall_samples(profile, R=R, reduced=True)
 
-    csr, scalar, vector = layout.csr, layout.scalar_data, layout.vector_data
+    scalar, vector = layout.scalar_data, layout.vector_data
     return AssembledForms(
-        M_eta=csr(scalar(element_mass(fluid, w_q))),
-        M_sq=csr(scalar(element_mass(fluid, w_q * w_q))),
-        K=csr(vector(element_viscous(fluid, w_q, s_q))),
-        P=csr(vector(element_penalty(fluid, w1_q, s1_q))),
+        M_eta=scalar(element_mass(fluid, w_q)),
+        M_sq=scalar(element_mass(fluid, w_q * w_q)),
+        K=vector(element_viscous(fluid, w_q, s_q)),
+        P=vector(element_penalty(fluid, w1_q, s1_q)),
         w_q=w_q,
         s_q=s_q,
     )

@@ -183,7 +183,9 @@ def sample_path(spec: NoiseSpec, N: int, dt: float, path_index: int = 0) -> Nois
     return NoisePath(arr, dt, spec, path_index, mode, depth)
 
 
-def state_l2_sq(u_free: np.ndarray, v_beam: np.ndarray, M_sq, M_s) -> float:
+def state_l2_sq(layout, M_sq: np.ndarray, u_free: np.ndarray, v_beam: np.ndarray) -> float:
     """||(R+eta*) u||_{L2}^2 + ||v||_{L2}^2 (the G-norm without the Phi factor);
-    M_sq is the fluid mass weighted by (R+eta*)^2, M_s the beam mass."""
-    return float(u_free @ (M_sq @ u_free) + v_beam @ (M_s @ v_beam))
+    M_sq is the data, on the ``CoupledLayout``'s fluid pattern, of the fluid
+    mass weighted by (R+eta*)^2, and the beam mass is the layout's."""
+    M_s = layout.structure.M
+    return float(u_free @ layout.matvec(M_sq, u_free) + v_beam @ (M_s @ v_beam))

@@ -41,7 +41,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import cho_solve, cho_solve_banded, cholesky_banded
+from scipy.linalg import lapack
 
 from .discretization import (
     AssembledForms,
@@ -100,6 +100,16 @@ def update_cutoff(theta: int, eta_star: np.ndarray, candidate: np.ndarray,
     return theta, (candidate if theta else eta_star), min_gap, hs_value
 
 
+def _lapack(what: str, routine: str, *args, **kwargs) -> np.ndarray:
+    """The result of the LAPACK ``routine`` on the arguments, called
+    directly (scipy's wrappers add nothing these solves need); a nonzero
+    info raises SolverFailure naming ``what``, the routine and info."""
+    out, info = getattr(lapack, routine)(*args, **kwargs)
+    if info != 0:
+        raise SolverFailure(f"{what} failed: {routine} info {info}")
+    return out
+
+
 def structure_step(eta: np.ndarray, v: np.ndarray, dt: float,
                    structure: StructureSpace):
     """Implicit wall update holding the fluid fixed.
@@ -109,14 +119,15 @@ def structure_step(eta: np.ndarray, v: np.ndarray, dt: float,
 
         (M_s + dt^2 S) v_half = M_s v - dt S eta,
 
-    whose Cholesky factor the structure space keeps per dt.
+    whose Cholesky factor the structure space keeps per dt; LAPACK's
+    dpotrs solves with it (a beam of one element has no free DOF).  A
+    nonzero info or a non-finite solution raises SolverFailure.
     """
     S = structure.S
-    b = structure.M @ v - dt * (S @ eta)
-    try:
-        v_half = cho_solve(structure.step_factor(dt), b)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - assembly corruption
-        raise SolverFailure(f"structure solve failed: {exc}") from exc
+    with np.errstate(over="ignore", invalid="ignore"):  # named below if not finite
+        b = structure.M @ v - dt * (S @ eta)
+    c, lower = structure.step_factor(dt)
+    v_half = _lapack("structure solve", "dpotrs", c, b, lower=lower) if b.size else b
     if not np.all(np.isfinite(v_half)):
         raise SolverFailure("structure solve produced non-finite values")
     eta_half = eta + dt * v_half
@@ -133,9 +144,11 @@ def _splu(A: sp.csc_matrix):
                      options=dict(SymmetricMode=True))
 
 
-def _refine(A: sp.csc_matrix, lu, g: np.ndarray, rhs: np.ndarray, b_norm: float, sweeps=np.inf):
-    """Iterative refinement of g toward the solution of A x = rhs with the
-    factor ``lu`` of a nearby matrix: each sweep adds lu.solve(rhs - A g).
+def _refine(layout: CoupledLayout, A: np.ndarray, lu, g: np.ndarray, rhs: np.ndarray,
+            b_norm: float, sweeps=np.inf):
+    """Iterative refinement of g toward the solution of A x = rhs, A the
+    matrix with data ``A`` on the layout's coupled pattern, with the factor
+    ``lu`` of a nearby matrix: each sweep adds lu.solve(rhs - A g).
 
     Returns (x, backward error) once the normwise backward error
     ||r|| / (||A|| ||x|| + ||rhs||) in the max norm, r = rhs - A x, is at
@@ -143,10 +156,10 @@ def _refine(A: sp.csc_matrix, lu, g: np.ndarray, rhs: np.ndarray, b_norm: float,
     fails to halve it (a stale factor).  Halving bounds the sweeps, since
     the error starts at most 1.  A zero residual is exact (and guards 0/0).
     """
-    A_norm = float(np.bincount(A.indices, np.abs(A.data), A.shape[0]).max())  # ||A||_inf
+    A_norm = float(np.bincount(layout.x_indices, np.abs(A), layout.n_x).max())  # ||A||_inf
     g, last = g.copy(), np.inf
     while True:
-        r = rhs - A @ g
+        r = rhs - layout.coupled_matvec(A, g)
         r_norm = float(np.abs(r).max())
         berr = 0.0 if r_norm == 0.0 else r_norm / (A_norm * float(np.abs(g).max()) + b_norm)
         if not (berr <= SOLVE_BERR or berr <= 0.5 * last):
@@ -161,7 +174,7 @@ def fluid_step(
     fluid: FluidSpace,
     layout: CoupledLayout,
     forms: AssembledForms,
-    M_next: sp.csr_matrix,
+    M_next: np.ndarray,
     params: SchemeParams,
     u_n: np.ndarray,
     v_n: np.ndarray,
@@ -180,15 +193,17 @@ def fluid_step(
     Unknown vector x = [fluid free DOFs | interior wall slopes]; the wall
     velocity block is tested with the Hermite functions, so the mass
     coupling is the beam mass embedded at the shared/slope positions.
-    All fluid forms share one sparsity pattern, so the step's one matrix
-    is arithmetic on their data arrays, on the layout's coupled pattern.
-    Picard freezes the transport field a = u - v r e_r at the previous
-    iterate; every other term is implicit.  The advection form is linear
-    in a on the frozen geometry, so its map is built once per step and
-    each iterate only applies it, in place in the matrix's data.  Initial
-    iterate: u_n with the wall-velocity block overwritten by the half-step
-    wall velocity.  The noise enters through the step's coefficient xi
-    (``NoisePath.xi``).
+    All fluid forms are data arrays on one sparsity pattern, so the step's
+    one matrix is arithmetic on them, placed on the layout's coupled
+    pattern by ``coupled_data``.  Every product is ``CoupledLayout.matvec``
+    or ``coupled_matvec``; the only scipy matrix is the one each
+    factorization hands to ``splu``.  Picard freezes the transport field
+    a = u - v r e_r at the previous iterate; every other term is implicit.
+    The advection form is linear in a on the frozen geometry, so its map
+    is built once per step and each iterate only applies it, in place in
+    the matrix's data array.  Initial iterate: u_n with the wall-velocity
+    block overwritten by the half-step wall velocity.  The noise enters
+    through the step's coefficient xi (``NoisePath.xi``).
 
     The step factors once, at its first iterate, and solves it directly.
     Each later iterate's matrix differs only in its advection, so it is
@@ -201,13 +216,13 @@ def fluid_step(
     dt = params.dt
     n_free, n_x = fluid.n_free, layout.n_x
 
-    A_fluid = (0.5 * (forms.M_eta.data + M_next.data)
-               + params.nu * dt * forms.K.data
-               + (dt / params.epsilon) * forms.P.data)
-    M_norm = layout.coupled_csc(forms.M_eta.data)
+    A_fluid = (0.5 * (forms.M_eta + M_next)
+               + params.nu * dt * forms.K
+               + (dt / params.epsilon) * forms.P)
+    M_norm = layout.coupled_data(forms.M_eta)
 
     rhs = np.zeros(n_x)
-    rhs[:n_free] = (1.0 + xi) * (forms.M_eta @ u_n) \
+    rhs[:n_free] = (1.0 + xi) * layout.matvec(forms.M_eta, u_n) \
         + dt * (P_in * fluid.flux_in - P_out * fluid.flux_out)
     M_s = layout.structure.M
     rhs[layout.beam_to_x] += M_s @ v_half
@@ -219,18 +234,18 @@ def fluid_step(
 
     adv = assemble_advection(fluid, forms)
     b_norm = float(np.abs(rhs).max())
-    A = layout.coupled_csc(A_fluid)  # each iterate adds its advection in place
-    fixed = A.data[layout.fluid_to_x]
+    A = layout.coupled_data(A_fluid)  # each iterate adds its advection in place
+    fixed = A[layout.fluid_to_x]
     lu, factors, rel = None, 0, np.inf
 
     def solve(g, sweeps):
         """(x, backward error) from g by ``_refine``, else by a fresh factor."""
         nonlocal lu, factors
         try:
-            solved = None if lu is None else _refine(A, lu, g, rhs, b_norm, sweeps)
+            solved = None if lu is None else _refine(layout, A, lu, g, rhs, b_norm, sweeps)
             if solved is None:
-                lu, factors = _splu(A), factors + 1
-                solved = _refine(A, lu, lu.solve(rhs), rhs, b_norm, 0)
+                lu, factors = _splu(layout.csc(A)), factors + 1
+                solved = _refine(layout, A, lu, lu.solve(rhs), rhs, b_norm, 0)
         except RuntimeError as exc:
             raise SolverFailure(f"fluid solve failed: {exc}") from exc
         if solved is None or not np.all(np.isfinite(solved[0])):
@@ -238,11 +253,11 @@ def fluid_step(
         return solved
 
     for it in range(1, params.max_picard + 1):
-        A.data[layout.fluid_to_x] = fixed + dt * layout.advection_data(adv, x)
+        A[layout.fluid_to_x] = fixed + dt * layout.advection_data(adv, x)
         x_new, berr = solve(x, 1)
         d = x_new - x
-        num = float(np.sqrt(max(d @ (M_norm @ d), 0.0)))
-        den = float(np.sqrt(max(x_new @ (M_norm @ x_new), 0.0)))
+        num = float(np.sqrt(max(d @ layout.coupled_matvec(M_norm, d), 0.0)))
+        den = float(np.sqrt(max(x_new @ layout.coupled_matvec(M_norm, x_new), 0.0)))
         rel = num / max(den, 1e-30)
         x = x_new
         if rel <= params.tol_picard:
@@ -265,24 +280,22 @@ def trace_dissipation_constant(layout: CoupledLayout, forms: AssembledForms,
     2x2 Gram matrix of the two flux functionals in the dissipation inner
     product, computed once per assembly because the form moves with eta*.
     Used to absorb the pressure work into half the dissipation with an
-    explicit constant.  K and P share the layout's fluid pattern, so the
-    form is arithmetic on their data arrays.  It is bitwise symmetric and
-    SPD on the free DOFs, so its lower band (``CoupledLayout.lower_band``)
-    is the whole matrix: one banded Cholesky factor and one solve for both
-    flux vectors, and the Gram matrix is formed in the band's ordering,
-    which it does not depend on.  A form that is not SPD or not finite
-    raises SolverFailure.
+    explicit constant.  K and P are data arrays on the layout's fluid
+    pattern, so the form is arithmetic on them.  It is bitwise symmetric
+    and SPD on the free DOFs, so its lower band (``CoupledLayout.lower_band``)
+    is the whole matrix: one banded Cholesky factor (LAPACK's dpbtrf) and
+    one solve (dpbtrs) for both flux vectors, and the Gram matrix is formed
+    in the band's ordering, which it does not depend on.  A form that is
+    not finite, or a nonzero info (a form that is not SPD), raises
+    SolverFailure.
     """
-    data = params.nu * forms.K.data + (1.0 / params.epsilon) * forms.P.data
+    data = params.nu * forms.K + (1.0 / params.epsilon) * forms.P
     if not np.all(np.isfinite(data)):
         raise SolverFailure("trace-constant solve failed: non-finite dissipation form")
     fluid = layout.fluid
     F = np.stack([fluid.flux_in, fluid.flux_out], axis=1)[layout.band_perm]
-    try:
-        factor = cholesky_banded(layout.lower_band(data), lower=True, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise SolverFailure(f"trace-constant solve failed: {exc}") from exc
-    (a, b), (_, c) = F.T @ cho_solve_banded((factor, True), F, check_finite=False)
+    factor = _lapack("trace-constant solve", "dpbtrf", layout.lower_band(data), lower=1)
+    (a, b), (_, c) = F.T @ _lapack("trace-constant solve", "dpbtrs", factor, F, lower=1)
     return (a + c) / 2 + np.hypot((a - c) / 2, b)
 
 
@@ -417,10 +430,12 @@ def check_initial_admissibility(problem: PathProblem) -> None:
                                    f"must be below 1/delta = {1/delta:.6g}")
 
 
-def energy(u, v, eta, M_u, M_s, S) -> float:
+def energy(layout: CoupledLayout, M_u: np.ndarray, u, v, eta) -> float:
     """Kinetic + elastic energy 1/2 (u.M_u.u + v.M_s.v + eta.S.eta) of one
-    state; M_u is the fluid mass weighted by the level's R + eta*."""
-    return 0.5 * float(u @ (M_u @ u)) \
+    state; M_u is the data, on the layout's fluid pattern, of the fluid
+    mass weighted by the level's R + eta*, and M_s and S are the beam's."""
+    M_s, S = layout.structure.M, layout.structure.S
+    return 0.5 * float(u @ layout.matvec(M_u, u)) \
         + 0.5 * float(v @ (M_s @ v)) \
         + 0.5 * float(eta @ (S @ eta))
 
@@ -457,7 +472,7 @@ def step(problem: PathProblem, state: State, n: int, noise_path: NoisePath):
     exactly by construction.  Level n+1's forms are assembled only when
     the fold moved eta* to the candidate (theta is 1); else n's carry over.
     """
-    fl, st, prm = problem.fluid, problem.structure, problem.params
+    fl, st, lay, prm = problem.fluid, problem.structure, problem.layout, problem.params
     dt, M_s, S = prm.dt, st.M, st.S
     u, v, eta, forms = state.u, state.v, state.eta, state.forms
     eh, vh = structure_step(eta, v, dt, st)
@@ -467,20 +482,21 @@ def step(problem: PathProblem, state: State, n: int, noise_path: NoisePath):
 
     xi = noise_path.xi(n)
     P_in, P_out = float(problem.P_in[n]), float(problem.P_out[n])
-    u_new, v_new, stats = fluid_step(fl, problem.layout, forms, forms_next.M_eta, prm,
+    u_new, v_new, stats = fluid_step(fl, lay, forms, forms_next.M_eta, prm,
                                      u, v, vh, xi, P_in, P_out)
 
     # structure-substep pieces are exact polarization identities
     dv, deta, du, dvf = vh - v, eh - eta, u_new - u, v_new - vh
     vhalf_gap = float(dv @ (M_s @ dv))
-    div_sq = u_new @ (forms.P @ u_new)
-    g_state = state_l2_sq(u, v, forms.M_sq, M_s)
-    u_sq, v_sq = u @ (forms.M_eta @ u), v @ (M_s @ v)
+    div_sq = u_new @ lay.matvec(forms.P, u_new)
+    g_state = state_l2_sq(lay, forms.M_sq, u, v)
+    u_sq, v_sq = u @ lay.matvec(forms.M_eta, u), v @ (M_s @ v)
     row = dict(
-        E_half=energy(u, vh, eh, forms.M_eta, M_s, S),
-        D=dt * (prm.nu * float(u_new @ (forms.K @ u_new)) + (1.0 / prm.epsilon) * float(div_sq)),
+        E_half=energy(lay, forms.M_eta, u, vh, eh),
+        D=dt * (prm.nu * float(u_new @ lay.matvec(forms.K, u_new))
+                + (1.0 / prm.epsilon) * float(div_sq)),
         C1=0.5 * vhalf_gap + 0.5 * float(deta @ (S @ deta)),
-        C2=0.25 * float(du @ (forms.M_eta @ du)) + 0.25 * float(dvf @ (M_s @ dvf)),
+        C2=0.25 * float(du @ lay.matvec(forms.M_eta, du)) + 0.25 * float(dvf @ (M_s @ dvf)),
         div_residual=float(np.sqrt(max(div_sq, 0.0))),
         theta=theta, min_gap=min_gap, hs_norm=hs_value,
         stoch_work=xi * float(u_sq + v_sq), incr_norm=float(np.sqrt(noise_path.u0_norm_sq(n))),
@@ -490,7 +506,7 @@ def step(problem: PathProblem, state: State, n: int, noise_path: NoisePath):
         P_in=P_in, P_out=P_out, vhalf_gap_sq=vhalf_gap, trace_const=state.trace_const,
         picard_iters=stats.iterations, picard_rel=stats.rel_update,
         lu_factors=stats.lu_factors, solve_berr=stats.solve_berr,
-        E_next=energy(u_new, v_new, eh, forms_next.M_eta, M_s, S),
+        E_next=energy(lay, forms_next.M_eta, u_new, v_new, eh),
     )
     return State(u_new, v_new, eh, eta_star, theta, forms_next, trace_next), vh, row
 
@@ -509,10 +525,9 @@ def run_path(problem: PathProblem, path_index: int = 0) -> Trajectory:
     noise_path = sample_path(problem.noise, problem.N, problem.params.dt, path_index)
     u0 = problem.u0.copy()
     u0[problem.layout.shared_free] = problem.v0[0::2]  # kinematic compatibility at the nodes
-    st = problem.structure
     state = State(u0, problem.v0, problem.eta0, problem.eta0, 1,
                   *level_forms(problem, problem.eta0))
-    E0 = energy(u0, problem.v0, problem.eta0, state.forms.M_eta, st.M, st.S)
+    E0 = energy(problem.layout, state.forms.M_eta, u0, problem.v0, problem.eta0)
     first, history = state[:4], []
     for n in range(problem.N):
         state, vh, row = step(problem, state, n, noise_path)

@@ -15,7 +15,7 @@ import pytest
 
 import oracle_dense as od
 from conftest import make_config, make_problem
-from stochfsi.cli import build_problem
+from stochfsi.cli import build_problem, sweep
 from stochfsi.diagnostics import (
     combined_step_violations,
     ensemble_run,
@@ -24,7 +24,6 @@ from stochfsi.diagnostics import (
     stochastic_error,
     structure_identity_residuals,
     summed_inequality_violations,
-    sweep,
 )
 from stochfsi.discretization import assemble_all, build_spaces, element_mass
 from stochfsi.geometry import ReferenceDomain
@@ -315,15 +314,15 @@ def test_criterion_10_dense_oracle_equivalence(rng):
             return float(np.abs(a - b).max() / scale)
 
         worst = max(worst, rel(
-            forms.M_eta.toarray(),
+            lay.csr(forms.M_eta).toarray(),
             od.dense_weighted_mass(df, lambda z: R + float(prof.value(z)))[
                 np.ix_(df.free, df.free)]))
         worst = max(worst, rel(
-            forms.K.toarray(),
+            lay.csr(forms.K).toarray(),
             od.dense_viscous(df, lambda z: float(prof.value(z)),
                              lambda z: float(prof.slope(z)))[np.ix_(df.free, df.free)]))
         worst = max(worst, rel(
-            forms.P.toarray(),
+            lay.csr(forms.P).toarray(),
             od.dense_penalty(df, lambda z: float(prof.value(z)),
                              lambda z: float(prof.slope(z)))[np.ix_(df.free, df.free)]))
         M_o, S1_o, S2_o, free_o = od.dense_structure(L, nz)

@@ -6,13 +6,12 @@ import pytest
 import oracle_dense as od
 from conftest import make_config, make_problem
 from stochfsi import scheme
-from stochfsi.cli import build_problem
+from stochfsi.cli import build_problem, sweep
 from stochfsi.diagnostics import (
     ensemble_run,
     ledger_positivity_min,
     stochastic_error,
     structure_identity_residuals,
-    sweep,
     tightness_diagnostic,
     time_shift_norm,
 )
@@ -31,8 +30,8 @@ class TestEnergy:
 
     def test_zero_state(self):
         fl, st, lay, forms = self._forms(2, 2)
-        assert energy(np.zeros(fl.n_free), np.zeros(st.n_free), np.zeros(st.n_free),
-                      forms.M_eta, st.M, st.S) == 0.0
+        assert energy(lay, forms.M_eta, np.zeros(fl.n_free), np.zeros(st.n_free),
+                      np.zeros(st.n_free)) == 0.0
 
     def test_uniform_axial_field_half_c_squared_L(self):
         # u == (c, 0) on every node, masks ignored: E = 1/2 c^2 L; evaluated
@@ -48,7 +47,7 @@ class TestEnergy:
         u = rng.normal(size=fl.n_free)
         v = rng.normal(size=st.n_free)
         eta = rng.normal(size=st.n_free)
-        ours = energy(u, v, eta, forms.M_eta, st.M, st.S)
+        ours = energy(lay, forms.M_eta, u, v, eta)
 
         df = od.DenseFluid(1.0, 1.0, 2, 2)
         M_o = od.dense_weighted_mass(df, lambda z: 1.0)[np.ix_(df.free, df.free)]

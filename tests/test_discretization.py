@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.optimize import brentq
 
 import oracle_dense as od
@@ -66,10 +67,11 @@ class TestBuildSpaces:
         for prof in walls:
             forms = assemble_all(fl, lay, prof)
             B = advection_matrix(fl, lay, forms, rng.normal(size=lay.n_x))
-            for mat in (forms.M_eta, forms.M_sq, forms.K, forms.P, B):
-                assert mat.shape == (fl.n_free, fl.n_free)
-                assert np.array_equal(mat.indices, lay.indices)
-                assert np.array_equal(mat.indptr, lay.indptr)
+            for data in (forms.M_eta, forms.M_sq, forms.K, forms.P):
+                assert data.shape == lay.indices.shape
+            assert B.shape == (fl.n_free, fl.n_free)
+            assert np.array_equal(B.indices, lay.indices)
+            assert np.array_equal(B.indptr, lay.indptr)
 
     @pytest.mark.parametrize("nz,nr", [(4, 2), (3, 3)])
     def test_scalar_scatter_is_vector_scatter_on_both_components(self, rng, nz, nr):
@@ -80,6 +82,32 @@ class TestBuildSpaces:
         both = np.zeros((len(fl.cells), 2, 2, 16))
         both[:, 0, 0] = both[:, 1, 1] = local
         assert np.array_equal(lay.scalar_data(local), lay.vector_data(both.reshape(-1, 64)))
+
+    @pytest.mark.parametrize("nz,nr", [(4, 2), (3, 3), (8, 4), (2, 5), (32, 16)])
+    def test_products_bit_identical_to_scipy(self, rng, nz, nr):
+        # matvec and coupled_matvec run the compiled kernels of scipy's
+        # A @ x (scipy.sparse._sparsetools); a scipy that moves them fails here
+        fl, st, lay = spaces(nz, nr)
+        n, m = fl.n_free, lay.n_x
+        for _ in range(3):
+            data, x = rng.normal(size=lay.indices.size), rng.normal(size=n)
+            want = sp.csr_matrix((data, lay.indices, lay.indptr), shape=(n, n)) @ x
+            assert np.array_equal(lay.matvec(data, x), want)
+            data, x = rng.normal(size=lay.x_indices.size), rng.normal(size=m)
+            want = sp.csc_matrix((data, lay.x_indices, lay.x_indptr), shape=(m, m)) @ x
+            assert np.array_equal(lay.coupled_matvec(data, x), want)
+
+    def test_product_lengths_checked(self):
+        # the compiled kernels read out of bounds on a short array
+        fl, st, lay = spaces(4, 2)
+        data, x = np.ones(lay.indices.size), np.ones(fl.n_free)
+        for bad in ((data[:-1], x), (data, x[:-1]), (data, np.ones((fl.n_free, 1)))):
+            with pytest.raises(ValueError, match="^mat-vec on a pattern"):
+                lay.matvec(*bad)
+        data, x = np.ones(lay.x_indices.size), np.ones(lay.n_x)
+        for bad in ((data[:-1], x), (data, x[:-1])):
+            with pytest.raises(ValueError, match="^mat-vec on a pattern"):
+                lay.coupled_matvec(*bad)
 
     def test_inconsistent_counts_rejected(self):
         with pytest.raises(ConfigError):
@@ -132,9 +160,7 @@ class TestWeightedMass:
         f1 = assemble_all(fl, lay, prof)
         f2 = assemble_all(fl, lay, prof2)
         for name in ("M_eta", "K", "P", "M_sq"):
-            a, b = getattr(f1, name), getattr(f2, name)
-            assert np.array_equal(a.data, b.data)
-            assert np.array_equal(a.indices, b.indices)
+            assert np.array_equal(getattr(f1, name), getattr(f2, name))
 
 
 class TestViscousAndPenalty:
@@ -246,13 +272,13 @@ def test_operator_oracle_equivalence(nz, nr, rng):
         return float(prof.slope(z))
 
     pairs = [
-        (forms.M_eta.toarray(),
+        (lay.csr(forms.M_eta).toarray(),
          od.dense_weighted_mass(df, lambda z: R + eta_f(z))[np.ix_(df.free, df.free)]),
-        (forms.M_sq.toarray(),
+        (lay.csr(forms.M_sq).toarray(),
          od.dense_weighted_mass(df, lambda z: (R + eta_f(z)) ** 2)[np.ix_(df.free, df.free)]),
-        (forms.K.toarray(),
+        (lay.csr(forms.K).toarray(),
          od.dense_viscous(df, eta_f, etap_f)[np.ix_(df.free, df.free)]),
-        (forms.P.toarray(),
+        (lay.csr(forms.P).toarray(),
          od.dense_penalty(df, eta_f, etap_f)[np.ix_(df.free, df.free)]),
     ]
     for ours, mirror in pairs:

@@ -184,11 +184,11 @@ class TestLipschitzAndGrowth:
         sp = spec4()
         du = rng.normal(size=fl.n_free)
         dv = rng.normal(size=lay.structure.n_free)
-        M1 = forms.M_eta  # for the plain state norms use unit weight below
+        M1 = lay.csr(forms.M_eta)  # for the plain state norms use unit weight below
         M_s = lay.structure.M
         ratios = []
         for t in (1e-3, 1e-1, 1.0, 1e1, 1e3):
-            hs = np.sqrt(sp.phi_hs_sq * state_l2_sq(t * du, t * dv, forms.M_sq, M_s))
+            hs = np.sqrt(sp.phi_hs_sq * state_l2_sq(lay, forms.M_sq, t * du, t * dv))
             denom = np.sqrt(float((t * du) @ (M1 @ (t * du)))) \
                 + np.sqrt(float((t * dv) @ (M_s @ (t * dv))))
             ratios.append(hs / denom)
@@ -203,8 +203,8 @@ class TestLipschitzAndGrowth:
         for _ in range(50):
             u = rng.normal(size=fl.n_free)
             v = rng.normal(size=lay.structure.n_free)
-            hs = np.sqrt(sp.phi_hs_sq * state_l2_sq(u, v, forms.M_sq, M_s))
-            denom = np.sqrt(float(u @ (forms.M_eta @ u))) \
+            hs = np.sqrt(sp.phi_hs_sq * state_l2_sq(lay, forms.M_sq, u, v))
+            denom = np.sqrt(float(u @ (lay.csr(forms.M_eta) @ u))) \
                 + np.sqrt(float(v @ (M_s @ v)))
             worst = max(worst, hs / denom)
         assert np.isfinite(worst) and worst > 0

@@ -6,6 +6,8 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve, cho_solve_banded, cholesky_banded, lapack
+from scipy.sparse._base import _spbase
 
 import oracle_dense as od
 from conftest import make_config, make_problem
@@ -45,9 +47,23 @@ def factored_matrices(monkeypatch):
     return seen
 
 
+def sparse_constructions(monkeypatch):
+    """The list that gains the class name of every scipy sparse matrix or
+    array constructed from now on: each format's constructor runs
+    ``_spbase.__init__``."""
+    made, init = [], _spbase.__init__
+
+    def counting(self, *args, **kwargs):
+        made.append(type(self).__name__)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(_spbase, "__init__", counting)
+    return made
+
+
 def trace_form_data(params, forms):
     """The trace constant's dissipation form nu*K + P/eps on the fluid pattern."""
-    return params.nu * forms.K.data + (1.0 / params.epsilon) * forms.P.data
+    return params.nu * forms.K + (1.0 / params.epsilon) * forms.P
 
 
 class TestStructureStep:
@@ -83,6 +99,34 @@ class TestStructureStep:
             C1 = 0.5 * ((vh - v) @ st.M @ (vh - v)) \
                 + 0.5 * ((eh - eta) @ S @ (eh - eta))
             assert abs(E_half + C1 - E_n) <= 1e-11 * max(E_n, 1.0)
+
+    @pytest.mark.parametrize("nz", [2, 4, 8, 32])
+    def test_solve_is_cho_solve(self, nz, rng):
+        # LAPACK's dpotrs, called directly, is the routine cho_solve runs
+        fl, st, lay = tiny_spaces(nz, 2)
+        dt = 0.05
+        for _ in range(5):
+            eta, v = rng.normal(size=(2, st.n_free))
+            _, vh = structure_step(eta, v, dt, st)
+            want = cho_solve(st.step_factor(dt), st.M @ v - dt * (st.S @ eta))
+            assert np.array_equal(vh, want)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e308])
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_state_raises(self, bad):
+        # a named error, not the bare ValueError of scipy's finiteness check
+        # nor numpy's warning on an inf times a zero of the beam matrices;
+        # 1e308 is finite, but the right-hand side overflows
+        fl, st, lay = tiny_spaces(4, 2)
+        eta = np.zeros(st.n_free)
+        eta[0] = bad
+        with pytest.raises(SolverFailure, match="^structure solve produced non-finite values"):
+            structure_step(eta, np.zeros(st.n_free), 0.1, st)
+
+    def test_one_element_beam_has_nothing_to_solve(self):
+        fl, st, lay = tiny_spaces(1, 1)
+        eh, vh = structure_step(np.zeros(0), np.zeros(0), 0.1, st)
+        assert eh.shape == vh.shape == (0,)
 
 
 class TestCutoff:
@@ -218,13 +262,13 @@ class TestFluidStep:
     @pytest.mark.parametrize("case", sorted(_SOLVE_CASES))
     def test_one_coupled_matrix_per_step(self, case, rng, monkeypatch):
         # the step's matrix and M_norm; later iterates write the first in place
-        calls, real = [], scheme.CoupledLayout.coupled_csc
+        calls, real = [], scheme.CoupledLayout.coupled_data
 
         def counting(layout, data):
             calls.append(1)
             return real(layout, data)
 
-        monkeypatch.setattr(scheme.CoupledLayout, "coupled_csc", counting)
+        monkeypatch.setattr(scheme.CoupledLayout, "coupled_data", counting)
         stats = self._random_4x2_step(rng, self._SOLVE_CASES[case])
         assert stats.iterations > 2
         assert len(calls) <= 2
@@ -249,14 +293,31 @@ class TestFluidStep:
         assert len(solves) <= stats.iterations + 2
         assert stats.solve_berr <= 1e-15
 
+    @pytest.mark.parametrize("case", sorted(_SOLVE_CASES))
+    def test_scipy_matrices_only_for_the_factors(self, case, rng, monkeypatch):
+        # assembly builds no scipy sparse object, and a fluid step one per
+        # factorization: the matrix it hands to splu
+        made = sparse_constructions(monkeypatch)
+        fl, st, lay = tiny_spaces(4, 2)
+        made.clear()
+        forms = assemble_all(fl, lay, st.profile(0.05 * rng.uniform(-1, 1, st.n_free)))
+        assert made == []
+        u_n = rng.normal(size=fl.n_free)
+        v_n = rng.normal(size=st.n_free)
+        u_n[lay.shared_free] = v_n[0::2]
+        stats = fluid_step(fl, lay, forms, forms.M_eta, self._SOLVE_CASES[case],
+                           u_n, v_n, v_n, 0.0, 1.0, 0.0)[2]
+        assert stats.iterations > 2
+        assert made == ["csc_matrix"] * stats.lu_factors
+
     @pytest.mark.parametrize("tol", [1e-10, 1e-4])
     def test_returned_iterate_solves_its_own_system(self, tol, rng, monkeypatch):
         # each iterate rewrites the step's matrix in place, so after the step
         # it holds the returned iterate's frozen-transport system; at a loose
         # Picard tolerance the last sweep alone leaves a larger backward error
-        made, coupled_csc = [], scheme.CoupledLayout.coupled_csc
-        monkeypatch.setattr(scheme.CoupledLayout, "coupled_csc",
-                            lambda layout, data: made.append(coupled_csc(layout, data)) or made[-1])
+        made, coupled_data = [], scheme.CoupledLayout.coupled_data
+        monkeypatch.setattr(scheme.CoupledLayout, "coupled_data",
+                            lambda layout, data: made.append(coupled_data(layout, data)) or made[-1])
         fl, st, lay = tiny_spaces(4, 2)
         forms = assemble_all(fl, lay, st.profile(0.05 * rng.uniform(-1, 1, st.n_free)))
         u_n = rng.normal(size=fl.n_free)
@@ -267,12 +328,12 @@ class TestFluidStep:
                                  0.0, 1.0, 0.0)
         assert stats.iterations > 1
         rhs = np.zeros(lay.n_x)
-        rhs[:fl.n_free] = forms.M_eta @ u_n + params.dt * fl.flux_in
+        rhs[:fl.n_free] = lay.csr(forms.M_eta) @ u_n + params.dt * fl.flux_in
         rhs[lay.beam_to_x] += st.M @ v_n
         x = np.zeros(lay.n_x)
         x[:fl.n_free] = u
         x[lay.beam_to_x] = v
-        A = made[-1]  # the step's matrix, made after M_norm
+        A = lay.csc(made[-1])  # the step's matrix, made after M_norm
         berr = np.abs(rhs - A @ x).max() / (
             abs(A).sum(axis=1).max() * np.abs(x).max() + np.abs(rhs).max())
         assert berr <= 1e-15 and stats.solve_berr <= 1e-15
@@ -339,6 +400,26 @@ class TestFluidStep:
             assert np.array_equal(band[k, :fl.n_free - k], np.diag(A, -k))
         assert np.all(np.tril(A, -lay.band_width - 1) == 0.0)
 
+    @pytest.mark.parametrize("mesh", ["4x2", "3x3", "default", "2x5", "32x16"])
+    def test_trace_cholesky_is_scipy_banded_cholesky(self, mesh, rng):
+        # LAPACK's dpbtrf and dpbtrs, called directly, are the routines
+        # cholesky_banded and cho_solve_banded run
+        lay, params, forms = self._trace_case(mesh, rng)
+        band = lay.lower_band(trace_form_data(params, forms))
+        factor = cholesky_banded(band, lower=True)
+        assert np.array_equal(lapack.dpbtrf(band, lower=1)[0], factor)
+        F = np.stack([lay.fluid.flux_in, lay.fluid.flux_out], axis=1)[lay.band_perm]
+        G = cho_solve_banded((factor, True), F)
+        assert np.array_equal(lapack.dpbtrs(factor, F, lower=1)[0], G)
+        (a, b), (_, c) = F.T @ G
+        assert trace_dissipation_constant(lay, forms, params) == \
+            (a + c) / 2 + np.hypot((a - c) / 2, b)
+
+    def test_trace_constant_indefinite_names_the_routine(self, rng):
+        lay, params, forms = self._trace_case("4x2", rng)
+        with pytest.raises(SolverFailure, match=r"dpbtrf info [1-9][0-9]*$"):
+            trace_dissipation_constant(lay, dataclasses.replace(forms, P=-forms.P), params)
+
     @pytest.mark.parametrize("flaw", ["indefinite", "non-finite"])
     def test_trace_constant_bad_form_raises(self, flaw, rng):
         lay, params, forms = self._trace_case("4x2", rng)
@@ -346,7 +427,7 @@ class TestFluidStep:
             forms = dataclasses.replace(forms, P=-forms.P)
         else:
             K = forms.K.copy()
-            K.data[0] = np.nan
+            K[0] = np.nan
             forms = dataclasses.replace(forms, K=K)
         with pytest.raises(SolverFailure, match="^trace-constant solve failed: "):
             trace_dissipation_constant(lay, forms, params)
@@ -399,6 +480,14 @@ class TestRunPath:
         led = run_path(make_problem(), 0).ledger
         assert np.all(led.solve_berr <= 1e-15)
         assert np.all(led.lu_factors >= 1)
+
+    def test_scipy_matrices_only_for_the_factors(self, monkeypatch):
+        # forms, trace constants and the ledger build no scipy sparse
+        # object: a path builds one per factorization of its fluid solves
+        prob = make_problem()
+        made = sparse_constructions(monkeypatch)
+        led = run_path(prob, 0).ledger
+        assert len(made) == led.lu_factors.sum() > 0
 
     def test_zero_amplitude_seed_independent(self):
         base = dict(noise={"K": 3, "q": [1.0, 0.5, 0.25],
@@ -474,7 +563,7 @@ class TestStepKernel:
         fl, st = prob.fluid, prob.structure
         for n in range(traj.n_steps + 1):
             M_eta = assemble_all(fl, prob.layout, st.profile(traj.eta_star[n])).M_eta
-            want = scheme.energy(traj.u[n], traj.v[n], traj.eta[n], M_eta, st.M, st.S)
+            want = scheme.energy(prob.layout, M_eta, traj.u[n], traj.v[n], traj.eta[n])
             assert traj.ledger.E[n] == want, n
 
     def test_one_earlier_forms_alive_per_assembly(self, monkeypatch):
