@@ -555,6 +555,7 @@ def main(argv=None) -> int:
                 sub[key] = value
         cfg = parse_config(data)
         problem = build_problem(cfg)
+        diagnostics.ensemble_workers()  # a bad STOCHFSI_THREADS fails here, not in the run
     except (ConfigError, InitialDataError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -268,12 +268,16 @@ def _run_one(problem: PathProblem, ledger_dir: str | None, idx: int):
 
 
 def ensemble_workers() -> int:
-    """The STOCHFSI_THREADS worker processes of an ensemble (default 1)."""
+    """The STOCHFSI_THREADS worker processes of an ensemble (default 1);
+    a value that is not an integer >= 1 raises ConfigError."""
     raw = os.environ.get("STOCHFSI_THREADS", "1") or "1"
     try:
-        return int(raw)
+        workers = int(raw)
     except ValueError:
         raise ConfigError(f"STOCHFSI_THREADS: must be an integer, got {raw!r}") from None
+    if workers < 1:
+        raise ConfigError(f"STOCHFSI_THREADS: must be an integer >= 1, got {raw!r}")
+    return workers
 
 
 def ensemble_run(problem: PathProblem, M: int, ledger_dir: str | None = None) -> EnsembleReport:

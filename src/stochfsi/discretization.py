@@ -198,16 +198,6 @@ class FluidSpace:
             r=rq,
         )
 
-    def top_interior_vr_free(self) -> np.ndarray:
-        """Free-DOF indices of vertical velocity at interior top-row nodes,
-        ordered by increasing z.  These are the kinematically shared DOFs."""
-        nz, nr = self.nz, self.nr
-        out = []
-        for iz in range(1, nz):
-            node = nr * (nz + 1) + iz
-            out.append(self.full_to_free[2 * node + 1])
-        return np.asarray(out, dtype=int)
-
     def interpolate(self, f_z, f_r) -> np.ndarray:
         """Nodal interpolation of a velocity field, masked DOFs zeroed;
         returns the free-DOF vector."""
@@ -339,13 +329,9 @@ class StructureSpace:
             self._step_factors[dt] = cho_factor(self.M + dt * dt * self.S)
         return self._step_factors[dt]
 
-    def to_full(self, vec_free: np.ndarray) -> np.ndarray:
+    def profile(self, vec_free: np.ndarray) -> WallProfile:
         full = np.zeros(self.ndof_full)
         full[self.free] = vec_free
-        return full
-
-    def profile(self, vec_free: np.ndarray) -> WallProfile:
-        full = self.to_full(np.asarray(vec_free, dtype=float))
         return WallProfile(self.L, full[0::2], full[1::2])
 
     def from_profile(self, profile: WallProfile) -> np.ndarray:
@@ -367,23 +353,9 @@ class StructureSpace:
         return float(np.sqrt(self.gap_l2_sq(e, R) + e @ self.S @ e))
 
 
-def _indptr(major: np.ndarray, n: int) -> np.ndarray:
-    """Compressed-row (or -column) pointers of sorted major indices."""
-    return np.concatenate([[0], np.cumsum(np.bincount(major, minlength=n))]).astype(np.int32)
-
-
-def _check_lengths(data: np.ndarray, indices: np.ndarray, x: np.ndarray, n: int):
-    """Raise ValueError unless data has one entry per pattern slot and x
-    is an n-vector: scipy's compiled mat-vec kernels index both without
-    bounds checks."""
-    if data.shape != indices.shape or x.shape != (n,):
-        raise ValueError(f"mat-vec on a pattern of {indices.size} slots and {n} columns: "
-                         f"got data {data.shape} and x {x.shape}")
-
-
 class CoupledLayout:
-    """Index maps realizing the kinematic coupling, and the sparsity
-    patterns of every matrix the fluid substep uses.
+    """Index maps realizing the kinematic coupling, and the one sparsity
+    pattern of every matrix the fluid substep uses.
 
     The wall velocity lives in the clamped Hermite space.  Its interior
     nodal *values* are identified with the fluid's interior top-row
@@ -397,18 +369,19 @@ class CoupledLayout:
     the shared fluid entries.
 
     Every fluid form lives on the reference mesh, so the wall moves its
-    coefficients but never its sparsity.  Both patterns are built once
-    here: the CSR pattern (``indptr``, ``indices``) of the free-DOF fluid
-    forms, and the CSC pattern (``x_indptr``, ``x_indices``) of the coupled
-    matrices on x, whose data ``coupled_data`` fills.  A matrix is its
-    data array on one of them; ``matvec`` and ``coupled_matvec`` multiply
-    by it with the compiled kernels that scipy's ``A @ x`` runs, so their
-    products are bit-identical to scipy's, and ``csr``/``csc`` wrap a data
-    array as a scipy matrix where one is needed.  Element blocks reach the
-    fluid pattern by one scatter per block shape: ``scalar_data`` for
-    (ncell, 16) blocks acting alike on each velocity component,
-    ``vector_data`` for (ncell, 64) ones.  A symmetric form on the fluid
-    pattern goes to a banded Cholesky through ``lower_band``, in the
+    coefficients but never its sparsity.  One pattern is built here: the
+    column-major pattern (``indptr``, ``indices``) of the coupled matrix
+    on x, the fluid entries plus the beam mass at the wall-velocity
+    positions.  A matrix is its data array on it; a fluid form holds zeros
+    in the slots only the beam mass uses, and ``beam_mass`` is the beam
+    mass's own (read-only) data.  ``matvec`` multiplies by a data array
+    with the compiled kernel that scipy's ``A @ x`` runs, so its products
+    are bit-identical to scipy's; ``csc`` wraps a data array as the scipy
+    matrix a factorization needs, and ``csr`` gives its fluid block.
+    Element blocks reach the pattern by one scatter per block shape:
+    ``scalar_data`` for (ncell, 16) blocks acting alike on each velocity
+    component, ``vector_data`` for (ncell, 64) ones.  A symmetric fluid
+    form goes to a banded Cholesky through ``lower_band``, in the
     short-direction-first order ``band_perm``.
     """
 
@@ -419,105 +392,102 @@ class CoupledLayout:
             )
         self.fluid = fluid
         self.structure = structure
-        self.shared_free = fluid.top_interior_vr_free()
+        # vertical velocity at the interior top-row nodes, by increasing z
+        nz, nr = fluid.nz, fluid.nr
+        self.shared_free = fluid.full_to_free[2 * (nr * (nz + 1) + np.arange(1, nz)) + 1]
         n_int = structure.n_el - 1          # interior beam nodes
         n_free = fluid.n_free
-        self.n_x = n_free + n_int
+        self.n_x = n_x = n_free + n_int
         # beam free ordering is (value, slope) per interior node
         beam_to_x = np.empty(structure.n_free, dtype=int)
         beam_to_x[0::2] = self.shared_free
         beam_to_x[1::2] = n_free + np.arange(n_int)
         self.beam_to_x = beam_to_x
 
-        # fluid pattern: entry [c, p, q, a, b] of the (ncell, 64) element
-        # blocks couples component p of node cells[c, a] with component q
-        # of node cells[c, b]; entries on masked DOFs drop out
+        # entry [c, p, q, a, b] of the (ncell, 64) element blocks couples
+        # component p of node cells[c, a] with component q of node
+        # cells[c, b]; entries on masked DOFs drop out.  The pattern's
+        # slots, column-major, are those entries and the beam mass's.
         dof = fluid.full_to_free[2 * fluid.cells[:, None, :] + np.arange(2)[:, None]]
         rows, cols = (a.ravel() for a in np.broadcast_arrays(
             dof[:, :, None, :, None], dof[:, None, :, None, :]))
         self._keep = np.flatnonzero((rows >= 0) & (cols >= 0))
-        keys, self._slot = np.unique(rows[self._keep] * n_free + cols[self._keep],
-                                     return_inverse=True)
-        f_rows, f_cols = np.divmod(keys, n_free)
-        self.indices = f_cols.astype(np.int32)
-        self.indptr = _indptr(f_rows, n_free)
+        b_rows, b_cols = np.nonzero(structure.M)
+        keys, slot = np.unique(
+            np.concatenate([cols[self._keep], beam_to_x[b_cols]]) * n_x
+            + np.concatenate([rows[self._keep], beam_to_x[b_rows]]),
+            return_inverse=True,
+        )
+        self._slot = slot[:self._keep.size]
+        x_cols, x_rows = np.divmod(keys, n_x)
+        self.indices = x_rows.astype(np.int32)
+        self.indptr = np.concatenate(
+            [[0], np.cumsum(np.bincount(x_cols, minlength=n_x))]).astype(np.int32)
+        self.beam_mass = np.zeros(keys.size)
+        self.beam_mass[slot[self._keep.size:]] = structure.M[b_rows, b_cols]
         # the slots of a scalar (ncell, 16) block put on both components
         c, p, q, ab = np.unravel_index(self._keep, (len(fluid.cells), 2, 2, 16))
         self._diag_slot = self._slot[p == q]
         self._diag_src = (16 * c + ab)[p == q]
 
-        # band of a symmetric form on the fluid pattern: the free DOFs in
+        # band of a symmetric form on the fluid slots: the free DOFs in
         # the order (iz, ir, component) when nz >= nr, else (ir, iz,
         # component), so the band spans one line across the shorter
         # direction; each lower-triangle slot's flat position in the
         # (band_width + 1, n_free) lower band of scipy's cholesky_banded
         node, comp = np.divmod(fluid.free, 2)
-        ir, iz = np.divmod(node, fluid.nz + 1)
-        self.band_perm = np.lexsort((comp, ir, iz) if fluid.nz >= fluid.nr else (comp, iz, ir))
+        ir, iz = np.divmod(node, nz + 1)
+        self.band_perm = np.lexsort((comp, ir, iz) if nz >= nr else (comp, iz, ir))
         pos = np.empty(n_free, dtype=int)
         pos[self.band_perm] = np.arange(n_free)
-        diag = pos[f_rows] - pos[f_cols]
+        fluid_slot = np.flatnonzero(np.maximum(x_rows, x_cols) < n_free)
+        col_pos = pos[x_cols[fluid_slot]]
+        diag = pos[x_rows[fluid_slot]] - col_pos
         self.band_width = int(diag.max())
-        self._band_slot = np.flatnonzero(diag >= 0)
-        self._band_flat = (diag * n_free + pos[f_cols])[self._band_slot]
+        self._band_slot = fluid_slot[diag >= 0]
+        self._band_flat = (diag * n_free + col_pos)[diag >= 0]
 
         # inputs of a cell's advection map in x padded by one zero: u_z and
         # u_r at its nodes, then the Hermite DOFs of the wall element above
         # it; masked fluid and clamped wall DOFs read the padded zero
-        x_pad = np.where(fluid.masked, self.n_x, fluid.full_to_free)
-        beam_pad = np.full(structure.ndof_full, self.n_x)
+        x_pad = np.where(fluid.masked, n_x, fluid.full_to_free)
+        beam_pad = np.full(structure.ndof_full, n_x)
         beam_pad[structure.free] = beam_to_x
-        column = np.arange(len(fluid.cells)) % fluid.nz
+        column = np.arange(len(fluid.cells)) % nz
         self._adv_inputs = np.concatenate([
             x_pad[2 * fluid.cells], x_pad[2 * fluid.cells + 1],
             beam_pad[structure.element_dofs[column]]], axis=1)
-
-        # coupled pattern on x, column-major for the sparse LU: the fluid
-        # entries plus the beam mass at the wall-velocity positions
-        b_rows, b_cols = np.nonzero(structure.M)
-        x_keys, inv = np.unique(
-            np.concatenate([f_cols, beam_to_x[b_cols]]) * self.n_x
-            + np.concatenate([f_rows, beam_to_x[b_rows]]),
-            return_inverse=True,
-        )
-        x_cols, x_rows = np.divmod(x_keys, self.n_x)
-        self.x_indices = x_rows.astype(np.int32)
-        self.x_indptr = _indptr(x_cols, self.n_x)
-        self.fluid_to_x = inv[:keys.size]
-        self._beam_data = np.zeros(x_keys.size)
-        self._beam_data[inv[keys.size:]] = structure.M[b_rows, b_cols]
-        for pattern in (self.indices, self.indptr, self.x_indices, self.x_indptr,
-                        self.fluid_to_x, self.band_perm, self._band_slot, self._band_flat):
+        for pattern in (self.indices, self.indptr, self.beam_mass,
+                        self.band_perm, self._band_slot, self._band_flat):
             pattern.setflags(write=False)  # shared by every matrix built on it
 
-    def csr(self, data: np.ndarray) -> sp.csr_matrix:
-        """The free-DOF fluid matrix with a data array on the fluid pattern."""
-        n = self.fluid.n_free
-        return sp.csr_matrix((data, self.indices, self.indptr), shape=(n, n))
-
     def csc(self, data: np.ndarray) -> sp.csc_matrix:
-        """The matrix on x with a data array on the coupled pattern."""
-        return sp.csc_matrix((data, self.x_indices, self.x_indptr), shape=(self.n_x, self.n_x))
+        """The matrix on x with a data array on the pattern."""
+        return sp.csc_matrix((data, self.indices, self.indptr), shape=(self.n_x, self.n_x))
+
+    def csr(self, data: np.ndarray) -> sp.csr_matrix:
+        """The free-DOF fluid block of ``csc(data)``, row-major."""
+        n = self.fluid.n_free
+        return self.csc(data)[:n, :n].tocsr()
 
     def matvec(self, data: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """``csr(data) @ x``, bit for bit: the same compiled kernel."""
-        n = self.fluid.n_free
-        _check_lengths(data, self.indices, x, n)
-        y = np.zeros(n)
-        _sparsetools.csr_matvec(n, n, self.indptr, self.indices, data, x, y)
-        return y
-
-    def coupled_matvec(self, data: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """``csc(data) @ x``, bit for bit: the same compiled kernel."""
-        _check_lengths(data, self.x_indices, x, self.n_x)
+        """``csc(data)[:k, :k] @ x`` for x of length k, the free fluid DOFs
+        or all of x, bit for bit: scipy's compiled kernel on the leading k
+        columns, which adds A[i, j] x[j] into y[i] in ascending j.  It
+        indexes data and x without bounds checks, so their lengths are
+        checked here (ValueError)."""
+        if data.shape != self.indices.shape or x.shape not in {(self.fluid.n_free,),
+                                                                (self.n_x,)}:
+            raise ValueError(f"mat-vec on a pattern of {self.indices.size} slots: "
+                             f"got data {data.shape} and x {x.shape}")
         y = np.zeros(self.n_x)
-        _sparsetools.csc_matvec(self.n_x, self.n_x, self.x_indptr, self.x_indices, data, x, y)
-        return y
+        _sparsetools.csc_matvec(self.n_x, x.size, self.indptr, self.indices, data, x, y)
+        return y[:x.size]
 
     def lower_band(self, data: np.ndarray) -> np.ndarray:
         """The (band_width + 1, n_free) lower band, in ``band_perm`` order,
-        of the symmetric matrix with a data array on the fluid pattern:
-        entry [i - j, j] is A[i, j] for i >= j, the layout read by
+        of the fluid block of the symmetric matrix with a data array on the
+        pattern: entry [i - j, j] is A[i, j] for i >= j, the layout read by
         ``scipy.linalg.cholesky_banded(..., lower=True)``."""
         n = self.fluid.n_free
         band = np.zeros((self.band_width + 1) * n)
@@ -525,34 +495,23 @@ class CoupledLayout:
         return band.reshape(self.band_width + 1, n)
 
     def scalar_data(self, blocks: np.ndarray) -> np.ndarray:
-        """Fluid-pattern data summing scalar (ncell, 16) element blocks,
-        each put on both velocity components."""
+        """Pattern data summing scalar (ncell, 16) element blocks, each put
+        on both velocity components."""
         return np.bincount(self._diag_slot, weights=blocks.ravel()[self._diag_src],
                            minlength=self.indices.size)
 
     def vector_data(self, blocks: np.ndarray) -> np.ndarray:
-        """Fluid-pattern data summing (ncell, 64) element blocks, indexed
-        [cell, row component, column component, row node, column node]."""
+        """Pattern data summing (ncell, 64) element blocks, indexed [cell,
+        row component, column component, row node, column node]."""
         return np.bincount(self._slot, weights=blocks.ravel()[self._keep],
                            minlength=self.indices.size)
 
     def advection_data(self, adv: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Fluid-pattern data of the skew advection operator for the
-        transport field of the coupled vector x, from the per-step map
-        ``adv`` built by ``assemble_advection``."""
+        """Pattern data of the skew advection operator for the transport
+        field of the coupled vector x, from the per-step map ``adv`` built
+        by ``assemble_advection``."""
         inputs = np.append(x, 0.0)[self._adv_inputs]
         return self.scalar_data(adv @ inputs[:, :, None])
-
-    def coupled_data(self, fluid_data: np.ndarray) -> np.ndarray:
-        """Coupled-pattern data of the matrix on x: fluid-pattern data (slot
-        k on ``fluid_to_x[k]``) plus the beam mass."""
-        data = self._beam_data.copy()
-        data[self.fluid_to_x] += fluid_data
-        return data
-
-    def extract_v(self, x: np.ndarray) -> np.ndarray:
-        """Wall-velocity beam vector from a coupled solution vector."""
-        return x[self.beam_to_x].copy()
 
 
 def build_spaces(domain: ReferenceDomain):
@@ -573,9 +532,9 @@ class AssembledForms:
     """Every operator of the fluid substep that moves with eta*, at one
     level of eta*.
 
-    All fluid matrices live on the free DOFs, each as its data array on
-    the layout's fluid pattern (``CoupledLayout.matvec`` multiplies by one,
-    ``CoupledLayout.csr`` makes it a scipy matrix).  ``M_eta`` carries
+    All fluid matrices act on the free DOFs, each as its data array on
+    the layout's one pattern, zero in the slots only the beam mass uses
+    (``CoupledLayout.matvec`` multiplies by one).  ``M_eta`` carries
     weight R + eta*, ``M_sq`` weight (R + eta*)^2 for the Hilbert-Schmidt
     norm of the noise operator.  ``K`` is the viscous form including its
     factor 2 (apply nu externally), ``P`` the reduced integration

@@ -27,10 +27,13 @@ once, at its first iterate; each later one is one refinement sweep with
 that factor, and a sweep that neither halves the normwise backward error
 nor brings it to SOLVE_BERR (1e-15, what a direct sparse solve reaches
 here) refactors.  The returned iterate is refined until it solves its
-own frozen-transport system to SOLVE_BERR.  The ledger records every
-quantity appearing in the balance, with the step's factorizations and
-the backward error of its returned solve, so the inequalities can be
-re-checked offline, term by term.
+own frozen-transport system to SOLVE_BERR.  Every matrix of the
+substep is a data array on the ``CoupledLayout``'s one sparsity pattern:
+the step's matrix is the beam mass plus arithmetic on the level's forms,
+and each iterate writes its advection into that one array.  The ledger
+records every quantity appearing in the balance, with the step's
+factorizations and the backward error of its returned solve, so the
+inequalities can be re-checked offline, term by term.
 """
 
 from __future__ import annotations
@@ -147,7 +150,7 @@ def _splu(A: sp.csc_matrix):
 def _refine(layout: CoupledLayout, A: np.ndarray, lu, g: np.ndarray, rhs: np.ndarray,
             b_norm: float, sweeps=np.inf):
     """Iterative refinement of g toward the solution of A x = rhs, A the
-    matrix with data ``A`` on the layout's coupled pattern, with the factor
+    matrix with data ``A`` on the layout's pattern, with the factor
     ``lu`` of a nearby matrix: each sweep adds lu.solve(rhs - A g).
 
     Returns (x, backward error) once the normwise backward error
@@ -156,10 +159,10 @@ def _refine(layout: CoupledLayout, A: np.ndarray, lu, g: np.ndarray, rhs: np.nda
     fails to halve it (a stale factor).  Halving bounds the sweeps, since
     the error starts at most 1.  A zero residual is exact (and guards 0/0).
     """
-    A_norm = float(np.bincount(layout.x_indices, np.abs(A), layout.n_x).max())  # ||A||_inf
+    A_norm = float(np.bincount(layout.indices, np.abs(A), layout.n_x).max())  # ||A||_inf
     g, last = g.copy(), np.inf
     while True:
-        r = rhs - layout.coupled_matvec(A, g)
+        r = rhs - layout.matvec(A, g)
         r_norm = float(np.abs(r).max())
         berr = 0.0 if r_norm == 0.0 else r_norm / (A_norm * float(np.abs(g).max()) + b_norm)
         if not (berr <= SOLVE_BERR or berr <= 0.5 * last):
@@ -193,17 +196,17 @@ def fluid_step(
     Unknown vector x = [fluid free DOFs | interior wall slopes]; the wall
     velocity block is tested with the Hermite functions, so the mass
     coupling is the beam mass embedded at the shared/slope positions.
-    All fluid forms are data arrays on one sparsity pattern, so the step's
-    one matrix is arithmetic on them, placed on the layout's coupled
-    pattern by ``coupled_data``.  Every product is ``CoupledLayout.matvec``
-    or ``coupled_matvec``; the only scipy matrix is the one each
-    factorization hands to ``splu``.  Picard freezes the transport field
-    a = u - v r e_r at the previous iterate; every other term is implicit.
-    The advection form is linear in a on the frozen geometry, so its map
-    is built once per step and each iterate only applies it, in place in
-    the matrix's data array.  Initial iterate: u_n with the wall-velocity
-    block overwritten by the half-step wall velocity.  The noise enters
-    through the step's coefficient xi (``NoisePath.xi``).
+    The beam mass and every fluid form are data arrays on the layout's one
+    sparsity pattern, so the step's one matrix is arithmetic on them.
+    Every product is ``CoupledLayout.matvec``; the only scipy matrix is
+    the one each factorization hands to ``splu``.  Picard freezes the
+    transport field a = u - v r e_r at the previous iterate; every other
+    term is implicit.  The advection form is linear in a on the frozen
+    geometry, so its map is built once per step and each iterate only
+    applies it, writing the matrix's data array in place.  Initial
+    iterate: u_n with the wall-velocity block overwritten by the half-step
+    wall velocity.  The noise enters through the step's coefficient xi
+    (``NoisePath.xi``).
 
     The step factors once, at its first iterate, and solves it directly.
     Each later iterate's matrix differs only in its advection, so it is
@@ -216,10 +219,11 @@ def fluid_step(
     dt = params.dt
     n_free, n_x = fluid.n_free, layout.n_x
 
-    A_fluid = (0.5 * (forms.M_eta + M_next)
-               + params.nu * dt * forms.K
-               + (dt / params.epsilon) * forms.P)
-    M_norm = layout.coupled_data(forms.M_eta)
+    # the fluid sum first, then the beam mass: the ledgers depend on the rounding
+    fixed = layout.beam_mass + (0.5 * (forms.M_eta + M_next)
+                                + params.nu * dt * forms.K
+                                + (dt / params.epsilon) * forms.P)
+    M_norm = layout.beam_mass + forms.M_eta
 
     rhs = np.zeros(n_x)
     rhs[:n_free] = (1.0 + xi) * layout.matvec(forms.M_eta, u_n) \
@@ -234,8 +238,7 @@ def fluid_step(
 
     adv = assemble_advection(fluid, forms)
     b_norm = float(np.abs(rhs).max())
-    A = layout.coupled_data(A_fluid)  # each iterate adds its advection in place
-    fixed = A[layout.fluid_to_x]
+    A = np.empty_like(fixed)  # each iterate writes its matrix here
     lu, factors, rel = None, 0, np.inf
 
     def solve(g, sweeps):
@@ -253,17 +256,17 @@ def fluid_step(
         return solved
 
     for it in range(1, params.max_picard + 1):
-        A[layout.fluid_to_x] = fixed + dt * layout.advection_data(adv, x)
+        np.add(fixed, dt * layout.advection_data(adv, x), out=A)
         x_new, berr = solve(x, 1)
         d = x_new - x
-        num = float(np.sqrt(max(d @ layout.coupled_matvec(M_norm, d), 0.0)))
-        den = float(np.sqrt(max(x_new @ layout.coupled_matvec(M_norm, x_new), 0.0)))
+        num = float(np.sqrt(max(d @ layout.matvec(M_norm, d), 0.0)))
+        den = float(np.sqrt(max(x_new @ layout.matvec(M_norm, x_new), 0.0)))
         rel = num / max(den, 1e-30)
         x = x_new
         if rel <= params.tol_picard:
             if berr > SOLVE_BERR:
                 x, berr = solve(x, np.inf)
-            return (x[:n_free].copy(), layout.extract_v(x),
+            return (x[:n_free].copy(), x[layout.beam_to_x],
                     PicardStats(it, rel, factors, berr))
     raise PicardDivergence(
         f"fluid Picard iteration did not converge: rel update {rel:.3e} "
@@ -280,14 +283,14 @@ def trace_dissipation_constant(layout: CoupledLayout, forms: AssembledForms,
     2x2 Gram matrix of the two flux functionals in the dissipation inner
     product, computed once per assembly because the form moves with eta*.
     Used to absorb the pressure work into half the dissipation with an
-    explicit constant.  K and P are data arrays on the layout's fluid
-    pattern, so the form is arithmetic on them.  It is bitwise symmetric
-    and SPD on the free DOFs, so its lower band (``CoupledLayout.lower_band``)
-    is the whole matrix: one banded Cholesky factor (LAPACK's dpbtrf) and
-    one solve (dpbtrs) for both flux vectors, and the Gram matrix is formed
-    in the band's ordering, which it does not depend on.  A form that is
-    not finite, or a nonzero info (a form that is not SPD), raises
-    SolverFailure.
+    explicit constant.  K and P are data arrays on the layout's pattern,
+    so the form is arithmetic on them.  Its fluid block is bitwise
+    symmetric and SPD on the free DOFs, so its lower band
+    (``CoupledLayout.lower_band``) is the whole matrix: one banded
+    Cholesky factor (LAPACK's dpbtrf) and one solve (dpbtrs) for both
+    flux vectors, and the Gram matrix is formed in the band's ordering,
+    which it does not depend on.  A form that is not finite, or a nonzero
+    info (a form that is not SPD), raises SolverFailure.
     """
     data = params.nu * forms.K + (1.0 / params.epsilon) * forms.P
     if not np.all(np.isfinite(data)):
@@ -432,7 +435,7 @@ def check_initial_admissibility(problem: PathProblem) -> None:
 
 def energy(layout: CoupledLayout, M_u: np.ndarray, u, v, eta) -> float:
     """Kinetic + elastic energy 1/2 (u.M_u.u + v.M_s.v + eta.S.eta) of one
-    state; M_u is the data, on the layout's fluid pattern, of the fluid
+    state; M_u is the data, on the layout's pattern, of the fluid
     mass weighted by the level's R + eta*, and M_s and S are the beam's."""
     M_s, S = layout.structure.M, layout.structure.S
     return 0.5 * float(u @ layout.matvec(M_u, u)) \

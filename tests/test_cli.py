@@ -330,6 +330,19 @@ class TestMain:
             assert capsys.readouterr().err.startswith(f"config error: {field}: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("raw", ["abc", "0", "-3"])
+    def test_bad_thread_count_exit_2(self, tmp_path, capsys, monkeypatch, raw):
+        # refused before the run writes anything or starts a worker
+        monkeypatch.setenv("STOCHFSI_THREADS", raw)
+        want = f"must be an integer{'' if raw == 'abc' else ' >= 1'}, got '{raw}'"
+        path = write_cfg(tmp_path, MINIMAL)
+        out = tmp_path / "out"
+        for mode in ("path", "ensemble"):
+            assert main(["run", "--config", path, "--mode", mode, "--paths", "2",
+                         "--out", str(out)]) == 2
+            assert capsys.readouterr().err == f"config error: STOCHFSI_THREADS: {want}\n"
+        assert not out.exists()
+
     def test_unsorted_sweep_command_exit_2(self, tmp_path, capsys):
         out = tmp_path / "out"
         assert main(["sweep", "--config", write_cfg(tmp_path, MINIMAL), "--axis", "epsilon",

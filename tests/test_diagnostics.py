@@ -1,22 +1,33 @@
+import warnings
 from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 import oracle_dense as od
 from conftest import make_config, make_problem
 from stochfsi import scheme
-from stochfsi.cli import build_problem, sweep
+from stochfsi.cli import build_problem, parse_config, sweep
 from stochfsi.diagnostics import (
+    combined_step_violations,
     ensemble_run,
     ledger_positivity_min,
     stochastic_error,
     structure_identity_residuals,
+    summed_inequality_violations,
     tightness_diagnostic,
     time_shift_norm,
 )
 from stochfsi.discretization import assemble_all, build_spaces, element_mass
-from stochfsi.errors import ConfigError
+from stochfsi.errors import (
+    ConfigError,
+    DegenerateJacobian,
+    InitialDataError,
+    PicardDivergence,
+    SolverFailure,
+)
 from stochfsi.geometry import ReferenceDomain, WallProfile
 from stochfsi.noise import NoiseSpec, sample_path
 from stochfsi.scheme import EnergyLedger, Trajectory, energy, run_path
@@ -334,6 +345,15 @@ class TestMoreCoverage:
                            match="STOCHFSI_THREADS: must be an integer, got 'abc'"):
             ensemble_run(prob, 1)
 
+    @pytest.mark.parametrize("raw", ["0", "-3"])
+    def test_thread_count_below_one_is_config_error(self, monkeypatch, raw):
+        # a count that starts no worker is refused, not run serially
+        monkeypatch.setenv("STOCHFSI_THREADS", raw)
+        prob = make_problem(domain={"nz": 4, "nr": 2}, time={"T": 0.25, "N": 4})
+        with pytest.raises(ConfigError,
+                           match=f"STOCHFSI_THREADS: must be an integer >= 1, got '{raw}'"):
+            ensemble_run(prob, 1)
+
     def test_degenerate_jacobian_recorded_per_path(self, monkeypatch, tmp_path):
         # assembly sees the wall sunk below the axis, so the pull-back
         # raises DegenerateJacobian; each path records it and writes no ledger
@@ -349,3 +369,64 @@ class TestMoreCoverage:
         assert [f["path"] for f in rep.failures] == [0, 1]
         assert all(f["error"].startswith("DegenerateJacobian") for f in rep.failures)
         assert list(tmp_path.iterdir()) == []
+
+
+def _uniform(draw, lo, hi):
+    return draw(hst.floats(lo, hi))
+
+
+def _wall_spec(draw, scale):
+    kind = draw(hst.sampled_from(["zero", "bump", "sine2"]))
+    return {"kind": kind} if kind == "zero" else {"kind": kind,
+                                                  "amplitude": _uniform(draw, -scale, scale)}
+
+
+@hst.composite
+def probe_configs(draw):
+    """A small config over the robustness probe's ranges: every initial
+    kind, constant or half-sine pressure, 0 to 3 noise modes."""
+    if draw(hst.booleans()):
+        pressure = {"kind": "constant", "P_in": _uniform(draw, -20, 20),
+                    "P_out": _uniform(draw, -20, 20)}
+    else:
+        pressure = {"kind": "half-sine", "amplitude": _uniform(draw, -20, 20),
+                    "side": draw(hst.sampled_from(["in", "out"]))}
+    u0 = draw(hst.sampled_from([{"kind": "zero"}, {"kind": "parabolic"}]))
+    if u0["kind"] == "parabolic":
+        u0["amplitude"] = _uniform(draw, -2, 2)
+    K = draw(hst.integers(0, 3))
+    return {
+        "domain": {"L": draw(hst.sampled_from([0.5, 1.0, 4.0])),
+                   "R": draw(hst.sampled_from([0.5, 1.0, 2.0])),
+                   "nz": draw(hst.integers(1, 4)), "nr": draw(hst.integers(1, 3))},
+        "physics": {"nu": 10 ** _uniform(draw, -3, 1), "epsilon": 10 ** _uniform(draw, -6, -1),
+                    "delta": 10 ** _uniform(draw, -2, -0.3)},
+        "time": {"T": 10 ** _uniform(draw, -2, 0.5), "N": draw(hst.sampled_from([1, 2, 4, 8]))},
+        "pressure": pressure,
+        "initial": {"eta0": _wall_spec(draw, 0.5), "v0": _wall_spec(draw, 1.0), "u0": u0},
+        "noise": {"K": K, "q": [_uniform(draw, 0.01, 1) for _ in range(K)],
+                  "amplitude": [_uniform(draw, -1, 1) for _ in range(K)],
+                  "seed": draw(hst.integers(0, 2**32 - 1))},
+    }
+
+
+class TestProbeRanges:
+    NAMED = (ConfigError, InitialDataError, PicardDivergence, SolverFailure, DegenerateJacobian)
+
+    @settings(max_examples=300, deadline=None)
+    @given(cfg=probe_configs())
+    def test_path_passes_every_check_or_names_its_failure(self, cfg):
+        # numpy's warnings are errors too: a path may only end in a named one
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                problem = build_problem(parse_config(cfg))
+                traj = run_path(problem, 0)
+            except self.NAMED:
+                return
+            delta = problem.params.delta
+            worst = max(structure_identity_residuals(traj).max(),
+                        *(check(traj, delta, sharp).max()
+                          for check in (combined_step_violations, summed_inequality_violations)
+                          for sharp in (True, False)))
+        assert worst <= 1e-9

@@ -61,17 +61,19 @@ class TestBuildSpaces:
             assert node % (fl.nz + 1) == i + 1
 
     def test_one_pattern_per_mesh(self, rng):
-        # every fluid form on any wall lives on the layout's CSR pattern
+        # every fluid form on any wall lives on the layout's one pattern,
+        # with a zero in each slot that only the beam mass uses
         fl, st, lay = spaces(4, 2)
         walls = [random_wall(rng, 4), random_wall(rng, 4, scale=0.05)]
+        cols = np.repeat(np.arange(lay.n_x), np.diff(lay.indptr))
+        beam_only = np.maximum(lay.indices, cols) >= fl.n_free
+        assert beam_only.any() and np.all(lay.beam_mass[beam_only] != 0)
         for prof in walls:
             forms = assemble_all(fl, lay, prof)
-            B = advection_matrix(fl, lay, forms, rng.normal(size=lay.n_x))
-            for data in (forms.M_eta, forms.M_sq, forms.K, forms.P):
+            adv = lay.advection_data(assemble_advection(fl, forms), rng.normal(size=lay.n_x))
+            for data in (forms.M_eta, forms.M_sq, forms.K, forms.P, adv):
                 assert data.shape == lay.indices.shape
-            assert B.shape == (fl.n_free, fl.n_free)
-            assert np.array_equal(B.indices, lay.indices)
-            assert np.array_equal(B.indptr, lay.indptr)
+                assert np.all(data[beam_only] == 0.0)
 
     @pytest.mark.parametrize("nz,nr", [(4, 2), (3, 3)])
     def test_scalar_scatter_is_vector_scatter_on_both_components(self, rng, nz, nr):
@@ -85,29 +87,28 @@ class TestBuildSpaces:
 
     @pytest.mark.parametrize("nz,nr", [(4, 2), (3, 3), (8, 4), (2, 5), (32, 16)])
     def test_products_bit_identical_to_scipy(self, rng, nz, nr):
-        # matvec and coupled_matvec run the compiled kernels of scipy's
-        # A @ x (scipy.sparse._sparsetools); a scipy that moves them fails here
+        # matvec runs the compiled kernel of scipy's A @ x
+        # (scipy.sparse._sparsetools); a scipy that moves it fails here
         fl, st, lay = spaces(nz, nr)
         n, m = fl.n_free, lay.n_x
         for _ in range(3):
-            data, x = rng.normal(size=lay.indices.size), rng.normal(size=n)
-            want = sp.csr_matrix((data, lay.indices, lay.indptr), shape=(n, n)) @ x
-            assert np.array_equal(lay.matvec(data, x), want)
-            data, x = rng.normal(size=lay.x_indices.size), rng.normal(size=m)
-            want = sp.csc_matrix((data, lay.x_indices, lay.x_indptr), shape=(m, m)) @ x
-            assert np.array_equal(lay.coupled_matvec(data, x), want)
+            data = rng.normal(size=lay.indices.size)
+            A = sp.csc_matrix((data, lay.indices, lay.indptr), shape=(m, m))
+            x = rng.normal(size=m)
+            assert np.array_equal(lay.matvec(data, x), A @ x)
+            x = rng.normal(size=n)
+            assert np.array_equal(lay.matvec(data, x), A[:n, :n] @ x)
 
     def test_product_lengths_checked(self):
         # the compiled kernels read out of bounds on a short array
         fl, st, lay = spaces(4, 2)
-        data, x = np.ones(lay.indices.size), np.ones(fl.n_free)
-        for bad in ((data[:-1], x), (data, x[:-1]), (data, np.ones((fl.n_free, 1)))):
-            with pytest.raises(ValueError, match="^mat-vec on a pattern"):
-                lay.matvec(*bad)
-        data, x = np.ones(lay.x_indices.size), np.ones(lay.n_x)
-        for bad in ((data[:-1], x), (data, x[:-1])):
-            with pytest.raises(ValueError, match="^mat-vec on a pattern"):
-                lay.coupled_matvec(*bad)
+        data = np.ones(lay.indices.size)
+        for x in (np.ones(fl.n_free), np.ones(lay.n_x)):
+            for bad in ((data[:-1], x), (data, x[:-1]), (data, x[:, None])):
+                with pytest.raises(ValueError, match="^mat-vec on a pattern"):
+                    lay.matvec(*bad)
+        with pytest.raises(ValueError, match="^mat-vec on a pattern"):
+            lay.matvec(data, np.ones(lay.n_x + 1))
 
     def test_inconsistent_counts_rejected(self):
         with pytest.raises(ConfigError):

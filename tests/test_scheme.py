@@ -47,6 +47,19 @@ def factored_matrices(monkeypatch):
     return seen
 
 
+def refined_matrices(monkeypatch):
+    """The list of every matrix data array scheme hands to _refine from
+    now on, as passed (not copied)."""
+    seen, refine = [], scheme._refine
+
+    def recording(layout, A, *args, **kwargs):
+        seen.append(A)
+        return refine(layout, A, *args, **kwargs)
+
+    monkeypatch.setattr(scheme, "_refine", recording)
+    return seen
+
+
 def sparse_constructions(monkeypatch):
     """The list that gains the class name of every scipy sparse matrix or
     array constructed from now on: each format's constructor runs
@@ -261,17 +274,13 @@ class TestFluidStep:
 
     @pytest.mark.parametrize("case", sorted(_SOLVE_CASES))
     def test_one_coupled_matrix_per_step(self, case, rng, monkeypatch):
-        # the step's matrix and M_norm; later iterates write the first in place
-        calls, real = [], scheme.CoupledLayout.coupled_data
-
-        def counting(layout, data):
-            calls.append(1)
-            return real(layout, data)
-
-        monkeypatch.setattr(scheme.CoupledLayout, "coupled_data", counting)
+        # every solve of the step refines against one matrix array, which
+        # each iterate writes in place
+        matrices = refined_matrices(monkeypatch)
         stats = self._random_4x2_step(rng, self._SOLVE_CASES[case])
         assert stats.iterations > 2
-        assert len(calls) <= 2
+        assert len(matrices) >= stats.iterations
+        assert all(A is matrices[0] for A in matrices)
 
     @pytest.mark.parametrize("case", sorted(_SOLVE_CASES))
     def test_one_sweep_per_intermediate_iterate(self, case, rng, monkeypatch):
@@ -315,9 +324,7 @@ class TestFluidStep:
         # each iterate rewrites the step's matrix in place, so after the step
         # it holds the returned iterate's frozen-transport system; at a loose
         # Picard tolerance the last sweep alone leaves a larger backward error
-        made, coupled_data = [], scheme.CoupledLayout.coupled_data
-        monkeypatch.setattr(scheme.CoupledLayout, "coupled_data",
-                            lambda layout, data: made.append(coupled_data(layout, data)) or made[-1])
+        matrices = refined_matrices(monkeypatch)
         fl, st, lay = tiny_spaces(4, 2)
         forms = assemble_all(fl, lay, st.profile(0.05 * rng.uniform(-1, 1, st.n_free)))
         u_n = rng.normal(size=fl.n_free)
@@ -333,7 +340,8 @@ class TestFluidStep:
         x = np.zeros(lay.n_x)
         x[:fl.n_free] = u
         x[lay.beam_to_x] = v
-        A = lay.csc(made[-1])  # the step's matrix, made after M_norm
+        assert all(A is matrices[0] for A in matrices)
+        A = lay.csc(matrices[-1])  # the step's one matrix
         berr = np.abs(rhs - A @ x).max() / (
             abs(A).sum(axis=1).max() * np.abs(x).max() + np.abs(rhs).max())
         assert berr <= 1e-15 and stats.solve_berr <= 1e-15
