@@ -173,6 +173,10 @@ _INITIAL_KINDS = {"eta0": _WALL_KINDS, "v0": _WALL_KINDS,
                   "u0": {"zero": (), "parabolic": ("amplitude",)}}
 
 
+def _strictly_increasing(xs: list) -> bool:
+    return all(a < b for a, b in zip(xs, xs[1:]))
+
+
 def _kind_fields(spec: dict, path: str, kinds: dict) -> str:
     """The kind of an open section, after checking it and every field name."""
     kind = spec.get("kind")
@@ -206,8 +210,7 @@ def parse_config(data: dict) -> RunConfig:
         _require(len(pr["times"]) == len(pr["P_in"]) == len(pr["P_out"]),
                  "pressure.times/P_in/P_out: lengths must match")
         _require(pr["times"][0] == 0.0, "pressure.times: must start at 0")
-        _require(all(a < b for a, b in zip(pr["times"], pr["times"][1:])),
-                 "pressure.times: must be strictly increasing")
+        _require(_strictly_increasing(pr["times"]), "pressure.times: must be strictly increasing")
     else:
         pr["amplitude"] = _number(pr.get("amplitude", 1.0), "pressure.amplitude")
         pr["duration"] = _number(pr.get("duration", merged["time"]["T"]),
@@ -238,8 +241,8 @@ def parse_config(data: dict) -> RunConfig:
         want = "an integer >= 1" if r["sweep_axis"] == "N" else "a number > 0"
         values = r["sweep_values"] = _numbers(r["sweep_values"], "run.sweep_values", want)
         _require(values, "run.sweep_values: need at least one value")
-        _require(values in (sorted(values), sorted(values, reverse=True)),
-                 "run.sweep_values: must be sorted")
+        _require(_strictly_increasing(values) or _strictly_increasing(values[::-1]),
+                 f"run.sweep_values: must be sorted with no value repeated, got {values!r}")
         Ns += values if r["sweep_axis"] == "N" else []
     for N in Ns:  # dyadic sampling needs every N a power of two
         spec.resolve_sampling(N)
@@ -258,19 +261,14 @@ def _read_json(path: str):
             raise ConfigError(f"config: invalid JSON ({exc})") from exc
 
 
-def load_config(path: str) -> RunConfig:
-    return parse_config(_read_json(path))
-
-
 # ----------------------------------------------------------------------
 # scenario construction
 
 
-def step_pressures(cfg: RunConfig):
-    """Step-averaged pressure data (P_in^n, P_out^n), n = 0..N-1."""
-    N, T = cfg.time["N"], cfg.time["T"]
-    dt = cfg.dt
-    pr = cfg.pressure
+def step_pressures(pr: dict, T: float, N: int):
+    """Step-averaged data (P_in^n, P_out^n), n = 0..N-1, of the pressure
+    section ``pr`` on N steps over [0, T]."""
+    dt = T / N
     if pr["kind"] == "constant":
         return (np.full(N, float(pr["P_in"])), np.full(N, float(pr["P_out"])))
     if pr["kind"] == "table":
@@ -335,7 +333,7 @@ def build_problem(cfg: RunConfig) -> PathProblem:
         a = float(u_spec["amplitude"])
         u0 = fluid.interpolate(lambda z, r: a * (1 - r**2), lambda z, r: np.zeros_like(z))
 
-    P_in, P_out = step_pressures(cfg)
+    P_in, P_out = step_pressures(cfg.pressure, cfg.time["T"], cfg.time["N"])
     problem = PathProblem(
         fluid=fluid, structure=structure, layout=layout, params=params,
         noise=_noise_spec(cfg.noise), hs_form=HsForm(structure, cfg.physics["s"]),
@@ -352,37 +350,33 @@ def build_problem(cfg: RunConfig) -> PathProblem:
 # sweeps
 
 
-def with_axis_value(cfg: RunConfig, axis: str, value) -> RunConfig:
-    data = json.loads(json.dumps(cfg.to_dict()))
-    section, key = ("time", "N") if axis == "N" else ("physics", "epsilon")
-    data[section][key] = value
-    data["run"]["mode"] = "ensemble"
-    return parse_config(data)
-
-
-def problem_at_axis_value(cfg: RunConfig, problem: PathProblem, axis: str,
-                          value) -> PathProblem:
-    """The problem of one sweep value, derived from ``problem``, the build
-    of ``cfg``: the spaces, the layout, ``HsForm``, the initial vectors and
-    their admissibility do not depend on N or epsilon, so only the
-    parameters, N and the step pressures are set anew."""
-    cfg = with_axis_value(cfg, axis, value)
-    params = dataclasses.replace(problem.params, epsilon=cfg.physics["epsilon"], dt=cfg.dt)
-    P_in, P_out = step_pressures(cfg)
-    return dataclasses.replace(problem, params=params, N=cfg.time["N"], P_in=P_in, P_out=P_out)
+def problem_at_axis_value(cfg: RunConfig, problem: PathProblem, value) -> PathProblem:
+    """The problem at one value of ``cfg``'s sweep axis, derived from
+    ``problem``, the build of ``cfg``: the spaces, the layout, ``HsForm``,
+    the initial vectors and their admissibility do not depend on N or
+    epsilon, so only the parameters, N and the step pressures are set anew.
+    ``parse_config`` has validated ``value`` as a sweep value."""
+    T, N, eps = cfg.time["T"], cfg.time["N"], cfg.physics["epsilon"]
+    if cfg.run["sweep_axis"] == "N":
+        N = value
+    else:
+        eps = value
+    params = dataclasses.replace(problem.params, epsilon=eps, dt=T / N)
+    P_in, P_out = step_pressures(cfg.pressure, T, N)
+    return dataclasses.replace(problem, params=params, N=N, P_in=P_in, P_out=P_out)
 
 
 @dataclass
 class SweepResult:
-    axis: str
-    values: list
     rows: list
     slope: float | None
 
 
-def sweep(config: RunConfig, problem: PathProblem, axis: str, values) -> SweepResult:
+def sweep(config: RunConfig, problem: PathProblem) -> SweepResult:
     """Re-run the ensemble for each value of N or epsilon with common
     per-path seeds, and fit the log-log slope of the monitored statistic.
+    The axis and its values are ``config.run``'s, which ``parse_config``
+    validates in sweep mode; any other mode is a ``ConfigError``.
 
     For the epsilon axis the monitored statistic is the ensemble mean of
     ||div^{eta*} u||_{L^2(0,T;L^2)} (target slope 1/2); for the N axis it
@@ -393,17 +387,12 @@ def sweep(config: RunConfig, problem: PathProblem, axis: str, values) -> SweepRe
     are None at a value where every path failed.  The slope is None
     unless every value has a positive statistic.
     """
-    if axis not in ("N", "epsilon"):
-        raise ConfigError(f"sweep.axis: must be 'N' or 'epsilon', got {axis!r}")
-    values = list(values)
-    if len(values) < 1:
-        raise ConfigError("sweep.values: need at least one value")
-    if sorted(values) != values and sorted(values, reverse=True) != values:
-        raise ConfigError("sweep.values: must be sorted")
-
+    _require(config.run["mode"] == "sweep",
+             f"run.mode: sweep needs mode 'sweep', got {config.run['mode']!r}")
+    axis, values = config.run["sweep_axis"], config.run["sweep_values"]
     rows = []
     for val in values:
-        report = diagnostics.ensemble_run(problem_at_axis_value(config, problem, axis, val),
+        report = diagnostics.ensemble_run(problem_at_axis_value(config, problem, val),
                                           config.run["M"])
         div_mean_sq = report.stats["div_sq_int"]["mean"]
         rows.append({
@@ -420,7 +409,7 @@ def sweep(config: RunConfig, problem: PathProblem, axis: str, values) -> SweepRe
     if len(values) >= 2 and all(v is not None and v > 0 for v in y):
         x = np.log(np.asarray(values, dtype=float))
         slope = float(np.polyfit(x, np.log(np.asarray(y, dtype=float)), 1)[0])
-    return SweepResult(axis=axis, values=values, rows=rows, slope=slope)
+    return SweepResult(rows=rows, slope=slope)
 
 
 # ----------------------------------------------------------------------
@@ -431,7 +420,7 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def write_manifest(path: str, cfg: RunConfig, extra: dict | None = None):
+def write_manifest(path: str, cfg: RunConfig):
     manifest = {
         "version": __version__,
         "numpy": np.__version__, "scipy": scipy.__version__,
@@ -440,8 +429,6 @@ def write_manifest(path: str, cfg: RunConfig, extra: dict | None = None):
         "dt": cfg.dt,
         "effective_seed": cfg.noise["seed"],
     }
-    if extra:
-        manifest.update(extra)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -466,10 +453,10 @@ def run(cfg: RunConfig, problem: PathProblem, out_dir: str | None = None) -> int
     process exit status."""
     out = out_dir or cfg.output["directory"]
     os.makedirs(out, exist_ok=True)
+    write_manifest(os.path.join(out, "manifest.json"), cfg)
     mode = cfg.run["mode"]
 
     if mode == "path":
-        write_manifest(os.path.join(out, "manifest.json"), cfg, {"mode": "path"})
         try:
             traj = run_path(problem, 0)
         except diagnostics.PATH_FAILURES + (InitialDataError,) as exc:
@@ -481,7 +468,6 @@ def run(cfg: RunConfig, problem: PathProblem, out_dir: str | None = None) -> int
 
     if mode == "ensemble":
         M = cfg.run["M"]
-        write_manifest(os.path.join(out, "manifest.json"), cfg, {"mode": "ensemble", "M": M})
         report = diagnostics.ensemble_run(problem, M, out)
         with open(os.path.join(out, "report.json"), "w", encoding="utf-8") as fh:
             json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
@@ -492,20 +478,15 @@ def run(cfg: RunConfig, problem: PathProblem, out_dir: str | None = None) -> int
         print(f"ensemble complete: {M} paths")
         return 0
 
-    # sweep
-    axis = cfg.run["sweep_axis"]
-    values = cfg.run["sweep_values"]
-    write_manifest(os.path.join(out, "manifest.json"), cfg,
-                   {"mode": "sweep", "axis": axis, "values": values})
-    result = sweep(cfg, problem, axis, values)
+    result = sweep(cfg, problem)
     write_sweep_csv(os.path.join(out, "table.csv"), result)
     failed = sum(row["failed"] for row in result.rows)
     if failed:
-        total = len(values) * cfg.run["M"]
+        total = len(result.rows) * cfg.run["M"]
         print(f"sweep failed: {failed} of {total} paths", file=sys.stderr)
         return 1
     slope = "n/a" if result.slope is None else f"{result.slope:.4f}"
-    print(f"sweep complete over {axis}: slope {slope}")
+    print(f"sweep complete over {cfg.run['sweep_axis']}: slope {slope}")
     return 0
 
 

@@ -334,14 +334,6 @@ class StructureSpace:
         full[self.free] = vec_free
         return WallProfile(self.L, full[0::2], full[1::2])
 
-    def from_profile(self, profile: WallProfile) -> np.ndarray:
-        if profile.n_el != self.n_el:
-            raise ConfigError("structure: profile partition does not match the space")
-        full = np.empty(self.ndof_full)
-        full[0::2] = profile.vals
-        full[1::2] = profile.slopes
-        return full[self.free]
-
     def gap_l2_sq(self, vec_free: np.ndarray, R: float) -> float:
         """|| R + eta ||_{L^2(0,L)}^2, shared by the H^2 and the H^s norm."""
         e = np.asarray(vec_free, dtype=float)

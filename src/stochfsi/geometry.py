@@ -112,13 +112,6 @@ class WallProfile:
     def zero(cls, L: float, n_el: int) -> "WallProfile":
         return cls(L, np.zeros(n_el + 1), np.zeros(n_el + 1))
 
-    @classmethod
-    def from_callable(cls, L: float, n_el: int, f, fp) -> "WallProfile":
-        """Interpolate a smooth displacement (values and slopes at nodes)."""
-        z = np.linspace(0.0, L, n_el + 1)
-        return cls(L, f(z), fp(z))
-
-
     def _combine(self, z, deriv: int):
         idx, xi = locate(z, self.h, self.n_el)
         h0, h1, h2, h3 = hermite_shapes(xi, self.h, deriv)

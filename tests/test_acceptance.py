@@ -109,9 +109,10 @@ def _epsilon_sweep():
                      "v0": {"kind": "zero"},
                      "u0": {"kind": "parabolic", "amplitude": 1.0}},
             noise={"K": 0, "q": [], "amplitude": [], "seed": 1},
-            run={"M": 1, "mode": "ensemble"},
+            run={"M": 1, "mode": "sweep", "sweep_axis": "epsilon",
+                 "sweep_values": [1e-2, 1e-3, 1e-4]},
         )
-        _cache["eps_sweep"] = sweep(cfg, build_problem(cfg), "epsilon", [1e-2, 1e-3, 1e-4])
+        _cache["eps_sweep"] = sweep(cfg, build_problem(cfg))
     return _cache["eps_sweep"]
 
 

@@ -13,13 +13,11 @@ from scipy.linalg import cho_factor, cho_solve
 from stochfsi import cli
 from stochfsi.cli import (
     build_problem,
-    load_config,
     main,
     parse_config,
     problem_at_axis_value,
     run,
     step_pressures,
-    with_axis_value,
 )
 from stochfsi.diagnostics import (
     combined_step_violations,
@@ -42,18 +40,18 @@ MINIMAL = {"time": {"T": 0.25, "N": 4}, "domain": {"nz": 4, "nr": 2}}
 
 
 class TestLoadConfig:
-    def test_minimal_config_resolves_defaults(self, tmp_path):
-        cfg = load_config(write_cfg(tmp_path, MINIMAL))
+    def test_minimal_config_resolves_defaults(self):
+        cfg = parse_config(MINIMAL)
         assert cfg.dt == 0.25 / 4
         assert cfg.physics["delta"] == 0.1
         assert cfg.noise["seed"] == cfg.run["master_seed"]
         assert cfg.pressure["kind"] == "constant"
 
-    def test_zero_delta_names_field(self, tmp_path):
+    def test_zero_delta_names_field(self):
         with pytest.raises(ConfigError, match="physics.delta"):
-            load_config(write_cfg(tmp_path, {**MINIMAL, "physics": {"delta": 0.0}}))
+            parse_config({**MINIMAL, "physics": {"delta": 0.0}})
 
-    def test_unknown_field_names_path(self, tmp_path):
+    def test_unknown_field_names_path(self):
         cases = [
             ({"physics": {"viscosity": 1.0}}, "physics.viscosity"),
             ({"solver": {"damping": 0.5}}, "solver.damping"),
@@ -66,14 +64,14 @@ class TestLoadConfig:
         ]
         for data, field in cases:
             with pytest.raises(ConfigError, match=f"^{field}: unknown field$"):
-                load_config(write_cfg(tmp_path, {**MINIMAL, **data}))
+                parse_config({**MINIMAL, **data})
 
     def test_inadmissible_wall_rejected_at_load(self, tmp_path, capsys):
         data = {**MINIMAL,
                 "initial": {"eta0": {"kind": "sine2", "amplitude": -0.95}}}
         path = write_cfg(tmp_path, data)
         with pytest.raises(InitialDataError, match="initial.eta0"):
-            build_problem(load_config(path))
+            build_problem(parse_config(data))
         assert main(["validate", "--config", path]) == 2
         assert "config error: initial.eta0: wall gap" in capsys.readouterr().err
 
@@ -121,27 +119,25 @@ class TestLoadConfig:
         cfg = parse_config({**MINIMAL, "time": {"T": 0.25, "N": 4.0}})
         assert cfg.time["N"] == 4 and isinstance(cfg.time["N"], int)
 
-    def test_bad_json_reported(self, tmp_path):
+    def test_bad_json_reported(self, tmp_path, capsys):
         p = tmp_path / "broken.json"
         p.write_text("{not json")
-        with pytest.raises(ConfigError, match="invalid JSON"):
-            load_config(str(p))
+        assert main(["validate", "--config", str(p)]) == 2
+        assert capsys.readouterr().err.startswith("config error: config: invalid JSON (")
 
-    def test_round_trip_stable(self, tmp_path):
-        cfg1 = load_config(write_cfg(tmp_path, {
+    def test_round_trip_stable(self):
+        cfg1 = parse_config({
             **MINIMAL,
             "noise": {"K": 2, "q": [1.0, 0.5], "amplitude": [0.1, 0.2], "seed": 9},
             "pressure": {"kind": "half-sine", "amplitude": 2.0, "duration": 0.1,
                          "side": "in"},
-        }))
-        p2 = write_cfg(tmp_path, cfg1.to_dict(), name="echo.json")
-        cfg2 = load_config(p2)
+        })
+        cfg2 = parse_config(json.loads(json.dumps(cfg1.to_dict())))
         assert cfg1.to_dict() == cfg2.to_dict()
 
-    def test_sweep_mode_requires_axis(self, tmp_path):
-        data = {**MINIMAL, "run": {"mode": "sweep"}}
+    def test_sweep_mode_requires_axis(self):
         with pytest.raises(ConfigError, match="sweep_axis"):
-            load_config(write_cfg(tmp_path, data))
+            parse_config({**MINIMAL, "run": {"mode": "sweep"}})
 
 
 def _numeric_leaves(tree, path=""):
@@ -177,7 +173,7 @@ class TestStepPressures:
     def test_constant(self):
         cfg = parse_config({**MINIMAL, "pressure": {"kind": "constant",
                                                     "P_in": 2.0, "P_out": -1.0}})
-        pin, pout = step_pressures(cfg)
+        pin, pout = step_pressures(cfg.pressure, cfg.time["T"], cfg.time["N"])
         assert np.all(pin == 2.0) and np.all(pout == -1.0)
 
     def test_table_exact_overlap_average(self):
@@ -187,7 +183,7 @@ class TestStepPressures:
             "pressure": {"kind": "table", "times": [0.0, 0.09],
                          "P_in": [1.0, 3.0], "P_out": [0.0, 0.0]},
         })
-        pin, _ = step_pressures(cfg)
+        pin, _ = step_pressures(cfg.pressure, cfg.time["T"], cfg.time["N"])
         dt = 0.0625
         assert pin[0] == pytest.approx(1.0)
         expected = (1.0 * (0.09 - dt) + 3.0 * (2 * dt - 0.09)) / dt
@@ -198,7 +194,7 @@ class TestStepPressures:
         cfg = parse_config({**MINIMAL,
                             "pressure": {"kind": "half-sine", "amplitude": 2.0,
                                          "duration": 0.25, "side": "in"}})
-        pin, pout = step_pressures(cfg)
+        pin, pout = step_pressures(cfg.pressure, cfg.time["T"], cfg.time["N"])
         # exact step average of A sin(pi t / T_b): A*T_b/(pi*dt) * (cos(a)-cos(b))
         dt = cfg.dt
         n = 1
@@ -319,6 +315,12 @@ class TestMain:
         ({"noise": {"sampling": "dyadic"},
           "run": {"mode": "sweep", "sweep_axis": "N", "sweep_values": [4, 6]}},
          "noise.sampling"),
+        # a repeated value would fit a slope to equal x values or run one
+        # ensemble twice
+        ({"run": {"mode": "sweep", "sweep_axis": "epsilon",
+                  "sweep_values": [1e-2, 1e-2]}}, "run.sweep_values"),
+        ({"run": {"mode": "sweep", "sweep_axis": "N", "sweep_values": [4, 4, 8]}},
+         "run.sweep_values"),
     ])
     def test_run_time_faults_exit_2_at_load(self, tmp_path, capsys, data, field):
         # unsorted sweep values and dyadic sampling at an N that is not a
@@ -421,45 +423,59 @@ class TestMain:
         assert not any(row.startswith("#") for row in rows)  # no slope
 
     def test_one_build_per_command(self, tmp_path, monkeypatch):
-        builds = []
-        real_build = cli.build_problem
+        # each command parses its config once and builds its problem once;
+        # a sweep derives every value's problem from that one build
+        calls = []
 
-        def counted(cfg):
-            builds.append(cfg)
-            return real_build(cfg)
+        def counted(name):
+            real = getattr(cli, name)
 
-        monkeypatch.setattr(cli, "build_problem", counted)
+            def wrapper(arg):
+                calls.append(name)
+                return real(arg)
+            return wrapper
+
+        for name in ("parse_config", "build_problem"):
+            monkeypatch.setattr(cli, name, counted(name))
         data = {**MINIMAL, "run": {"M": 2}}
         parse_config(data)
-        assert len(builds) == 0
+        assert calls == []
         path = write_cfg(tmp_path, data)
-        expected = {"run": 1, "validate": 1, "sweep": 1}
         for command, extra in (("run", ["--out", str(tmp_path / "run")]),
                                ("validate", []),
                                ("sweep", ["--axis", "epsilon", "--values", "1e-2,1e-3",
                                           "--out", str(tmp_path / "sweep")])):
-            builds.clear()
+            calls.clear()
             assert main([command, "--config", path, *extra]) == 0
-            assert len(builds) == expected[command], command
+            assert sorted(calls) == ["build_problem", "parse_config"], command
+
+
+SWEEP_PRESSURES = {
+    "constant": {"kind": "constant", "P_in": 1.0, "P_out": -0.5},
+    "table": {"kind": "table", "times": [0.0, 0.09], "P_in": [1.0, 3.0], "P_out": [0.0, 0.5]},
+    "half-sine": {"kind": "half-sine", "amplitude": 2.0, "duration": 0.1},
+}
+
+
+def sweep_data(axis, values, **sections):
+    return {**MINIMAL, **sections,
+            "run": {"mode": "sweep", "sweep_axis": axis, "sweep_values": values}}
 
 
 class TestAxisOverride:
-    def test_with_axis_value(self):
-        cfg = parse_config(dict(MINIMAL))
-        c2 = with_axis_value(cfg, "N", 8)
-        assert c2.time["N"] == 8 and c2.run["mode"] == "ensemble"
-        c3 = with_axis_value(cfg, "epsilon", 1e-4)
-        assert c3.physics["epsilon"] == 1e-4
-
+    @pytest.mark.parametrize("kind", SWEEP_PRESSURES)
     @pytest.mark.parametrize("axis,value", [("epsilon", 1e-4), ("N", 8)])
-    def test_derived_problem_runs_as_built(self, axis, value):
+    def test_derived_problem_runs_as_built(self, axis, value, kind):
         # a sweep value's problem, derived from the base build, gives the
-        # same path as a fresh build of that value's config
-        cfg = parse_config({**MINIMAL, "pressure": {"kind": "half-sine", "amplitude": 2.0,
-                                                    "duration": 0.1}})
-        derived = problem_at_axis_value(cfg, build_problem(cfg), axis, value)
-        built = build_problem(with_axis_value(cfg, axis, value))
+        # same path as a fresh build of that value's own config
+        pressure = SWEEP_PRESSURES[kind]
+        cfg = parse_config(sweep_data(axis, [value], pressure=pressure))
+        derived = problem_at_axis_value(cfg, build_problem(cfg), value)
+        own = {"time": {"T": 0.25, "N": value}} if axis == "N" else {"physics": {"epsilon": value}}
+        built = build_problem(parse_config({**MINIMAL, "pressure": pressure, **own}))
         assert derived.params == built.params and derived.N == built.N == len(derived.P_in)
+        assert np.array_equal(derived.P_in, built.P_in)
+        assert np.array_equal(derived.P_out, built.P_out)
         a, b = run_path(derived, 0).ledger, run_path(built, 0).ledger
         for f in dataclasses.fields(EnergyLedger):
             assert np.array_equal(getattr(a, f.name), getattr(b, f.name)), f.name
@@ -467,12 +483,12 @@ class TestAxisOverride:
     def test_derived_problem_factors_its_own_structure_step(self, rng):
         # the structure factor is kept per dt on the shared structure space,
         # so a problem derived for another N steps with a factor of its dt
-        cfg = parse_config(dict(MINIMAL))
+        cfg = parse_config(sweep_data("N", [8]))
         base = build_problem(cfg)
         s = base.structure
         eta, v = rng.normal(size=(2, s.n_free))
         structure_step(eta, v, base.params.dt, s)
-        derived = problem_at_axis_value(cfg, base, "N", 8)
+        derived = problem_at_axis_value(cfg, base, 8)
         dt = derived.params.dt
         assert derived.structure is s and dt != base.params.dt
         _, vh = structure_step(eta, v, dt, derived.structure)
@@ -485,6 +501,20 @@ class TestAxisOverride:
         ("N", 0, "time.N"),
     ])
     def test_axis_value_validated(self, axis, value, field):
-        cfg = parse_config(dict(MINIMAL))
-        with pytest.raises(ConfigError, match=field):
-            with_axis_value(cfg, axis, value)
+        # a sweep value is held to the rule of the field it sets
+        section, key = field.split(".")
+        with pytest.raises(ConfigError) as direct:
+            parse_config({**MINIMAL, section: {**MINIMAL.get(section, {}), key: value}})
+        rule = str(direct.value).removeprefix(f"{field}: ")
+        assert rule.startswith("must be ")
+        with pytest.raises(ConfigError) as swept:
+            parse_config(sweep_data(axis, [value]))
+        assert str(swept.value) == f"run.sweep_values[0]: {rule}"
+
+    def test_sweep_needs_sweep_mode(self):
+        # outside sweep mode parse_config leaves the sweep fields unchecked,
+        # so sweep refuses to run them
+        data = sweep_data("nu", [0.0])
+        cfg = parse_config({**data, "run": {**data["run"], "mode": "ensemble"}})
+        with pytest.raises(ConfigError, match="^run.mode: "):
+            cli.sweep(cfg, build_problem(cfg))

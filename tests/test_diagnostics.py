@@ -249,9 +249,10 @@ class TestEnsemble:
 class TestSweep:
     def test_single_value_sweep_equals_ensemble(self):
         cfg = make_config(domain={"nz": 4, "nr": 2}, time={"T": 0.25, "N": 8},
-                          run={"M": 4, "mode": "ensemble"})
+                          run={"M": 4, "mode": "sweep", "sweep_axis": "epsilon",
+                               "sweep_values": [1e-3]})
         prob = build_problem(cfg)
-        res = sweep(cfg, prob, "epsilon", [1e-3])
+        res = sweep(cfg, prob)
         assert len(res.rows) == 1
         assert res.rows[0]["failed"] == 0
         assert res.slope is None
@@ -261,12 +262,12 @@ class TestSweep:
             np.sqrt(rep.stats["div_sq_int"]["mean"]))
 
     def test_axis_validation(self):
-        cfg = make_config()
-        prob = build_problem(cfg)
-        with pytest.raises(ConfigError):
-            sweep(cfg, prob, "nu", [1.0])
-        with pytest.raises(ConfigError):
-            sweep(cfg, prob, "N", [32, 16, 64])
+        # the sweep's axis and values are checked when the config is parsed
+        for run, field in (({"sweep_axis": "nu", "sweep_values": [1.0]}, "run.sweep_axis"),
+                           ({"sweep_axis": "N", "sweep_values": [32, 16, 64]},
+                            "run.sweep_values")):
+            with pytest.raises(ConfigError, match=f"^{field}: "):
+                make_config(run={"mode": "sweep", **run})
 
 
 class TestLedgerChecks:
@@ -297,8 +298,9 @@ class TestMoreCoverage:
 
     def test_sweep_over_N_axis(self):
         cfg = make_config(domain={"nz": 4, "nr": 2}, time={"T": 0.25, "N": 8},
-                          run={"M": 2, "mode": "ensemble"})
-        res = sweep(cfg, build_problem(cfg), "N", [8, 16])
+                          run={"M": 2, "mode": "sweep", "sweep_axis": "N",
+                               "sweep_values": [8, 16]})
+        res = sweep(cfg, build_problem(cfg))
         assert len(res.rows) == 2
         assert all(np.isfinite(row["max_E_mean"]) for row in res.rows)
 
