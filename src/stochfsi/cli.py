@@ -235,7 +235,8 @@ def parse_config(data: dict) -> RunConfig:
     _require(r["mode"] in ("path", "ensemble", "sweep"),
              f"run.mode: unknown mode {r['mode']!r}")
     Ns = [merged["time"]["N"]]
-    if r["mode"] == "sweep":
+    # checked whenever set, so another mode never runs with junk sweep fields
+    if r["mode"] == "sweep" or r["sweep_axis"] is not None or r["sweep_values"] != []:
         _require(r["sweep_axis"] in ("N", "epsilon"),
                  f"run.sweep_axis: must be 'N' or 'epsilon', got {r['sweep_axis']!r}")
         want = "an integer >= 1" if r["sweep_axis"] == "N" else "a number > 0"
@@ -376,7 +377,8 @@ def sweep(config: RunConfig, problem: PathProblem) -> SweepResult:
     """Re-run the ensemble for each value of N or epsilon with common
     per-path seeds, and fit the log-log slope of the monitored statistic.
     The axis and its values are ``config.run``'s, which ``parse_config``
-    validates in sweep mode; any other mode is a ``ConfigError``.
+    validates whenever either is set; a mode other than sweep is a
+    ``ConfigError``.
 
     For the epsilon axis the monitored statistic is the ensemble mean of
     ||div^{eta*} u||_{L^2(0,T;L^2)} (target slope 1/2); for the N axis it

@@ -178,6 +178,13 @@ class FluidSpace:
 
         self.q_full = self._make_quad(2)
         self.q_reduced = self._make_quad(1)
+        # every cell row has the first row's quadrature z, and point k of the
+        # full rule has axial index k // 2: the wall is sampled once at the
+        # full rule's 2 nz abscissae then the reduced rule's nz, and
+        # ``_full_at``/``_reduced_at`` give each cell's points among them
+        self.wall_z = np.concatenate([self.q_full.z[:nz, ::2].ravel(), self.q_reduced.z[:nz, 0]])
+        self._full_at = 2 * cz[:, None] + np.arange(4) // 2
+        self._reduced_at = 2 * nz + cz[:, None]
         self.mass_table = _products(self.q_full, self.q_full.N, self.q_full.N)
         self.viscous_table = _gram_table(self.q_full, _VISCOUS)
         self.penalty_table = _gram_table(self.q_reduced, _PENALTY)
@@ -208,10 +215,15 @@ class FluidSpace:
         return full[self.free]
 
     # -- geometry samples -------------------------------------------------
-    def wall_samples(self, profile: WallProfile, R: float, reduced: bool = False):
-        """(R+eta, eta') at the quadrature points of the chosen rule."""
-        q = self.q_reduced if reduced else self.q_full
-        return R + profile.value(q.z), profile.slope(q.z)
+    def wall_samples(self, profile: WallProfile, R: float):
+        """(w_q, s_q, w1_q, s1_q): R+eta and eta' at the full-rule points,
+        (ncell, 4), then at the reduced-rule points, (ncell, 1).  One
+        ``value`` and one ``slope`` call sample the wall at ``wall_z``, the
+        distinct axial abscissae, and each cell reads its points from
+        them, bit for bit the samples at ``q.z``."""
+        w = R + profile.value(self.wall_z)
+        s = profile.slope(self.wall_z)
+        return w[self._full_at], s[self._full_at], w[self._reduced_at], s[self._reduced_at]
 
 
 def _pullback_coefficients(w_q, s_q, r_q, weight) -> np.ndarray:
@@ -368,13 +380,16 @@ class CoupledLayout:
     in the slots only the beam mass uses, and ``beam_mass`` is the beam
     mass's own (read-only) data.  ``matvec`` multiplies by a data array
     with the compiled kernel that scipy's ``A @ x`` runs, so its products
-    are bit-identical to scipy's; ``csc`` wraps a data array as the scipy
-    matrix a factorization needs, and ``csr`` gives its fluid block.
+    are bit-identical to scipy's.  ``factor_matrix`` hands a data array
+    to a factorization in the layout's one scipy matrix, built here, so
+    scipy checks the pattern once per mesh; ``csc`` and ``csr`` (its
+    fluid block) build independent scipy matrices for tests and oracles.
     Element blocks reach the pattern by one scatter per block shape:
     ``scalar_data`` for (ncell, 16) blocks acting alike on each velocity
     component, ``vector_data`` for (ncell, 64) ones.  A symmetric fluid
     form goes to a banded Cholesky through ``lower_band``, in the
-    short-direction-first order ``band_perm``.
+    short-direction-first order ``band_perm``, which ``band_flux`` (the
+    inlet and outlet flux vectors as two columns) is kept in too.
     """
 
     def __init__(self, fluid: FluidSpace, structure: StructureSpace):
@@ -438,6 +453,7 @@ class CoupledLayout:
         self.band_width = int(diag.max())
         self._band_slot = fluid_slot[diag >= 0]
         self._band_flat = (diag * n_free + col_pos)[diag >= 0]
+        self.band_flux = np.stack([fluid.flux_in, fluid.flux_out], axis=1)[self.band_perm]
 
         # inputs of a cell's advection map in x padded by one zero: u_z and
         # u_r at its nodes, then the Hermite DOFs of the wall element above
@@ -449,13 +465,28 @@ class CoupledLayout:
         self._adv_inputs = np.concatenate([
             x_pad[2 * fluid.cells], x_pad[2 * fluid.cells + 1],
             beam_pad[structure.element_dofs[column]]], axis=1)
-        for pattern in (self.indices, self.indptr, self.beam_mass,
-                        self.band_perm, self._band_slot, self._band_flat):
+        for pattern in (self.indices, self.indptr, self.beam_mass, self.band_perm,
+                        self._band_slot, self._band_flat, self.band_flux):
             pattern.setflags(write=False)  # shared by every matrix built on it
+        self._factor_shell = self.csc(np.zeros(self.indices.size))
 
     def csc(self, data: np.ndarray) -> sp.csc_matrix:
-        """The matrix on x with a data array on the pattern."""
+        """The matrix on x with a data array on the pattern, a new scipy
+        matrix on each call."""
         return sp.csc_matrix((data, self.indices, self.indptr), shape=(self.n_x, self.n_x))
+
+    def factor_matrix(self, data: np.ndarray) -> sp.csc_matrix:
+        """The matrix on x with a data array on the pattern, for a
+        factorization: the layout's one scipy matrix, its ``data`` rebound
+        to ``data`` itself, so scipy checks the pattern's format once per
+        mesh, not once per factor.  It holds the caller's array until the
+        next call rebinds it; ``splu`` copies what it factors, so a factor
+        outlives both.  Data not sized to the pattern raises ValueError."""
+        if data.shape != self.indices.shape:
+            raise ValueError(f"matrix on a pattern of {self.indices.size} slots: "
+                             f"got data {data.shape}")
+        self._factor_shell.data = data
+        return self._factor_shell
 
     def csr(self, data: np.ndarray) -> sp.csr_matrix:
         """The free-DOF fluid block of ``csc(data)``, row-major."""
@@ -552,9 +583,7 @@ def assemble_all(fluid: FluidSpace, layout: CoupledLayout,
     Entries depend on the wall only through values/slopes at quadrature
     points, so equal profiles produce bit-identical matrices.
     """
-    R = fluid.domain.R
-    w_q, s_q = fluid.wall_samples(profile, R=R, reduced=False)
-    w1_q, s1_q = fluid.wall_samples(profile, R=R, reduced=True)
+    w_q, s_q, w1_q, s1_q = fluid.wall_samples(profile, R=fluid.domain.R)
 
     scalar, vector = layout.scalar_data, layout.vector_data
     return AssembledForms(

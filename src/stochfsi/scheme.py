@@ -30,10 +30,12 @@ here) refactors.  The returned iterate is refined until it solves its
 own frozen-transport system to SOLVE_BERR.  Every matrix of the
 substep is a data array on the ``CoupledLayout``'s one sparsity pattern:
 the step's matrix is the beam mass plus arithmetic on the level's forms,
-and each iterate writes its advection into that one array.  The ledger
-records every quantity appearing in the balance, with the step's
-factorizations and the backward error of its returned solve, so the
-inequalities can be re-checked offline, term by term.
+and each iterate writes its advection into that one array.  A
+factorization hands that array to ``splu`` through the layout's one
+scipy matrix (``CoupledLayout.factor_matrix``), so a step builds none.
+The ledger records every quantity appearing in the balance, with the
+step's factorizations and the backward error of its returned solve, so
+the inequalities can be re-checked offline, term by term.
 """
 
 from __future__ import annotations
@@ -198,15 +200,16 @@ def fluid_step(
     coupling is the beam mass embedded at the shared/slope positions.
     The beam mass and every fluid form are data arrays on the layout's one
     sparsity pattern, so the step's one matrix is arithmetic on them.
-    Every product is ``CoupledLayout.matvec``; the only scipy matrix is
-    the one each factorization hands to ``splu``.  Picard freezes the
-    transport field a = u - v r e_r at the previous iterate; every other
-    term is implicit.  The advection form is linear in a on the frozen
-    geometry, so its map is built once per step and each iterate only
-    applies it, writing the matrix's data array in place.  Initial
-    iterate: u_n with the wall-velocity block overwritten by the half-step
-    wall velocity.  The noise enters through the step's coefficient xi
-    (``NoisePath.xi``).
+    Every product is ``CoupledLayout.matvec``, and a factorization hands
+    the array to ``splu`` in the layout's one scipy matrix
+    (``CoupledLayout.factor_matrix``): the step builds no scipy matrix.
+    Picard freezes the transport field a = u - v r e_r at the previous
+    iterate; every other term is implicit.  The advection form is linear
+    in a on the frozen geometry, so its map is built once per step and
+    each iterate only applies it, writing the matrix's data array in
+    place.  Initial iterate: u_n with the wall-velocity block overwritten
+    by the half-step wall velocity.  The noise enters through the step's
+    coefficient xi (``NoisePath.xi``).
 
     The step factors once, at its first iterate, and solves it directly.
     Each later iterate's matrix differs only in its advection, so it is
@@ -247,7 +250,7 @@ def fluid_step(
         try:
             solved = None if lu is None else _refine(layout, A, lu, g, rhs, b_norm, sweeps)
             if solved is None:
-                lu, factors = _splu(layout.csc(A)), factors + 1
+                lu, factors = _splu(layout.factor_matrix(A)), factors + 1
                 solved = _refine(layout, A, lu, lu.solve(rhs), rhs, b_norm, 0)
         except RuntimeError as exc:
             raise SolverFailure(f"fluid solve failed: {exc}") from exc
@@ -288,15 +291,15 @@ def trace_dissipation_constant(layout: CoupledLayout, forms: AssembledForms,
     symmetric and SPD on the free DOFs, so its lower band
     (``CoupledLayout.lower_band``) is the whole matrix: one banded
     Cholesky factor (LAPACK's dpbtrf) and one solve (dpbtrs) for both
-    flux vectors, and the Gram matrix is formed in the band's ordering,
+    flux vectors, kept per mesh in the band's ordering
+    (``CoupledLayout.band_flux``), and the Gram matrix is formed in it,
     which it does not depend on.  A form that is not finite, or a nonzero
     info (a form that is not SPD), raises SolverFailure.
     """
     data = params.nu * forms.K + (1.0 / params.epsilon) * forms.P
     if not np.all(np.isfinite(data)):
         raise SolverFailure("trace-constant solve failed: non-finite dissipation form")
-    fluid = layout.fluid
-    F = np.stack([fluid.flux_in, fluid.flux_out], axis=1)[layout.band_perm]
+    F = layout.band_flux
     factor = _lapack("trace-constant solve", "dpbtrf", layout.lower_band(data), lower=1)
     (a, b), (_, c) = F.T @ _lapack("trace-constant solve", "dpbtrs", factor, F, lower=1)
     return (a + c) / 2 + np.hypot((a - c) / 2, b)

@@ -512,9 +512,31 @@ class TestAxisOverride:
         assert str(swept.value) == f"run.sweep_values[0]: {rule}"
 
     def test_sweep_needs_sweep_mode(self):
-        # outside sweep mode parse_config leaves the sweep fields unchecked,
-        # so sweep refuses to run them
-        data = sweep_data("nu", [0.0])
+        # a valid sweep block parses in another mode, where sweep refuses it
+        data = sweep_data("epsilon", [1e-2, 1e-3])
         cfg = parse_config({**data, "run": {**data["run"], "mode": "ensemble"}})
         with pytest.raises(ConfigError, match="^run.mode: "):
             cli.sweep(cfg, build_problem(cfg))
+
+    @pytest.mark.parametrize("mode", ["path", "ensemble"])
+    @pytest.mark.parametrize("fields,field", [
+        ({"sweep_axis": "nu", "sweep_values": [0.0]}, "run.sweep_axis"),
+        ({"sweep_axis": "epsilon"}, "run.sweep_values"),
+        ({"sweep_values": [1e-2]}, "run.sweep_axis"),
+        ({"sweep_axis": "epsilon", "sweep_values": [1e-2, -1e-3]}, "run.sweep_values[1]"),
+        ({"sweep_axis": "N", "sweep_values": [4, 4]}, "run.sweep_values"),
+    ])
+    def test_sweep_fields_checked_in_every_mode(self, mode, fields, field):
+        # a set sweep field is checked outside sweep mode too, so a run
+        # never echoes junk sweep fields into its manifest
+        with pytest.raises(ConfigError) as err:
+            parse_config({**MINIMAL, "run": {"mode": mode, **fields}})
+        assert str(err.value).startswith(f"{field}: ")
+
+    def test_valid_sweep_block_runs_as_ensemble(self, tmp_path):
+        data = sweep_data("epsilon", [1e-2, 1e-3])
+        out = tmp_path / "ens"
+        assert main(["run", "--config", write_cfg(tmp_path, data), "--mode", "ensemble",
+                     "--paths", "2", "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["run"]["sweep_values"] == [1e-2, 1e-3]

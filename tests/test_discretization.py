@@ -4,6 +4,7 @@ import scipy.sparse as sp
 from scipy.optimize import brentq
 
 import oracle_dense as od
+from stochfsi import scheme
 from stochfsi.discretization import (
     CoupledLayout,
     FluidSpace,
@@ -115,6 +116,76 @@ class TestBuildSpaces:
             CoupledLayout(FluidSpace(ReferenceDomain(L=1.0, R=1.0, nz=2, nr=2)),
                           StructureSpace(1.0, 3))
 
+    def test_factor_matrix_is_one_shell_on_the_callers_data(self, rng):
+        # one scipy matrix per layout, its data the caller's array itself
+        fl, st, lay = spaces(4, 2)
+        A, B = (rng.normal(size=lay.indices.size) for _ in range(2))
+        shell = lay.factor_matrix(A)
+        assert shell.data is A and lay.factor_matrix(B) is shell and shell.data is B
+        assert shell.shape == (lay.n_x, lay.n_x)
+        assert np.array_equal(shell.indices, lay.indices)
+        assert np.array_equal(shell.indptr, lay.indptr)
+        for bad in (A[:-1], A[:, None]):
+            with pytest.raises(ValueError, match="^matrix on a pattern"):
+                lay.factor_matrix(bad)
+
+    def test_factor_outlives_the_shell(self, rng):
+        # splu copies what it factors: a factor made before the shell is
+        # rebound, or its array rewritten, still solves its own system
+        fl, st, lay = spaces(4, 2)
+        forms = assemble_all(fl, lay, random_wall(rng, 4))
+        A1 = lay.beam_mass + forms.M_eta + 0.1 * forms.K
+        A2 = lay.beam_mass + 2.0 * forms.M_sq + 0.3 * forms.P
+        kept = A1.copy()
+        lu1 = scheme._splu(lay.factor_matrix(A1))
+        lu2 = scheme._splu(lay.factor_matrix(A2))
+        A1[:] = A2
+        b = rng.normal(size=lay.n_x)
+        for lu, data in ((lu1, kept), (lu2, A2)):
+            x = lu.solve(b)
+            assert np.abs(lay.csc(data) @ x - b).max() <= 1e-12 * np.abs(b).max()
+
+
+class TestWallSamples:
+    MESHES = [(4, 2, 1.0), (2, 5, 1.0), (8, 4, 4.0), (32, 16, 1.0)]
+
+    @pytest.mark.parametrize("nz,nr,L", MESHES)
+    def test_samples_bit_identical_to_pointwise(self, rng, nz, nr, L):
+        # sampling once per abscissa gives each rule's samples at q.z exactly
+        R = 1.3
+        fl, st, lay = spaces(nz, nr, L=L)
+        prof = random_wall(rng, nz, L=L)
+        w, s, w1, s1 = fl.wall_samples(prof, R)
+        for q, (wq, sq) in ((fl.q_full, (w, s)), (fl.q_reduced, (w1, s1))):
+            assert np.array_equal(wq, R + prof.value(q.z))
+            assert np.array_equal(sq, prof.slope(q.z))
+        assert fl.wall_z.shape == (3 * nz,)
+
+    @pytest.mark.parametrize("nz,nr,L", MESHES)
+    def test_cell_rows_share_the_first_rows_abscissae(self, nz, nr, L):
+        # the premise of sampling the first cell row only
+        fl, st, lay = spaces(nz, nr, L=L)
+        for q in (fl.q_full, fl.q_reduced):
+            rows = q.z.reshape(nr, nz, -1)
+            assert np.array_equal(rows, np.broadcast_to(rows[0], rows.shape))
+
+    def test_one_value_and_one_slope_per_assembly(self, rng, monkeypatch):
+        fl, st, lay = spaces(4, 2)
+        calls = []
+
+        def counting(name):
+            method = getattr(WallProfile, name)
+
+            def counted(self, z):
+                calls.append(name)
+                return method(self, z)
+            return counted
+
+        for name in ("value", "slope"):
+            monkeypatch.setattr(WallProfile, name, counting(name))
+        assemble_all(fl, lay, random_wall(rng, 4))
+        assert sorted(calls) == ["slope", "value"]
+
 
 class TestWeightedMass:
     def test_q1_pattern_on_unit_cell(self):
@@ -168,7 +239,7 @@ class TestViscousAndPenalty:
     def test_viscous_kills_rigid_fields(self, rng):
         fl, st, lay = spaces(4, 3)
         prof = random_wall(rng, 4)
-        blocks = element_viscous(fl, *fl.wall_samples(prof, 1.0))
+        blocks = element_viscous(fl, *fl.wall_samples(prof, 1.0)[:2])
         # a rigid translation has zero strain in every cell
         const = np.array([0.7, -1.3])
         per_cell = np.einsum("cpqab,q->cpa", blocks.reshape(-1, 2, 2, 4, 4), const)
@@ -177,7 +248,7 @@ class TestViscousAndPenalty:
     def test_viscous_spsd(self, rng):
         fl, st, lay = spaces(3, 2)
         prof = random_wall(rng, 3)
-        K = lay.csr(lay.vector_data(element_viscous(fl, *fl.wall_samples(prof, 1.0))))
+        K = lay.csr(lay.vector_data(element_viscous(fl, *fl.wall_samples(prof, 1.0)[:2])))
         w = np.linalg.eigvalsh(K.toarray())
         assert w.min() >= -1e-12
 
@@ -188,7 +259,7 @@ class TestViscousAndPenalty:
         fl, st, lay = spaces(nz, nr)
         prof = WallProfile.zero(1.0, nz)
         P = lay.csr(lay.vector_data(
-            element_penalty(fl, *fl.wall_samples(prof, 1.0, reduced=True)))).toarray()
+            element_penalty(fl, *fl.wall_samples(prof, 1.0)[2:]))).toarray()
         w, V = np.linalg.eigh(P)
         null = V[:, w < 1e-12]
         if null.size:

@@ -122,7 +122,7 @@ class TestTransformedOperators:
         R = 1.5
         fs = FluidSpace(ReferenceDomain(L=1.0, R=R, nz=8, nr=3))
         prof = random_profile(rng)
-        blocks = element_penalty(fs, *fs.wall_samples(prof, R, reduced=True))
+        blocks = element_penalty(fs, *fs.wall_samples(prof, R)[2:])
         _, dN = od.q1_shape(0.0, 0.0)   # the reduced rule's one point
         for c in range(len(fs.cells)):
             z, r = fs.q_reduced.z[c, 0], fs.q_reduced.r[c, 0]
@@ -141,7 +141,7 @@ class TestTransformedOperators:
         prof = WallProfile(1.0, vals, np.zeros(9))
         fs = FluidSpace(ReferenceDomain(L=1.0, R=1.0, nz=8, nr=2))
         with pytest.raises(DegenerateJacobian):
-            element_viscous(fs, *fs.wall_samples(prof, 1.0))
+            element_viscous(fs, *fs.wall_samples(prof, 1.0)[:2])
 
     def _fd_oracle(self, u_ref, prof, R, point, step=1e-6):
         """Central finite differences of u o A^{-1} on the physical domain."""

@@ -304,8 +304,8 @@ class TestFluidStep:
 
     @pytest.mark.parametrize("case", sorted(_SOLVE_CASES))
     def test_scipy_matrices_only_for_the_factors(self, case, rng, monkeypatch):
-        # assembly builds no scipy sparse object, and a fluid step one per
-        # factorization: the matrix it hands to splu
+        # assembly builds no scipy sparse object, and neither does a fluid
+        # step: its factorizations reuse the layout's one matrix
         made = sparse_constructions(monkeypatch)
         fl, st, lay = tiny_spaces(4, 2)
         made.clear()
@@ -316,8 +316,8 @@ class TestFluidStep:
         u_n[lay.shared_free] = v_n[0::2]
         stats = fluid_step(fl, lay, forms, forms.M_eta, self._SOLVE_CASES[case],
                            u_n, v_n, v_n, 0.0, 1.0, 0.0)[2]
-        assert stats.iterations > 2
-        assert made == ["csc_matrix"] * stats.lu_factors
+        assert stats.iterations > 2 and stats.lu_factors >= 1
+        assert made == []
 
     @pytest.mark.parametrize("tol", [1e-10, 1e-4])
     def test_returned_iterate_solves_its_own_system(self, tol, rng, monkeypatch):
@@ -423,6 +423,15 @@ class TestFluidStep:
         assert trace_dissipation_constant(lay, forms, params) == \
             (a + c) / 2 + np.hypot((a - c) / 2, b)
 
+    @pytest.mark.parametrize("mesh", ["4x2", "3x3", "default", "2x5", "32x16"])
+    def test_band_flux_is_the_stacked_flux_pair(self, mesh, rng):
+        # the layout keeps the stack the trace constant once built per call
+        # (the test above checks the constant against it bit for bit),
+        # read-only since every call shares it
+        lay, params, forms = self._trace_case(mesh, rng)
+        F = np.stack([lay.fluid.flux_in, lay.fluid.flux_out], axis=1)[lay.band_perm]
+        assert np.array_equal(lay.band_flux, F) and not lay.band_flux.flags.writeable
+
     def test_trace_constant_indefinite_names_the_routine(self, rng):
         lay, params, forms = self._trace_case("4x2", rng)
         with pytest.raises(SolverFailure, match=r"dpbtrf info [1-9][0-9]*$"):
@@ -490,12 +499,12 @@ class TestRunPath:
         assert np.all(led.lu_factors >= 1)
 
     def test_scipy_matrices_only_for_the_factors(self, monkeypatch):
-        # forms, trace constants and the ledger build no scipy sparse
-        # object: a path builds one per factorization of its fluid solves
+        # forms, trace constants, the ledger and the factorizations of the
+        # fluid solves build no scipy sparse object
         prob = make_problem()
         made = sparse_constructions(monkeypatch)
         led = run_path(prob, 0).ledger
-        assert len(made) == led.lu_factors.sum() > 0
+        assert led.lu_factors.sum() > 0 and made == []
 
     def test_zero_amplitude_seed_independent(self):
         base = dict(noise={"K": 3, "q": [1.0, 0.5, 0.25],
