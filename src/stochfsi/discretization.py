@@ -228,16 +228,18 @@ class FluidSpace:
 
 def _pullback_coefficients(w_q, s_q, r_q, weight) -> np.ndarray:
     """The six per-point coefficients of a gradient Gram form (see
-    ``_gram_table``), (ncell, 6 nq); ``weight`` is the form's own weight."""
-    if np.any(w_q <= 0.0):
+    ``_gram_table``), (ncell, 6 nq); ``weight`` is the form's own weight,
+    an array shaped like ``w_q`` or a scalar (the penalty's 1, whose
+    products are exact)."""
+    if (w_q <= 0.0).any():
         raise DegenerateJacobian(
             f"R + eta <= 0 at a quadrature point (min {w_q.min():.6g}); "
             "the cutoff should have prevented this geometry"
         )
     inv = 1.0 / w_q
     t = r_q * s_q * inv
-    b = np.broadcast_to(weight, w_q.shape)
-    return np.concatenate([b, b * t, b * t * t, b * inv * inv, b * inv, b * t * inv], axis=1)
+    return np.concatenate([np.full_like(w_q, weight), weight * t, weight * t * t,
+                           weight * inv * inv, weight * inv, weight * t * inv], axis=1)
 
 
 def element_mass(fs: FluidSpace, w_q: np.ndarray) -> np.ndarray:
@@ -465,6 +467,8 @@ class CoupledLayout:
         self._adv_inputs = np.concatenate([
             x_pad[2 * fluid.cells], x_pad[2 * fluid.cells + 1],
             beam_pad[structure.element_dofs[column]]], axis=1)
+        self._x_pad = np.zeros(n_x + 1)  # advection_data's copy of x
+        self._vector_shapes = frozenset({(n_free,), (n_x,)})  # what matvec accepts
         for pattern in (self.indices, self.indptr, self.beam_mass, self.band_perm,
                         self._band_slot, self._band_flat, self.band_flux):
             pattern.setflags(write=False)  # shared by every matrix built on it
@@ -499,8 +503,7 @@ class CoupledLayout:
         columns, which adds A[i, j] x[j] into y[i] in ascending j.  It
         indexes data and x without bounds checks, so their lengths are
         checked here (ValueError)."""
-        if data.shape != self.indices.shape or x.shape not in {(self.fluid.n_free,),
-                                                                (self.n_x,)}:
+        if data.shape != self.indices.shape or x.shape not in self._vector_shapes:
             raise ValueError(f"mat-vec on a pattern of {self.indices.size} slots: "
                              f"got data {data.shape} and x {x.shape}")
         y = np.zeros(self.n_x)
@@ -532,9 +535,13 @@ class CoupledLayout:
     def advection_data(self, adv: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Pattern data of the skew advection operator for the transport
         field of the coupled vector x, from the per-step map ``adv`` built
-        by ``assemble_advection``."""
-        inputs = np.append(x, 0.0)[self._adv_inputs]
-        return self.scalar_data(adv @ inputs[:, :, None])
+        by ``assemble_advection``.  x is written into the layout's one
+        padded buffer, whose last entry stays zero for the masked and
+        clamped inputs to read; the next call overwrites it, so, like
+        ``factor_matrix``'s shell, it serves one path at a time.  The
+        gather from the buffer copies, so no result shares its memory."""
+        self._x_pad[:-1] = x
+        return self.scalar_data(adv @ self._x_pad[self._adv_inputs][:, :, None])
 
 
 def build_spaces(domain: ReferenceDomain):

@@ -128,9 +128,14 @@ class WallProfile:
         return self._combine(z, 1)
 
     def min_value(self) -> float:
-        """Exact minimum of eta over [0, L] via per-element cubic critical
-        points: only the + root of eta', where eta'' = +sqrt(disc)/h^2 >= 0,
-        can be an interior minimum (the - root is a local maximum)."""
+        """Exact minimum of eta over [0, L]: the smallest nodal value, or
+        the cubic at a per-element critical point inside the element.  Only
+        the + root of eta', where eta'' = +sqrt(disc)/h^2 >= 0, can be an
+        interior minimum (the - root is a local maximum); where eta' is
+        linear (a == 0) its root is -c/b.  A root that is not a number
+        (disc < 0, or a == b == 0) or not strictly inside (0, 1) fails the
+        range test, so the cubic is evaluated on the remaining elements
+        only."""
         h = self.h
         v0, v1 = self.vals[:-1], self.vals[1:]
         s0, s1 = self.slopes[:-1], self.slopes[1:]
@@ -140,12 +145,13 @@ class WallProfile:
         c = h * s0
         disc = b * b - 4 * a * c
         with np.errstate(invalid="ignore", divide="ignore"):
-            xi = np.where(
-                np.abs(a) > 0,
-                (-b + np.sqrt(np.maximum(disc, 0.0))) / (2 * a),
-                np.where(np.abs(b) > 0, -c / b, np.nan),
-            )
-        ok = np.isfinite(xi) & (disc >= 0) & (xi > 0) & (xi < 1)
-        h0, h1, h2, h3 = hermite_shapes(np.where(ok, xi, 0.0), h, 0)
-        val = h0 * v0 + h1 * s0 + h2 * v1 + h3 * s1
-        return float(min(np.minimum(v0, v1).min(), np.where(ok, val, np.inf).min()))
+            xi = (-b + np.sqrt(disc)) / (2 * a)
+            linear = a == 0
+            xi[linear] = -c[linear] / b[linear]
+        inside = (xi > 0) & (xi < 1)
+        low = self.vals.min()
+        if not inside.any():
+            return float(low)
+        h0, h1, h2, h3 = hermite_shapes(xi[inside], h, 0)
+        val = h0 * v0[inside] + h1 * s0[inside] + h2 * v1[inside] + h3 * s1[inside]
+        return float(min(low, val.min()))

@@ -77,7 +77,7 @@ class NoiseSpec:
     @property
     def phi_hs_sq(self) -> float:
         """||Phi||^2 in the Hilbert-Schmidt sense (against the q-weighted basis)."""
-        return float(np.sum(self.q * self.amplitude**2))
+        return float((self.q * self.amplitude**2).sum())
 
     def resolve_sampling(self, N: int) -> str:
         if self.sampling == "auto":
@@ -110,7 +110,7 @@ class NoisePath:
         """Squared Cameron-Martin norm of the n-th increment."""
         if self.spec.K == 0:
             return 0.0
-        return float(np.sum(self.increments[n] ** 2 / self.spec.q))
+        return float((self.increments[n] ** 2 / self.spec.q).sum())
 
     def refine(self, n: int, refinement: int) -> np.ndarray:
         """Split step n's increment into `refinement` sub-increments.

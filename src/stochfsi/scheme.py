@@ -40,6 +40,7 @@ the inequalities can be re-checked offline, term by term.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
@@ -58,6 +59,7 @@ from .discretization import (
     assemble_all,
 )
 from .errors import InitialDataError, PicardDivergence, SolverFailure
+from .geometry import WallProfile
 from .noise import NoisePath, NoiseSpec, sample_path, state_l2_sq
 
 
@@ -83,23 +85,26 @@ class PicardStats:
     solve_berr: float    # backward error of the returned iterate's solve
 
 
-def band(problem: PathProblem, eta: np.ndarray) -> tuple[float, float]:
+def band(problem: PathProblem, eta: np.ndarray, profile: WallProfile) -> tuple[float, float]:
     """The two quantities the admissible band bounds: inf_z (R + eta),
-    exact from the piecewise cubic and required to exceed delta, and
+    exact from the piecewise cubic ``profile`` of the beam vector eta
+    (``StructureSpace.profile``, which the caller builds once and may reuse
+    for the level's forms) and required to exceed delta, and
     ||R + eta||_{H^s}, required to stay below 1/delta."""
     R = problem.R
-    return R + problem.structure.profile(eta).min_value(), problem.hs_form.norm(eta, R)
+    return R + profile.min_value(), problem.hs_form.norm(eta, R)
 
 
 def update_cutoff(theta: int, eta_star: np.ndarray, candidate: np.ndarray,
-                  problem: PathProblem):
-    """Fold one candidate displacement into the cutoff history.
+                  profile: WallProfile, problem: PathProblem):
+    """Fold one candidate displacement, with its wall ``profile``, into the
+    cutoff history.
 
     Returns (theta, eta_star, min_gap, hs_value).  theta never increases:
     it drops to 0 at the first candidate outside the band, and from then
     on eta_star stays frozen at the last admissible displacement.
     """
-    min_gap, hs_value = band(problem, candidate)
+    min_gap, hs_value = band(problem, candidate, profile)
     delta = problem.params.delta
     theta = min(theta, int(min_gap > delta and hs_value < 1.0 / delta))
     return theta, (candidate if theta else eta_star), min_gap, hs_value
@@ -133,7 +138,7 @@ def structure_step(eta: np.ndarray, v: np.ndarray, dt: float,
         b = structure.M @ v - dt * (S @ eta)
     c, lower = structure.step_factor(dt)
     v_half = _lapack("structure solve", "dpotrs", c, b, lower=lower) if b.size else b
-    if not np.all(np.isfinite(v_half)):
+    if not np.isfinite(v_half).all():
         raise SolverFailure("structure solve produced non-finite values")
     eta_half = eta + dt * v_half
     return eta_half, v_half
@@ -245,16 +250,22 @@ def fluid_step(
     lu, factors, rel = None, 0, np.inf
 
     def solve(g, sweeps):
-        """(x, backward error) from g by ``_refine``, else by a fresh factor."""
+        """(x, backward error) from g by ``_refine``, else by a fresh
+        factor's direct solve.  Only the returned iterate's backward error
+        is read, so an intermediate iterate's direct solve (finite
+        ``sweeps``) leaves it None; the returned iterate's refinement
+        (unbounded ``sweeps``) measures it, with the same factor."""
         nonlocal lu, factors
         try:
             solved = None if lu is None else _refine(layout, A, lu, g, rhs, b_norm, sweeps)
             if solved is None:
                 lu, factors = _splu(layout.factor_matrix(A)), factors + 1
-                solved = _refine(layout, A, lu, lu.solve(rhs), rhs, b_norm, 0)
+                direct = lu.solve(rhs)
+                solved = (direct, None) if sweeps < np.inf else \
+                    _refine(layout, A, lu, direct, rhs, b_norm, 0)
         except RuntimeError as exc:
             raise SolverFailure(f"fluid solve failed: {exc}") from exc
-        if solved is None or not np.all(np.isfinite(solved[0])):
+        if solved is None or not np.isfinite(solved[0]).all():
             raise SolverFailure("fluid solve produced non-finite values")
         return solved
 
@@ -262,12 +273,12 @@ def fluid_step(
         np.add(fixed, dt * layout.advection_data(adv, x), out=A)
         x_new, berr = solve(x, 1)
         d = x_new - x
-        num = float(np.sqrt(max(d @ layout.matvec(M_norm, d), 0.0)))
-        den = float(np.sqrt(max(x_new @ layout.matvec(M_norm, x_new), 0.0)))
+        num = math.sqrt(max(float(d @ layout.matvec(M_norm, d)), 0.0))
+        den = math.sqrt(max(float(x_new @ layout.matvec(M_norm, x_new)), 0.0))
         rel = num / max(den, 1e-30)
         x = x_new
         if rel <= params.tol_picard:
-            if berr > SOLVE_BERR:
+            if berr is None or berr > SOLVE_BERR:
                 x, berr = solve(x, np.inf)
             return (x[:n_free].copy(), x[layout.beam_to_x],
                     PicardStats(it, rel, factors, berr))
@@ -297,7 +308,7 @@ def trace_dissipation_constant(layout: CoupledLayout, forms: AssembledForms,
     info (a form that is not SPD), raises SolverFailure.
     """
     data = params.nu * forms.K + (1.0 / params.epsilon) * forms.P
-    if not np.all(np.isfinite(data)):
+    if not np.isfinite(data).all():
         raise SolverFailure("trace-constant solve failed: non-finite dissipation form")
     F = layout.band_flux
     factor = _lapack("trace-constant solve", "dpbtrf", layout.lower_band(data), lower=1)
@@ -425,7 +436,7 @@ def check_initial_admissibility(problem: PathProblem) -> None:
     """Enforce the admissibility of the initial configuration: the wall
     gap clears delta and both the H^2 and H^s norms sit inside the band."""
     delta = problem.params.delta
-    gap0, hs0 = band(problem, problem.eta0)
+    gap0, hs0 = band(problem, problem.eta0, problem.structure.profile(problem.eta0))
     if not gap0 > delta:
         raise InitialDataError(f"initial.eta0: wall gap min(R+eta0) = {gap0:.6g} "
                                f"must exceed delta = {delta:.6g}")
@@ -460,10 +471,11 @@ class State(NamedTuple):
     trace_const: float
 
 
-def level_forms(problem: PathProblem, eta_star: np.ndarray):
-    """The forms of the level whose artificial displacement is eta_star,
-    and their trace constant."""
-    forms = assemble_all(problem.fluid, problem.layout, problem.structure.profile(eta_star))
+def level_forms(problem: PathProblem, profile: WallProfile):
+    """The forms of the level whose artificial displacement has the wall
+    ``profile`` (``StructureSpace.profile`` of eta*), and their trace
+    constant."""
+    forms = assemble_all(problem.fluid, problem.layout, profile)
     return forms, trace_dissipation_constant(problem.layout, forms, problem.params)
 
 
@@ -477,14 +489,18 @@ def step(problem: PathProblem, state: State, n: int, noise_path: NoisePath):
     the matrix the next step measures with: the energies telescope
     exactly by construction.  Level n+1's forms are assembled only when
     the fold moved eta* to the candidate (theta is 1); else n's carry over.
+    The candidate's wall profile is built once, for the band check and,
+    when theta stays 1, for the forms.
     """
     fl, st, lay, prm = problem.fluid, problem.structure, problem.layout, problem.params
     dt, M_s, S = prm.dt, st.M, st.S
     u, v, eta, forms = state.u, state.v, state.eta, state.forms
     eh, vh = structure_step(eta, v, dt, st)
 
-    theta, eta_star, min_gap, hs_value = update_cutoff(state.theta, state.eta_star, eh, problem)
-    forms_next, trace_next = level_forms(problem, eta_star) if theta else (forms, state.trace_const)
+    profile = st.profile(eh)
+    theta, eta_star, min_gap, hs_value = update_cutoff(state.theta, state.eta_star, eh,
+                                                       profile, problem)
+    forms_next, trace_next = level_forms(problem, profile) if theta else (forms, state.trace_const)
 
     xi = noise_path.xi(n)
     P_in, P_out = float(problem.P_in[n]), float(problem.P_out[n])
@@ -503,9 +519,9 @@ def step(problem: PathProblem, state: State, n: int, noise_path: NoisePath):
                 + (1.0 / prm.epsilon) * float(div_sq)),
         C1=0.5 * vhalf_gap + 0.5 * float(deta @ (S @ deta)),
         C2=0.25 * float(du @ lay.matvec(forms.M_eta, du)) + 0.25 * float(dvf @ (M_s @ dvf)),
-        div_residual=float(np.sqrt(max(div_sq, 0.0))),
+        div_residual=math.sqrt(max(float(div_sq), 0.0)),
         theta=theta, min_gap=min_gap, hs_norm=hs_value,
-        stoch_work=xi * float(u_sq + v_sq), incr_norm=float(np.sqrt(noise_path.u0_norm_sq(n))),
+        stoch_work=xi * float(u_sq + v_sq), incr_norm=math.sqrt(noise_path.u0_norm_sq(n)),
         xi=xi, S_bound=xi * xi * float(u_sq + 2.0 * v_sq),
         g_hs_sq=problem.noise.phi_hs_sq * g_state, g_state_sq=g_state,
         pressure_work=P_in * float(fl.flux_in @ u_new) - P_out * float(fl.flux_out @ u_new),
@@ -524,25 +540,30 @@ def run_path(problem: PathProblem, path_index: int = 0) -> Trajectory:
     every later E[n+1] is step n's E_next, so the energies telescope
     exactly (see ``step``).  The loop keeps marching on the frozen
     artificial geometry after the cutoff engages (halt_at_stop stops after
-    the step that drops theta).  The history keeps each level's arrays,
-    never a state, so only the current level's forms stay alive.
+    the step that drops theta).  Each level's arrays are written into
+    (N+1)-row arrays, never kept as a state, so only the current level's
+    forms stay alive; a halted path returns their leading rows.
     """
     check_initial_admissibility(problem)
     noise_path = sample_path(problem.noise, problem.N, problem.params.dt, path_index)
     u0 = problem.u0.copy()
     u0[problem.layout.shared_free] = problem.v0[0::2]  # kinematic compatibility at the nodes
     state = State(u0, problem.v0, problem.eta0, problem.eta0, 1,
-                  *level_forms(problem, problem.eta0))
+                  *level_forms(problem, problem.structure.profile(problem.eta0)))
     E0 = energy(problem.layout, state.forms.M_eta, u0, problem.v0, problem.eta0)
-    first, history = state[:4], []
+    levels = [np.empty((problem.N + 1, a.size)) for a in state[:4]]  # u, v, eta, eta_star
+    v_half, rows = np.empty((problem.N, problem.v0.size)), []
+    for level, a in zip(levels, state[:4]):
+        level[0] = a
     for n in range(problem.N):
-        state, vh, row = step(problem, state, n, noise_path)
-        history.append((state[:4], vh, row))
+        state, v_half[n], row = step(problem, state, n, noise_path)
+        for level, a in zip(levels, state[:4]):
+            level[n + 1] = a
+        rows.append(row)
         if problem.halt_at_stop and state.theta == 0:
             break
 
-    levels, v_half, rows = zip(*history)
-    u, v, eta, eta_star = map(np.array, zip(first, *levels))
+    u, v, eta, eta_star = (level[:len(rows) + 1] for level in levels)
     return Trajectory(dt=problem.params.dt, n_steps=len(rows), u=u, v=v, eta=eta,
-                      v_half=np.array(v_half), eta_star=eta_star,
+                      v_half=v_half[:len(rows)], eta_star=eta_star,
                       ledger=EnergyLedger.from_rows(E0, rows), noise=noise_path)

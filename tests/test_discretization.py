@@ -17,6 +17,7 @@ from stochfsi.discretization import (
     element_mass,
     element_penalty,
     element_viscous,
+    _pullback_coefficients,
 )
 from stochfsi.errors import ConfigError
 from stochfsi.geometry import ReferenceDomain, WallProfile
@@ -275,6 +276,41 @@ class TestViscousAndPenalty:
             B = lay.csr(lay.advection_data(adv, rng.normal(size=lay.n_x)))
             x = rng.normal(size=fl.n_free)
             assert abs(x @ (B @ x)) <= 1e-12 * (x @ x)
+
+    @pytest.mark.parametrize("nz,nr", [(4, 2), (8, 4)])
+    def test_pullback_weights_match_the_broadcast_form(self, nz, nr, rng):
+        # the coefficients as formed with the weight broadcast to the
+        # samples' shape, bit for bit, for the penalty's scalar 1 and the
+        # viscous form's weight R + eta
+        fl, st, lay = spaces(nz, nr)
+        w_q, s_q, w1_q, s1_q = fl.wall_samples(random_wall(rng, nz), 1.0)
+        for w, s, r, weight in ((w1_q, s1_q, fl.q_reduced.r, 1.0),
+                                (w_q, s_q, fl.q_full.r, w_q)):
+            inv = 1.0 / w
+            t = r * s * inv
+            b = np.broadcast_to(weight, w.shape)
+            want = np.concatenate([b, b * t, b * t * t, b * inv * inv, b * inv, b * t * inv],
+                                  axis=1)
+            assert np.array_equal(_pullback_coefficients(w, s, r, weight), want)
+
+    def test_advection_data_reuses_no_result(self, rng):
+        # consecutive calls share the layout's padded buffer; each result
+        # equals a gather from a freshly padded copy of its own x, and a
+        # later call leaves an earlier result as it was
+        fl, st, lay = spaces(4, 2)
+        adv = assemble_advection(fl, assemble_all(fl, lay, random_wall(rng, 4)))
+
+        def fresh(x):
+            return lay.scalar_data(adv @ np.append(x, 0.0)[lay._adv_inputs][:, :, None])
+
+        x1, x2 = rng.normal(size=(2, lay.n_x))
+        first = lay.advection_data(adv, x1)
+        kept = first.copy()
+        assert np.array_equal(first, fresh(x1))
+        second = lay.advection_data(adv, x2)
+        assert np.array_equal(second, fresh(x2))
+        assert np.array_equal(first, kept)
+        assert not np.array_equal(first, second)
 
 
 class TestStructureStiffness:

@@ -220,7 +220,104 @@ class TestFlatIsUntransformed:
             assert np.allclose(g, plain, rtol=1e-12, atol=1e-15)
 
 
+def min_value_oracle(prof):
+    """WallProfile.min_value as it was before its per-element evaluation
+    was restricted to the elements with an interior root: the cubic at
+    every element, masked by nested np.where."""
+    h = prof.h
+    v0, v1 = prof.vals[:-1], prof.vals[1:]
+    s0, s1 = prof.slopes[:-1], prof.slopes[1:]
+    a = 6 * (v0 - v1) + 3 * h * (s0 + s1)
+    b = 6 * (v1 - v0) - 2 * h * (2 * s0 + s1)
+    c = h * s0
+    disc = b * b - 4 * a * c
+    with np.errstate(invalid="ignore", divide="ignore"):
+        xi = np.where(
+            np.abs(a) > 0,
+            (-b + np.sqrt(np.maximum(disc, 0.0))) / (2 * a),
+            np.where(np.abs(b) > 0, -c / b, np.nan),
+        )
+    ok = np.isfinite(xi) & (disc >= 0) & (xi > 0) & (xi < 1)
+    h0, h1, h2, h3 = hermite_shapes(np.where(ok, xi, 0.0), h, 0)
+    val = h0 * v0 + h1 * s0 + h2 * v1 + h3 * s1
+    return float(min(np.minimum(v0, v1).min(), np.where(ok, val, np.inf).min()))
+
+
+def element_coefficients(prof):
+    """Per element, (a, b, c, disc) of eta'(xi) h = a xi^2 + b xi + c."""
+    h, v, s = prof.h, prof.vals, prof.slopes
+    a = 6 * (v[:-1] - v[1:]) + 3 * h * (s[:-1] + s[1:])
+    b = 6 * (v[1:] - v[:-1]) - 2 * h * (2 * s[:-1] + s[1:])
+    c = h * s[:-1]
+    return np.stack([a, b, c, b * b - 4 * a * c], axis=1)
+
+
 class TestMinValue:
+    def test_matches_oracle_bit_for_bit(self):
+        # random profiles, half on a coarse lattice with h = 1, where a == 0,
+        # a == b == 0, disc == 0 and roots on the element ends happen exactly
+        rng = np.random.default_rng(2024)
+        interior, coef = 0, []
+        for k in range(10_000):
+            n_el = int(rng.integers(1, 33))
+            if k % 2:
+                prof = WallProfile(float(n_el), 0.25 * rng.integers(-4, 5, n_el + 1),
+                                   0.25 * rng.integers(-4, 5, n_el + 1))
+            else:
+                prof = WallProfile(rng.uniform(0.5, 4.0), rng.uniform(-1, 1, n_el + 1),
+                                   rng.uniform(0, 10) * rng.uniform(-1, 1, n_el + 1))
+            got, want = prof.min_value(), min_value_oracle(prof)
+            assert got.hex() == want.hex(), (k, got, want)
+            interior += got < prof.vals.min()
+            coef.append(element_coefficients(prof))
+        a, b, c, disc = np.concatenate(coef).T
+        with np.errstate(invalid="ignore", divide="ignore"):
+            root = np.where(a != 0, (-b + np.sqrt(disc)) / (2 * a), -c / b)
+        # every branch is exercised many times
+        assert 100 < interior < 9_900
+        for case in (a == 0, (a == 0) & (b == 0), (a != 0) & (disc == 0), disc < 0,
+                     (root == 0) | (root == 1)):
+            assert case.sum() >= 100
+
+    def test_flat_element(self):
+        # element 0 is flat (a == b == c == 0), element 1 dips below its nodes
+        prof = WallProfile(3.0, [0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0])
+        assert np.array_equal(element_coefficients(prof)[0, :3], [0.0, 0.0, 0.0])
+        m = prof.min_value()
+        assert m.hex() == min_value_oracle(prof).hex()
+        assert m < 0.0
+
+    def test_linear_slope(self):
+        # on element 1 (h = 1) eta' is linear: a == 0, b == 2, c == -0.5, so
+        # the minimum sits at its root xi = 1/4, below both nodal values
+        prof = WallProfile(3.0, [0.0, 0.0, 0.5, 0.0], [0.0, -0.5, 1.5, 0.0])
+        assert np.array_equal(element_coefficients(prof)[1, :3], [0.0, 2.0, -0.5])
+        m = prof.min_value()
+        assert m.hex() == min_value_oracle(prof).hex()
+        assert m == pytest.approx(float(prof.value(1.25)), abs=1e-15)
+        assert m < 0.0
+
+    def test_negative_discriminant(self):
+        # eta' > 0 on element 1 (no critical point); the minimum lies on
+        # element 0, which leaves its right node with slope 2
+        prof = WallProfile(3.0, [0.0, 0.0, 1.0, 0.0], [0.0, 2.0, 2.0, 0.0])
+        assert element_coefficients(prof)[1, 3] < 0.0
+        m = prof.min_value()
+        assert m.hex() == min_value_oracle(prof).hex()
+        assert m == pytest.approx(prof.value(np.linspace(0.0, 1.0, 10_001)).min(), abs=1e-8)
+
+    def test_root_on_an_element_end(self):
+        # the + root is exactly 0 on element 0 and exactly 1 on element 1
+        # (the nodes carry zero slope), so neither is interior
+        prof = WallProfile(2.0, [0.0, 1.0, 0.0], [0.0, 0.0, 0.0])
+        a, b, c, disc = element_coefficients(prof).T
+        assert np.array_equal((-b + np.sqrt(disc)) / (2 * a), [0.0, 1.0])
+        assert prof.min_value() == min_value_oracle(prof) == 0.0
+        # with a linear eta' (a == 0) on element 0, its root -c/b is 0 there
+        lin = WallProfile(2.0, [0.0, 1.0, 0.0], [0.0, 2.0, 0.0])
+        assert np.array_equal(element_coefficients(lin)[0, :3], [0.0, 2.0, 0.0])
+        assert lin.min_value() == min_value_oracle(lin) == 0.0
+
     def test_interior_cubic_minimum(self, rng):
         for seed in range(40):
             prof = random_profile(np.random.default_rng(seed), n_el=5, scale=0.5)

@@ -14,7 +14,12 @@ from conftest import make_config, make_problem
 from stochfsi import scheme
 from stochfsi.cli import build_problem
 from stochfsi.diagnostics import write_ledger_csv
-from stochfsi.discretization import assemble_advection, assemble_all, build_spaces
+from stochfsi.discretization import (
+    StructureSpace,
+    assemble_advection,
+    assemble_all,
+    build_spaces,
+)
 from stochfsi.errors import InitialDataError, PicardDivergence, SolverFailure
 from stochfsi.geometry import ReferenceDomain
 from stochfsi.noise import NoiseSpec, sample_path
@@ -47,16 +52,23 @@ def factored_matrices(monkeypatch):
     return seen
 
 
-def refined_matrices(monkeypatch):
-    """The list of every matrix data array scheme hands to _refine from
-    now on, as passed (not copied)."""
+def solved_matrices(monkeypatch):
+    """The list of every matrix data array scheme hands to _refine or to a
+    factorization (``CoupledLayout.factor_matrix``) from now on, as passed
+    (not copied)."""
     seen, refine = [], scheme._refine
+    factor_matrix = scheme.CoupledLayout.factor_matrix
 
     def recording(layout, A, *args, **kwargs):
         seen.append(A)
         return refine(layout, A, *args, **kwargs)
 
+    def recording_factor(layout, A):
+        seen.append(A)
+        return factor_matrix(layout, A)
+
     monkeypatch.setattr(scheme, "_refine", recording)
+    monkeypatch.setattr(scheme.CoupledLayout, "factor_matrix", recording_factor)
     return seen
 
 
@@ -152,11 +164,12 @@ class TestCutoff:
     def test_admissible_candidate_accepted(self):
         prob, zero = self._setup()
         candidate = 0.01 * np.ones_like(zero)
-        theta, eta_star, gap, hs = update_cutoff(1, zero, candidate, prob)
+        theta, eta_star, gap, hs = update_cutoff(1, zero, candidate,
+                                                 prob.structure.profile(candidate), prob)
         assert theta == 1
         assert gap > prob.params.delta and hs < 1.0 / prob.params.delta
         assert np.array_equal(eta_star, candidate)
-        _, _, gap, hs = update_cutoff(1, zero, zero, prob)
+        _, _, gap, hs = update_cutoff(1, zero, zero, prob.structure.profile(zero), prob)
         assert gap == pytest.approx(1.0)
         assert hs == pytest.approx(1.0, abs=1e-12)
 
@@ -165,14 +178,16 @@ class TestCutoff:
         st = prob.structure
         bad = np.zeros(st.n_free)
         bad[st.free.tolist().index(2 * (st.n_el // 2))] = -0.95  # min gap 0.05
-        theta, eta_star, gap, _ = update_cutoff(1, good, bad, prob)
+        theta, eta_star, gap, _ = update_cutoff(1, good, bad, st.profile(bad), prob)
         assert gap == pytest.approx(0.05, abs=1e-12)
         assert theta == 0
         assert eta_star is good
 
     def test_flag_monotone_after_drop(self):
         prob, frozen = self._setup()
-        theta, eta_star, _, _ = update_cutoff(0, frozen, 0.01 * np.ones_like(frozen), prob)
+        candidate = 0.01 * np.ones_like(frozen)
+        theta, eta_star, _, _ = update_cutoff(0, frozen, candidate,
+                                              prob.structure.profile(candidate), prob)
         assert theta == 0
         assert eta_star is frozen
 
@@ -274,9 +289,9 @@ class TestFluidStep:
 
     @pytest.mark.parametrize("case", sorted(_SOLVE_CASES))
     def test_one_coupled_matrix_per_step(self, case, rng, monkeypatch):
-        # every solve of the step refines against one matrix array, which
-        # each iterate writes in place
-        matrices = refined_matrices(monkeypatch)
+        # every solve of the step, a refinement or a factorization, uses one
+        # matrix array, which each iterate writes in place
+        matrices = solved_matrices(monkeypatch)
         stats = self._random_4x2_step(rng, self._SOLVE_CASES[case])
         assert stats.iterations > 2
         assert len(matrices) >= stats.iterations
@@ -324,7 +339,7 @@ class TestFluidStep:
         # each iterate rewrites the step's matrix in place, so after the step
         # it holds the returned iterate's frozen-transport system; at a loose
         # Picard tolerance the last sweep alone leaves a larger backward error
-        matrices = refined_matrices(monkeypatch)
+        matrices = solved_matrices(monkeypatch)
         fl, st, lay = tiny_spaces(4, 2)
         forms = assemble_all(fl, lay, st.profile(0.05 * rng.uniform(-1, 1, st.n_free)))
         u_n = rng.normal(size=fl.n_free)
@@ -563,7 +578,7 @@ class TestStepKernel:
         # past step and t it names exactly a step row's keys and E
         prob = make_problem(time={"T": 0.125, "N": 4})
         start = State(prob.u0, prob.v0, prob.eta0, prob.eta0, 1,
-                      *scheme.level_forms(prob, prob.eta0))
+                      *scheme.level_forms(prob, prob.structure.profile(prob.eta0)))
         noise = sample_path(prob.noise, prob.N, prob.params.dt, 0)
         _, _, row = step(prob, start, 0, noise)
         path = tmp_path / "ledger.csv"
@@ -571,6 +586,30 @@ class TestStepKernel:
         header = path.read_text().splitlines()[0].split(",")
         assert header == ["step", "t", *(f.name for f in fields(EnergyLedger)), "E_next"]
         assert set(header[2:]) == {*row, "E"} and len(header) == len(row) + 3
+
+    def test_one_wall_profile_per_step(self, monkeypatch):
+        # the candidate's profile serves both the band check and, as theta
+        # stays 1, the assembly of the next level's forms
+        prob = make_problem(time={"T": 0.125, "N": 4})
+        start = State(prob.u0, prob.v0, prob.eta0, prob.eta0, 1,
+                      *scheme.level_forms(prob, prob.structure.profile(prob.eta0)))
+        noise = sample_path(prob.noise, prob.N, prob.params.dt, 0)
+        built, assembled, profile = [], [], StructureSpace.profile
+
+        def counting(structure, vec):
+            built.append(profile(structure, vec))
+            return built[-1]
+
+        def recording(fluid, layout, wall):
+            assembled.append(wall)
+            return assemble_all(fluid, layout, wall)
+
+        monkeypatch.setattr(StructureSpace, "profile", counting)
+        monkeypatch.setattr(scheme, "assemble_all", recording)
+        state, _, _ = step(prob, start, 0, noise)
+        assert state.theta == 1
+        assert len(built) == 1 and assembled == built
+        assert np.array_equal(built[0].vals[1:-1], state.eta[0::2])
 
     def test_energy_is_its_levels_energy(self):
         # E[n] is the energy of level n measured with the M_eta of that
@@ -653,6 +692,20 @@ class TestCollapse:
         traj = run_path(prob, 0)
         assert traj.n_steps == traj.tau_idx
         assert traj.u.shape[0] == traj.n_steps + 1
+
+    def test_halted_path_is_the_leading_part(self):
+        # a halted path is the same path as one run to N, cut after the
+        # step that drops theta: its levels are the leading rows
+        prob = self._suction_problem()
+        full = run_path(prob, 0)
+        prob.halt_at_stop = True
+        halted = run_path(prob, 0)
+        k = halted.n_steps
+        assert full.n_steps == prob.N > k
+        for name in ("u", "v", "eta", "eta_star"):
+            assert np.array_equal(getattr(halted, name), getattr(full, name)[:k + 1]), name
+        assert np.array_equal(halted.v_half, full.v_half[:k])
+        assert np.array_equal(halted.ledger.E, full.ledger.E[:k + 1])
 
     def test_continues_past_stop_by_default(self):
         prob = self._suction_problem()
