@@ -15,11 +15,13 @@ Cameron-Martin space, the increment norm there is
 Cauchy-Schwarz -- the pairing used by the per-step energy checks.
 
 Sampling is counter-based (Philox) and keyed by (seed, path, step) or by
-(seed, path, dyadic cell), so ensembles are reproducible under any
-parallel schedule and a path's increments never depend on how many other
-paths exist.  The dyadic mode builds the whole Wiener path as a Brownian
-tree over [0, T]; runs with N and 2N steps then see couplings of the
-same realization, which is what the time-refinement studies compare.
+(seed, path, dyadic cell); a path moves one bit generator from counter
+block to counter block (``_Stream``).  So ensembles are reproducible
+under any parallel schedule and a path's increments never depend on how
+many other paths exist.  The dyadic mode builds the whole Wiener path as
+a Brownian tree over [0, T]; runs with N and 2N steps then see couplings
+of the same realization, which is what the time-refinement studies
+compare.
 """
 
 from __future__ import annotations
@@ -31,17 +33,35 @@ from numpy.random import Generator, Philox
 
 from .errors import ConfigError
 
-_KEY_STREAM = 0x9E3779B97F4A7C15  # fixed second key word; seed is the first
+# fixed second key word; the seed is the first.  It is 0x9E3779B97F4A7C15
+# rounded to float64, the word a key list of Python ints used to store, so
+# every seed below 2^53 draws the noise it drew then
+_KEY_STREAM = 0x9E3779B97F4A8000
+_MASK64 = 2**64 - 1
 
 _PURPOSE_STEP = 1
 _PURPOSE_DYADIC = 2
 _PURPOSE_BRIDGE = 3
 
 
-def _gen(seed: int, purpose: int, a: int, b: int) -> Generator:
-    """Generator at counter block (0, b, a, purpose) under key (seed, const)."""
-    counter = [0, int(b) & (2**64 - 1), int(a) & (2**64 - 1), int(purpose)]
-    return Generator(Philox(counter=counter, key=[int(seed), _KEY_STREAM]))
+class _Stream:
+    """One Philox bit generator under the key (seed, _KEY_STREAM), moved to
+    a counter block for each draw.  ``normal`` sets the counter to
+    (0, b, a, purpose) with an empty buffer, so it draws what a fresh
+    ``Generator(Philox(counter=..., key=...))`` at that block draws, without
+    building one per step or cell."""
+
+    def __init__(self, seed: int):
+        self._bitgen = Philox(key=np.array([seed, _KEY_STREAM], dtype=np.uint64))
+        self._gen = Generator(self._bitgen)
+        self._state = self._bitgen.state  # counter 0, empty buffer
+
+    def normal(self, purpose: int, a: int, b: int, size: int) -> np.ndarray:
+        """``size`` standard normals from counter block (0, b, a, purpose)."""
+        self._state["state"]["counter"] = np.array(
+            [0, int(b) & _MASK64, int(a) & _MASK64, purpose], dtype=np.uint64)
+        self._bitgen.state = self._state
+        return self._gen.standard_normal(size)
 
 
 def _is_pow2(n: int) -> bool:
@@ -123,31 +143,33 @@ class NoisePath:
             raise ConfigError(f"refinement: must be >= 2, got {refinement}")
         if not _is_pow2(refinement):
             raise ConfigError(f"refinement: must be a power of two, got {refinement}")
-        seed, p = self.spec.seed, self.path_index
+        stream, p, K = _Stream(self.spec.seed), self.path_index, self.spec.K
         arr = self.increments[n][None, :]
         length = self.dt
         for level in range(1, int(refinement).bit_length()):
             if self.mode == "dyadic":
                 # the cells of the tree below step n, keyed as sample_path keys them
                 lev, first = self.depth + level, n << (level - 1)
-                gen_of = lambda i: _gen(seed, _PURPOSE_DYADIC, p, (lev << 48) | (first + i))
+                normals = lambda i: stream.normal(_PURPOSE_DYADIC, p, (lev << 48) | (first + i), K)
             else:
-                gen_of = lambda i: _gen(seed, _PURPOSE_BRIDGE, p, (level << 56) | (n << 28) | i)
-            arr = _halve(arr, length, self.spec.q, gen_of)
+                normals = lambda i: stream.normal(_PURPOSE_BRIDGE, p,
+                                                  (level << 56) | (n << 28) | i, K)
+            arr = _halve(arr, length, self.spec.q, normals)
             length /= 2
         return arr
 
 
-def _halve(arr: np.ndarray, length: float, q: np.ndarray, gen_of) -> np.ndarray:
+def _halve(arr: np.ndarray, length: float, q: np.ndarray, normals) -> np.ndarray:
     """Split each row of ``arr``, an increment over an interval of ``length``,
     into the increments over its two halves by a Brownian bridge: half of it
-    plus and minus zeta ~ N(0, q*length/4), with zeta of row i drawn from
-    ``gen_of(i)``.  The two halves sum to the row up to roundoff."""
+    plus and minus zeta ~ N(0, q*length/4), with zeta of row i scaled from
+    the standard normals ``normals(i)``.  The two halves sum to the row up
+    to roundoff."""
     half = arr / 2
     scale = np.sqrt(q * length / 4)
     new = np.empty((2 * arr.shape[0], arr.shape[1]))
     for i in range(arr.shape[0]):
-        zeta = gen_of(i).standard_normal(q.size) * scale
+        zeta = normals(i) * scale
         new[2 * i] = half[i] + zeta
         new[2 * i + 1] = half[i] - zeta
     return new
@@ -164,21 +186,22 @@ def sample_path(spec: NoiseSpec, N: int, dt: float, path_index: int = 0) -> Nois
     if K == 0:
         return NoisePath(np.zeros((N, 0)), dt, spec, path_index, mode, 0)
 
+    stream = _Stream(spec.seed)
     if mode == "per-step":
         out = np.empty((N, K))
         scale = np.sqrt(dt * spec.q)
         for n in range(N):
-            out[n] = _gen(spec.seed, _PURPOSE_STEP, path_index, n).standard_normal(K) * scale
+            out[n] = stream.normal(_PURPOSE_STEP, path_index, n, K) * scale
         return NoisePath(out, dt, spec, path_index, mode, 0)
 
     depth = int(N).bit_length() - 1
     T = N * dt
-    root = _gen(spec.seed, _PURPOSE_DYADIC, path_index, 0).standard_normal(K) * np.sqrt(T * spec.q)
+    root = stream.normal(_PURPOSE_DYADIC, path_index, 0, K) * np.sqrt(T * spec.q)
     arr = root[None, :]
     length = T
     for lev in range(1, depth + 1):
         arr = _halve(arr, length, spec.q,
-                     lambda i: _gen(spec.seed, _PURPOSE_DYADIC, path_index, (lev << 48) | i))
+                     lambda i: stream.normal(_PURPOSE_DYADIC, path_index, (lev << 48) | i, K))
         length /= 2
     return NoisePath(arr, dt, spec, path_index, mode, depth)
 

@@ -27,7 +27,10 @@ once, at its first iterate; each later one is one refinement sweep with
 that factor, and a sweep that neither halves the normwise backward error
 nor brings it to SOLVE_BERR (1e-15, what a direct sparse solve reaches
 here) refactors.  The returned iterate is refined until it solves its
-own frozen-transport system to SOLVE_BERR.  Every matrix of the
+own frozen-transport system to SOLVE_BERR.  Once theta has dropped, the
+geometry is frozen and a step's matrix differs from the last step's only
+in its transport field, so the step carries the last step's advection
+map and factor and factors only if a sweep stalls.  Every matrix of the
 substep is a data array on the ``CoupledLayout``'s one sparsity pattern:
 the step's matrix is the beam mass plus arithmetic on the level's forms,
 and each iterate writes its advection into that one array.  A
@@ -192,6 +195,8 @@ def fluid_step(
     xi: float,
     P_in: float,
     P_out: float,
+    advection: np.ndarray | None = None,
+    factor=None,
 ):
     """Coupled implicit fluid/wall-velocity solve on the frozen geometry.
 
@@ -216,13 +221,23 @@ def fluid_step(
     by the half-step wall velocity.  The noise enters through the step's
     coefficient xi (``NoisePath.xi``).
 
-    The step factors once, at its first iterate, and solves it directly.
-    Each later iterate's matrix differs only in its advection, so it is
-    one ``_refine`` sweep from the previous iterate with that factor; a
-    sweep that stalls above SOLVE_BERR refactors on this iterate's matrix.
-    Once the update is below tol_picard, the returned iterate is refined
+    Without a ``factor``, the step builds its advection map (unless
+    ``advection`` is given) and factors once, at its first iterate, and
+    solves it directly.  Each later iterate's matrix differs only in its
+    advection, so it is one ``_refine`` sweep from the previous iterate
+    with that factor; a sweep that stalls above SOLVE_BERR refactors on
+    this iterate's matrix.  A handed-in ``factor`` and ``advection`` map
+    are those a step on the same geometry ended with (``step`` hands them
+    over once the cutoff has frozen eta*): the first iterate is then a
+    sweep too, and a stale factor refactors by the same rule.  Once the
+    update is below tol_picard, the returned iterate is refined
     (refactoring if a sweep stalls) to a backward error of at most
-    SOLVE_BERR; the stats carry it and the step's factorizations.
+    SOLVE_BERR; the stats carry it and the step's factorizations, which
+    are 0 on a step that reused its factor throughout.
+
+    Returns (u, v, stats, advection, factor): the free fluid DOFs and the
+    wall velocity at level n+1, the step's PicardStats, its advection map
+    and the factor it ended with.
     """
     dt = params.dt
     n_free, n_x = fluid.n_free, layout.n_x
@@ -244,10 +259,10 @@ def fluid_step(
     x[:n_free] = u_n
     x[layout.beam_to_x] = v_half
 
-    adv = assemble_advection(fluid, forms)
+    adv = assemble_advection(fluid, forms) if advection is None else advection
     b_norm = float(np.abs(rhs).max())
     A = np.empty_like(fixed)  # each iterate writes its matrix here
-    lu, factors, rel = None, 0, np.inf
+    lu, factors, rel = factor, 0, np.inf
 
     def solve(g, sweeps):
         """(x, backward error) from g by ``_refine``, else by a fresh
@@ -281,7 +296,7 @@ def fluid_step(
             if berr is None or berr > SOLVE_BERR:
                 x, berr = solve(x, np.inf)
             return (x[:n_free].copy(), x[layout.beam_to_x],
-                    PicardStats(it, rel, factors, berr))
+                    PicardStats(it, rel, factors, berr), adv, lu)
     raise PicardDivergence(
         f"fluid Picard iteration did not converge: rel update {rel:.3e} "
         f"after {params.max_picard} iterations"
@@ -460,7 +475,12 @@ def energy(layout: CoupledLayout, M_u: np.ndarray, u, v, eta) -> float:
 class State(NamedTuple):
     """A path at one integer level: the level's arrays (the first four
     fields), the cutoff flag after the last fold, and the level's forms
-    with their trace constant, which the step from this level uses."""
+    with their trace constant, which the step from this level uses.
+
+    Once theta is 0 the geometry is frozen, so the state also keeps the
+    advection map and the fluid factor the step to this level ended with,
+    and the next step reuses them; while theta is 1 both are None, so a
+    path that never stops holds no factor between steps."""
 
     u: np.ndarray
     v: np.ndarray
@@ -469,6 +489,8 @@ class State(NamedTuple):
     theta: int
     forms: AssembledForms
     trace_const: float
+    advection: np.ndarray | None = None
+    factor: object = None
 
 
 def level_forms(problem: PathProblem, profile: WallProfile):
@@ -490,7 +512,10 @@ def step(problem: PathProblem, state: State, n: int, noise_path: NoisePath):
     exactly by construction.  Level n+1's forms are assembled only when
     the fold moved eta* to the candidate (theta is 1); else n's carry over.
     The candidate's wall profile is built once, for the band check and,
-    when theta stays 1, for the forms.
+    when theta stays 1, for the forms.  The fluid substep gets the
+    state's advection map and factor, which are None unless theta was
+    already 0, and the returned state keeps the substep's only when its
+    theta is 0 (see ``State``).
     """
     fl, st, lay, prm = problem.fluid, problem.structure, problem.layout, problem.params
     dt, M_s, S = prm.dt, st.M, st.S
@@ -504,8 +529,9 @@ def step(problem: PathProblem, state: State, n: int, noise_path: NoisePath):
 
     xi = noise_path.xi(n)
     P_in, P_out = float(problem.P_in[n]), float(problem.P_out[n])
-    u_new, v_new, stats = fluid_step(fl, lay, forms, forms_next.M_eta, prm,
-                                     u, v, vh, xi, P_in, P_out)
+    u_new, v_new, stats, advection, factor = fluid_step(
+        fl, lay, forms, forms_next.M_eta, prm, u, v, vh, xi, P_in, P_out,
+        state.advection, state.factor)
 
     # structure-substep pieces are exact polarization identities
     dv, deta, du, dvf = vh - v, eh - eta, u_new - u, v_new - vh
@@ -530,7 +556,8 @@ def step(problem: PathProblem, state: State, n: int, noise_path: NoisePath):
         lu_factors=stats.lu_factors, solve_berr=stats.solve_berr,
         E_next=energy(lay, forms_next.M_eta, u_new, v_new, eh),
     )
-    return State(u_new, v_new, eh, eta_star, theta, forms_next, trace_next), vh, row
+    frozen = (advection, factor) if theta == 0 else ()
+    return State(u_new, v_new, eh, eta_star, theta, forms_next, trace_next, *frozen), vh, row
 
 
 def run_path(problem: PathProblem, path_index: int = 0) -> Trajectory:

@@ -349,8 +349,8 @@ def test_criterion_10_dense_oracle_equivalence(rng):
         v_half = 0.2 * rng.normal(size=st.n_free)
         xi = float(spec.amplitude @ dW)
         M_next = assemble_all(fl, lay, st.profile(eta2)).M_eta
-        u1, v1, _ = fluid_step(fl, lay, forms, M_next, params, u_n, v_n, v_half, xi,
-                               1.0, 0.0)
+        u1, v1, _, _, _ = fluid_step(fl, lay, forms, M_next, params, u_n, v_n, v_half,
+                                     xi, 1.0, 0.0)
         u1_o, v1_o = od.mirror_fluid_step(
             L, R, nz, nr, eta, eta2, u_n, v_n, v_half,
             xi, 1.0, 0.0, params.nu, params.epsilon,

@@ -4,8 +4,10 @@ import pytest
 from stochfsi.discretization import assemble_all, build_spaces
 from stochfsi.errors import ConfigError
 from stochfsi.geometry import ReferenceDomain, WallProfile
-from stochfsi.noise import (_PURPOSE_BRIDGE, _PURPOSE_DYADIC, NoisePath, NoiseSpec, _gen,
-                            sample_path, state_l2_sq)
+from numpy.random import Generator, Philox
+
+from stochfsi.noise import (_KEY_STREAM, _PURPOSE_BRIDGE, _PURPOSE_DYADIC, _PURPOSE_STEP,
+                            NoisePath, NoiseSpec, sample_path, state_l2_sq)
 from stochfsi.scheme import SchemeParams, fluid_step
 
 
@@ -13,6 +15,25 @@ def spec4(seed=42, sampling="auto", amp=None):
     q = np.array([1.0, 0.25, 1.0 / 9.0, 0.0625])
     amp = np.array([1.0, 0.5, 0.3, 0.2]) if amp is None else np.asarray(amp)
     return NoiseSpec(K=4, q=q, amplitude=amp, seed=seed, sampling=sampling)
+
+
+def fresh_generator(seed, purpose, a, b):
+    """A new Generator at counter block (0, b, a, purpose) under the key
+    (seed, _KEY_STREAM): the per-step, per-cell construction."""
+    key = np.array([seed, _KEY_STREAM], dtype=np.uint64)
+    return Generator(Philox(counter=[0, b, a, purpose], key=key))
+
+
+def reference_path(spec, N, dt, index):
+    """sample_path with a fresh generator per step (per-step mode) or per
+    cell (dyadic mode): the root increment over [0, N dt], refined N-fold."""
+    if spec.resolve_sampling(N) == "per-step":
+        return np.stack([fresh_generator(spec.seed, _PURPOSE_STEP, index, n)
+                         .standard_normal(spec.K) * np.sqrt(dt * spec.q) for n in range(N)])
+    T = N * dt
+    root = fresh_generator(spec.seed, _PURPOSE_DYADIC, index, 0).standard_normal(spec.K)
+    tree = NoisePath(root[None, :] * np.sqrt(T * spec.q), T, spec, index, "dyadic", 0)
+    return tree.increments if N == 1 else reference_refine(tree, 0, N)
 
 
 def reference_refine(path, n, refinement):
@@ -28,11 +49,11 @@ def reference_refine(path, n, refinement):
         for i in range(arr.shape[0]):
             if path.mode == "dyadic":
                 idx = n * (1 << level) + 2 * i
-                g = _gen(spec.seed, _PURPOSE_DYADIC, path.path_index,
-                         ((path.depth + level) << 48) | (idx >> 1))
+                g = fresh_generator(spec.seed, _PURPOSE_DYADIC, path.path_index,
+                                    ((path.depth + level) << 48) | (idx >> 1))
             else:
-                g = _gen(spec.seed, _PURPOSE_BRIDGE, path.path_index,
-                         (level << 56) | (n << 28) | i)
+                g = fresh_generator(spec.seed, _PURPOSE_BRIDGE, path.path_index,
+                                    (level << 56) | (n << 28) | i)
             zeta = g.standard_normal(spec.K) * np.sqrt(spec.q * length / 4)
             new[2 * i], new[2 * i + 1] = arr[i] / 2 + zeta, arr[i] / 2 - zeta
         arr, length = new, length / 2
@@ -83,6 +104,40 @@ class TestDeterminism:
                 for n in (0, 9, 15):
                     for r in (2, 8):
                         assert np.array_equal(a.refine(n, r), reference_refine(a, n, r))
+
+
+class TestOneGeneratorPerPath:
+    """sample_path moves one Philox bit generator per path from counter
+    block to counter block; it must draw what a fresh generator per step
+    or cell draws."""
+
+    @pytest.mark.parametrize("mode", ["per-step", "dyadic"])
+    def test_same_as_a_generator_per_cell(self, mode):
+        for seed, index in ((0, 0), (42, 3), (2**40 + 1, 17), (2**63 + 5, 1)):
+            spec = spec4(seed=seed, sampling=mode)
+            for N in (1, 8, 16):
+                path = sample_path(spec, N, 0.01, index)
+                assert np.array_equal(path.increments, reference_path(spec, N, 0.01, index))
+                for n in {0, N // 2, N - 1}:
+                    assert np.array_equal(path.refine(n, 4), reference_refine(path, n, 4))
+
+    def test_pinned_seed_zero_draw(self):
+        # the first increment of path 0 at seed 0, as every earlier version drew it
+        want = {"per-step": [0.0926491857641095, 0.010090416272247093,
+                             -0.041352886852776376, -0.02618842424587782],
+                "dyadic": [-0.08270624472515019, 0.020538058702966523,
+                           0.010923945675041423, -0.00807517566408219]}
+        for mode, row in want.items():
+            path = sample_path(spec4(seed=0, sampling=mode), 4, 0.01, 0)
+            assert path.increments[0].tolist() == row
+
+    @pytest.mark.parametrize("mode", ["per-step", "dyadic"])
+    def test_seeds_above_2_53_keep_their_low_bits(self, mode):
+        # the key holds the seed as a 64-bit word, so seeds that differ
+        # below float64's precision draw different noise
+        a = sample_path(spec4(seed=2**60, sampling=mode), 8, 0.01, 0)
+        b = sample_path(spec4(seed=2**60 + 1, sampling=mode), 8, 0.01, 0)
+        assert not np.array_equal(a.increments, b.increments)
 
 
 class TestDyadicCoupling:

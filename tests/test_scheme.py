@@ -13,7 +13,12 @@ import oracle_dense as od
 from conftest import make_config, make_problem
 from stochfsi import scheme
 from stochfsi.cli import build_problem
-from stochfsi.diagnostics import write_ledger_csv
+from stochfsi.diagnostics import (
+    combined_step_violations,
+    structure_identity_residuals,
+    summed_inequality_violations,
+    write_ledger_csv,
+)
 from stochfsi.discretization import (
     StructureSpace,
     assemble_advection,
@@ -200,9 +205,9 @@ class TestFluidStep:
         fl, st, lay = tiny_spaces(2, 2)
         prof = st.profile(np.zeros(st.n_free))
         forms = assemble_all(fl, lay, prof)
-        u, v, stats = fluid_step(fl, lay, forms, forms.M_eta, self._params(),
-                                 np.zeros(fl.n_free), np.zeros(st.n_free),
-                                 np.zeros(st.n_free), 0.0, 0.0, 0.0)
+        u, v, stats, _, _ = fluid_step(fl, lay, forms, forms.M_eta, self._params(),
+                                       np.zeros(fl.n_free), np.zeros(st.n_free),
+                                       np.zeros(st.n_free), 0.0, 0.0, 0.0)
         assert np.all(u == 0.0) and np.all(v == 0.0)
         assert stats.iterations == 1
 
@@ -223,8 +228,8 @@ class TestFluidStep:
                          amplitude=np.array([0.3, 0.1]), seed=4)
         dW = np.array([0.05, -0.02])
         xi = float(spec.amplitude @ dW)
-        u1, v1, stats = fluid_step(fl, lay, forms, M_next, params, u_n, v_n, v_half,
-                                   xi, 1.0, 0.0)
+        u1, v1, stats, _, _ = fluid_step(fl, lay, forms, M_next, params, u_n, v_n, v_half,
+                                         xi, 1.0, 0.0)
         u1_o, v1_o = od.mirror_fluid_step(
             L, R, nz, nr, eta_n, eta_np1, u_n, v_n, v_half, xi,
             P_in=1.0, P_out=0.0, nu=params.nu, eps=params.epsilon, dt=params.dt)
@@ -249,8 +254,8 @@ class TestFluidStep:
         u_n = rng.normal(size=fl.n_free)
         v_n = rng.normal(size=st.n_free)
         u_n[lay.shared_free] = v_n[0::2]
-        _, _, stats = fluid_step(fl, lay, forms, forms.M_eta, self._params(), u_n, v_n, v_n,
-                                 0.0, 1.0, 0.0)
+        stats = fluid_step(fl, lay, forms, forms.M_eta, self._params(), u_n, v_n, v_n,
+                           0.0, 1.0, 0.0)[2]
         assert stats.iterations > 1
         assert len(calls) == 1
 
@@ -346,19 +351,71 @@ class TestFluidStep:
         v_n = rng.normal(size=st.n_free)
         u_n[lay.shared_free] = v_n[0::2]
         params = SchemeParams(nu=1.0, delta=0.1, epsilon=1e-3, dt=0.01, tol_picard=tol)
-        u, v, stats = fluid_step(fl, lay, forms, forms.M_eta, params, u_n, v_n, v_n,
-                                 0.0, 1.0, 0.0)
+        u, v, stats, _, _ = fluid_step(fl, lay, forms, forms.M_eta, params, u_n, v_n, v_n,
+                                       0.0, 1.0, 0.0)
         assert stats.iterations > 1
+        assert all(A is matrices[0] for A in matrices)
+        berr = self._own_system_berr(lay, forms, params, u_n, v_n, matrices[-1], u, v)
+        assert berr <= 1e-15 and stats.solve_berr <= 1e-15
+
+    @staticmethod
+    def _own_system_berr(lay, forms, params, u_n, v_n, A_data, u, v):
+        """Normwise backward error of the returned (u, v) in the system of
+        a step from (u_n, v_n) with v_half = v_n, xi 0, P_in 1 and P_out 0,
+        whose matrix has the data ``A_data``."""
+        fl, st = lay.fluid, lay.structure
         rhs = np.zeros(lay.n_x)
         rhs[:fl.n_free] = lay.csr(forms.M_eta) @ u_n + params.dt * fl.flux_in
         rhs[lay.beam_to_x] += st.M @ v_n
         x = np.zeros(lay.n_x)
         x[:fl.n_free] = u
         x[lay.beam_to_x] = v
-        assert all(A is matrices[0] for A in matrices)
-        A = lay.csc(matrices[-1])  # the step's one matrix
-        berr = np.abs(rhs - A @ x).max() / (
+        A = lay.csc(A_data)
+        return np.abs(rhs - A @ x).max() / (
             abs(A).sum(axis=1).max() * np.abs(x).max() + np.abs(rhs).max())
+
+    @staticmethod
+    def _compatible_state(rng, fl, st, lay):
+        """A random fluid state and wall velocity that agree at the shared DOFs."""
+        u_n = rng.normal(size=fl.n_free)
+        v_n = rng.normal(size=st.n_free)
+        u_n[lay.shared_free] = v_n[0::2]
+        return u_n, v_n
+
+    def test_same_geometry_reuses_the_factor_and_map(self, rng, monkeypatch):
+        # a step on the geometry the handed-in factor and advection map were
+        # made on (a frozen eta*): the step's own matrix differs from the
+        # factored one only in its transport field, so refinement sweeps
+        # solve every iterate and nothing is rebuilt
+        fl, st, lay = tiny_spaces(4, 2)
+        forms = assemble_all(fl, lay, st.profile(0.05 * rng.uniform(-1, 1, st.n_free)))
+        params = self._params()
+        u_n, v_n = self._compatible_state(rng, fl, st, lay)
+        u, v, _, adv, lu = fluid_step(fl, lay, forms, forms.M_eta, params, u_n, v_n, v_n,
+                                      0.0, 1.0, 0.0)
+        factored, built = factored_matrices(monkeypatch), []
+        monkeypatch.setattr(scheme, "assemble_advection", lambda *a: built.append(a))
+        _, _, stats, adv1, lu1 = fluid_step(fl, lay, forms, forms.M_eta, params, u, v, v,
+                                            0.0, 1.0, 0.0, adv, lu)
+        assert stats.iterations > 1 and stats.lu_factors == 0 and factored == []
+        assert built == [] and adv1 is adv and lu1 is lu
+        assert stats.solve_berr <= 1e-15
+
+    def test_stale_handed_in_factor_refactors(self, rng, monkeypatch):
+        # a factor of another wall's matrix: its sweeps stall, so the step
+        # refactors on its own matrix, returns that factor and refines the
+        # returned iterate to SOLVE_BERR in its own system
+        fl, st, lay = tiny_spaces(4, 2)
+        params = self._params()
+        u_n, v_n = self._compatible_state(rng, fl, st, lay)
+        flat = assemble_all(fl, lay, st.profile(np.zeros(st.n_free)))
+        *_, stale = fluid_step(fl, lay, flat, flat.M_eta, params, u_n, v_n, v_n, 0.0, 1.0, 0.0)
+        forms = assemble_all(fl, lay, st.profile(0.3 * rng.uniform(-1, 1, st.n_free)))
+        factored, matrices = factored_matrices(monkeypatch), solved_matrices(monkeypatch)
+        u, v, stats, _, lu = fluid_step(fl, lay, forms, forms.M_eta, params, u_n, v_n, v_n,
+                                        0.0, 1.0, 0.0, None, stale)
+        assert stats.lu_factors == len(factored) >= 1 and lu is not stale
+        berr = self._own_system_berr(lay, forms, params, u_n, v_n, matrices[-1], u, v)
         assert berr <= 1e-15 and stats.solve_berr <= 1e-15
 
     @pytest.mark.parametrize("regime", ["suite", "probe"])
@@ -730,6 +787,58 @@ class TestCollapse:
             traj = run_path(prob, 0)
             assert traj.stopped == stops and traj.n_steps == prob.N
             assert len(calls) == (traj.tau_idx if stops else prob.N + 1)
+
+    def _states(self, prob, monkeypatch):
+        """The path's ledger and the state each of its steps returned."""
+        states, step_ = [], scheme.step
+
+        def recording(*args):
+            out = step_(*args)
+            states.append(out[0])
+            return out
+
+        monkeypatch.setattr(scheme, "step", recording)
+        return run_path(prob, 0).ledger, states
+
+    def test_frozen_steps_reuse_the_factor(self):
+        # once theta drops the fluid matrix's geometry is the last step's:
+        # the frozen steps refine with the carried factor instead of
+        # factoring each step, and every ledger check still holds
+        prob = self._suction_problem()
+        traj = run_path(prob, 0)
+        led, delta = traj.ledger, prob.params.delta
+        assert traj.stopped and np.all(led.solve_berr <= 1e-15)
+        assert structure_identity_residuals(traj).max() <= 1e-9
+        for sharp in (True, False):
+            assert combined_step_violations(traj, delta, sharp=sharp).max() <= 1e-9
+            assert summed_inequality_violations(traj, delta, sharp=sharp).max() <= 1e-9
+        frozen = led.lu_factors[traj.tau_idx:]  # the rows after the dropping one
+        assert frozen.size > 0 and frozen.sum() < frozen.size
+
+    def test_operator_kept_only_while_frozen(self, monkeypatch):
+        # a state carries the advection map and factor exactly when its
+        # theta is 0; a path that never stops holds neither and factors on
+        # every step
+        _, states = self._states(self._suction_problem(), monkeypatch)
+        assert [s.factor is not None for s in states] == [s.theta == 0 for s in states]
+        assert [s.advection is not None for s in states] == [s.theta == 0 for s in states]
+        monkeypatch.undo()
+        led, states = self._states(make_problem(), monkeypatch)
+        assert all(s.theta == 1 and s.factor is None and s.advection is None for s in states)
+        assert np.all(led.lu_factors >= 1)
+
+    def test_frozen_steps_build_no_advection_map(self, monkeypatch):
+        # the advection map is built by the steps up to the dropping one
+        # and carried by every later step
+        calls = []
+
+        def counting(*args):
+            calls.append(1)
+            return assemble_advection(*args)
+
+        monkeypatch.setattr(scheme, "assemble_advection", counting)
+        traj = run_path(self._suction_problem(), 0)
+        assert traj.tau_idx < traj.n_steps and len(calls) == traj.tau_idx
 
     def test_hs_branch_collapse(self):
         # generous gap, tight Sobolev band: violent wall motion trips the
