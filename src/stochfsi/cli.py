@@ -36,7 +36,8 @@ from .discretization import HsForm, build_spaces
 from .errors import ConfigError, InitialDataError
 from .geometry import ReferenceDomain
 from .noise import NoiseSpec
-from .scheme import PathProblem, SchemeParams, check_initial_admissibility, run_path
+from .scheme import (MAX_PICARD, TOL_PICARD, PathProblem, SchemeParams,
+                     check_initial_admissibility, run_path)
 from . import diagnostics
 from .diagnostics import write_ledger_csv
 
@@ -67,7 +68,6 @@ _DEFAULTS = {
         "sweep_values": [],
         "halt_at_stop": False,
     },
-    "solver": {"tol_picard": 1e-10, "max_picard": 50},
     "output": {"directory": "out"},
 }
 
@@ -81,7 +81,6 @@ class RunConfig:
     initial: dict
     noise: dict
     run: dict
-    solver: dict
     output: dict
 
     @property
@@ -138,7 +137,6 @@ _NUMERIC = {
     "time": {"T": "a number > 0", "N": "an integer >= 1"},
     "noise": {"K": "an integer >= 0"},
     "run": {"M": "an integer >= 1", "master_seed": "an integer in [0, 2^64)"},
-    "solver": {"tol_picard": "a number > 0", "max_picard": "an integer >= 1"},
 }
 
 
@@ -322,11 +320,8 @@ def build_problem(cfg: RunConfig) -> PathProblem:
     domain = ReferenceDomain(L=cfg.domain["L"], R=cfg.domain["R"],
                              nz=cfg.domain["nz"], nr=cfg.domain["nr"])
     fluid, structure, layout = build_spaces(domain)
-    params = SchemeParams(
-        nu=cfg.physics["nu"], delta=cfg.physics["delta"],
-        epsilon=cfg.physics["epsilon"], dt=cfg.dt,
-        tol_picard=cfg.solver["tol_picard"], max_picard=cfg.solver["max_picard"],
-    )
+    params = SchemeParams(nu=cfg.physics["nu"], delta=cfg.physics["delta"],
+                          epsilon=cfg.physics["epsilon"], dt=cfg.dt)
     u_spec = cfg.initial["u0"]
     if u_spec["kind"] == "zero":
         u0 = np.zeros(fluid.n_free)
@@ -428,6 +423,7 @@ def write_manifest(path: str, cfg: RunConfig):
         "numpy": np.__version__, "scipy": scipy.__version__,
         "workers": diagnostics.ensemble_workers(),
         "config": cfg.to_dict(),
+        "solver": {"tol_picard": TOL_PICARD, "max_picard": MAX_PICARD},  # fixed, not config
         "dt": cfg.dt,
         "effective_seed": cfg.noise["seed"],
     }

@@ -109,10 +109,6 @@ class WallProfile:
         self.vals = vals
         self.slopes = slopes
 
-    @classmethod
-    def zero(cls, L: float, n_el: int) -> "WallProfile":
-        return cls(L, np.zeros(n_el + 1), np.zeros(n_el + 1))
-
     def _combine(self, z, deriv: int):
         idx, xi = locate(z, self.h, self.n_el)
         h0, h1, h2, h3 = hermite_shapes(xi, self.h, deriv)

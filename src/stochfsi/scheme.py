@@ -18,7 +18,8 @@ at the last admissible displacement, so every fluid solve sees a
 Jacobian bounded below by delta.
 
 The fluid substep's nonlinearity (transport field u - v r e_r) is
-resolved by Picard iteration on the frozen transport only.  Because the
+resolved by Picard iteration on the frozen transport only, to the fixed
+tolerance TOL_PICARD within MAX_PICARD iterates.  Because the
 assembled advection operator is skew for *any* frozen field, testing the
 solved system with its own solution yields the discrete energy balance
 at every iterate, converged or not, up to the accuracy of the linear
@@ -72,12 +73,12 @@ class SchemeParams:
     delta: float
     epsilon: float
     dt: float
-    tol_picard: float = 1e-10
-    max_picard: int = 50
 
 
 # normwise backward error fluid_step refines the returned Picard iterate to
 SOLVE_BERR = 1e-15
+TOL_PICARD = 1e-10  # fluid_step's Picard tolerance on the relative update
+MAX_PICARD = 50     # and its budget of iterates
 
 
 @dataclass
@@ -230,7 +231,7 @@ def fluid_step(
     are those a step on the same geometry ended with (``step`` hands them
     over once the cutoff has frozen eta*): the first iterate is then a
     sweep too, and a stale factor refactors by the same rule.  Once the
-    update is below tol_picard, the returned iterate is refined
+    update is below TOL_PICARD, the returned iterate is refined
     (refactoring if a sweep stalls) to a backward error of at most
     SOLVE_BERR; the stats carry it and the step's factorizations, which
     are 0 on a step that reused its factor throughout.
@@ -284,7 +285,7 @@ def fluid_step(
             raise SolverFailure("fluid solve produced non-finite values")
         return solved
 
-    for it in range(1, params.max_picard + 1):
+    for it in range(1, MAX_PICARD + 1):
         np.add(fixed, dt * layout.advection_data(adv, x), out=A)
         x_new, berr = solve(x, 1)
         d = x_new - x
@@ -292,14 +293,14 @@ def fluid_step(
         den = math.sqrt(max(float(x_new @ layout.matvec(M_norm, x_new)), 0.0))
         rel = num / max(den, 1e-30)
         x = x_new
-        if rel <= params.tol_picard:
+        if rel <= TOL_PICARD:
             if berr is None or berr > SOLVE_BERR:
                 x, berr = solve(x, np.inf)
             return (x[:n_free].copy(), x[layout.beam_to_x],
                     PicardStats(it, rel, factors, berr), adv, lu)
     raise PicardDivergence(
         f"fluid Picard iteration did not converge: rel update {rel:.3e} "
-        f"after {params.max_picard} iterations"
+        f"after {MAX_PICARD} iterations"
     )
 
 

@@ -45,6 +45,15 @@ def make_problem(**overrides):
     return build_problem(make_config(**overrides))
 
 
+# a config whose Picard iteration really diverges under the fixed tolerance
+# and budget (scheme.TOL_PICARD, MAX_PICARD): every path of it raises
+# PicardDivergence at its second step, at epsilon 1e-2 and 1e-3 alike
+DIVERGING = {"domain": {"L": 4.0, "R": 0.5, "nz": 4, "nr": 3},
+             "physics": {"nu": 0.01, "epsilon": 0.01, "delta": 0.015},
+             "time": {"T": 0.5, "N": 2},
+             "pressure": {"kind": "constant", "P_in": -17.4, "P_out": 5.5}}
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260811)

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve
 
+from conftest import DIVERGING
 from stochfsi import cli
 from stochfsi.cli import (
     build_problem,
@@ -54,8 +55,8 @@ class TestLoadConfig:
     def test_unknown_field_names_path(self):
         cases = [
             ({"physics": {"viscosity": 1.0}}, "physics.viscosity"),
-            ({"solver": {"damping": 0.5}}, "solver.damping"),
-            ({"solver": {"damping_after": 20}}, "solver.damping_after"),
+            ({"solver": {"damping": 0.5}}, "solver"),
+            ({"time": {"dt": 0.01}}, "time.dt"),
             ({"noise": {"generator": "philox4x64-np"}}, "noise.generator"),
             ({"pressure": {"kind": "constant", "P_inn": 1.0}}, "pressure.P_inn"),
             ({"pressure": {"kind": "constant", "duration": 0.1}}, "pressure.duration"),
@@ -242,8 +243,11 @@ class TestRunArtifacts:
         assert manifest["dt"] == 0.0625
         # every defaulted section is echoed
         for key in ("domain", "physics", "time", "pressure", "initial",
-                    "noise", "run", "solver", "output"):
+                    "noise", "run", "output"):
             assert key in manifest["config"]
+        # the fixed Picard tolerance and budget, which no config sets
+        assert "solver" not in manifest["config"]
+        assert manifest["solver"] == {"tol_picard": 1e-10, "max_picard": 50}
 
     def test_rerun_byte_identical(self, tmp_path):
         cfg = parse_config({
@@ -280,12 +284,7 @@ class TestRunArtifacts:
         assert report["failures"] == []
 
     def test_ensemble_failures_exit_1(self, tmp_path, capsys):
-        path = write_cfg(tmp_path, {
-            "time": {"T": 0.25, "N": 8}, "domain": {"nz": 4, "nr": 2},
-            "solver": {"max_picard": 1, "tol_picard": 1e-14},
-            "initial": {"eta0": {"kind": "zero"}, "v0": {"kind": "zero"},
-                        "u0": {"kind": "parabolic", "amplitude": 5.0}},
-        })
+        path = write_cfg(tmp_path, DIVERGING)
         out = tmp_path / "ens"
         assert main(["run", "--config", path, "--mode", "ensemble", "--paths", "3",
                      "--out", str(out)]) == 1
@@ -307,6 +306,12 @@ class TestMain:
         path = write_cfg(tmp_path, {**MINIMAL, "physics": {"delta": -1}})
         assert main(["validate", "--config", path]) == 2
         assert "physics.delta" in capsys.readouterr().err
+
+    def test_solver_section_exit_2(self, tmp_path, capsys):
+        # the Picard tolerance and budget are constants of scheme, not config
+        path = write_cfg(tmp_path, {**MINIMAL, "solver": {"max_picard": 1, "tol_picard": 1e-14}})
+        assert main(["validate", "--config", path]) == 2
+        assert capsys.readouterr().err == "config error: solver: unknown field\n"
 
     @pytest.mark.parametrize("data,field", [
         ({"run": {"mode": "sweep", "sweep_axis": "epsilon",
@@ -407,12 +412,7 @@ class TestMain:
         assert len([l for l in table if not l.startswith("#")]) == 3
 
     def test_sweep_failures_exit_1(self, tmp_path, capsys):
-        path = write_cfg(tmp_path, {
-            **MINIMAL,
-            "solver": {"max_picard": 1, "tol_picard": 1e-14},
-            "initial": {"eta0": {"kind": "zero"}, "v0": {"kind": "zero"},
-                        "u0": {"kind": "parabolic", "amplitude": 5.0}},
-        })
+        path = write_cfg(tmp_path, DIVERGING)
         out = tmp_path / "sweepout"
         assert main(["sweep", "--config", path, "--axis", "epsilon",
                      "--values", "1e-2,1e-3", "--out", str(out)]) == 1

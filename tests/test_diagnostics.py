@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 import oracle_dense as od
-from conftest import make_config, make_problem
+from conftest import DIVERGING, make_config, make_problem
 from stochfsi import scheme
 from stochfsi.cli import build_problem, parse_config, sweep
 from stochfsi.diagnostics import (
@@ -317,12 +317,7 @@ class TestMoreCoverage:
             assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
 
     def test_ensemble_records_failures_without_aborting(self):
-        prob = make_problem(domain={"nz": 4, "nr": 2}, time={"T": 0.25, "N": 8},
-                            solver={"max_picard": 1, "tol_picard": 1e-14},
-                            initial={"eta0": {"kind": "zero"},
-                                     "v0": {"kind": "zero"},
-                                     "u0": {"kind": "parabolic", "amplitude": 5.0}})
-        rep = ensemble_run(prob, 3)
+        rep = ensemble_run(build_problem(parse_config(DIVERGING)), 3)
         assert len(rep.failures) == 3
         assert all("PicardDivergence" in f["error"] for f in rep.failures)
         # with no surviving path no statistic is defined

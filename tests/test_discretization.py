@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+import scipy
 import scipy.sparse as sp
 from scipy.optimize import brentq
+from scipy.sparse import _sparsetools
 
 import oracle_dense as od
 from stochfsi import scheme
@@ -89,17 +91,20 @@ class TestBuildSpaces:
 
     @pytest.mark.parametrize("nz,nr", [(4, 2), (3, 3), (8, 4), (2, 5), (32, 16)])
     def test_products_bit_identical_to_scipy(self, rng, nz, nr):
-        # matvec runs the compiled kernel of scipy's A @ x
-        # (scipy.sparse._sparsetools); a scipy that moves it fails here
+        # matvec runs scipy's private compiled kernel of A @ x
+        # (scipy.sparse._sparsetools.csc_matvec); a scipy that moves or
+        # changes it fails here, naming its version
+        kernel = f"scipy {scipy.__version__}: scipy.sparse._sparsetools.csc_matvec"
+        assert callable(getattr(_sparsetools, "csc_matvec", None)), f"{kernel} is gone"
         fl, st, lay = spaces(nz, nr)
         n, m = fl.n_free, lay.n_x
         for _ in range(3):
             data = rng.normal(size=lay.indices.size)
             A = sp.csc_matrix((data, lay.indices, lay.indptr), shape=(m, m))
-            x = rng.normal(size=m)
-            assert np.array_equal(lay.matvec(data, x), A @ x)
-            x = rng.normal(size=n)
-            assert np.array_equal(lay.matvec(data, x), A[:n, :n] @ x)
+            for B in (A, A[:n, :n]):  # all of x, and the fluid block
+                x = rng.normal(size=B.shape[1])
+                assert np.array_equal(lay.matvec(data, x), B @ x), \
+                    f"{kernel} no longer gives A @ x bit for bit (length {x.size})"
 
     def test_product_lengths_checked(self):
         # the compiled kernels read out of bounds on a short array
@@ -193,7 +198,7 @@ class TestWeightedMass:
         # flat wall, R=1, 1x1 mesh: per-component mass is the classic
         # bilinear pattern with diagonal 1/9
         fl, st, lay = spaces(1, 1)
-        prof = WallProfile.zero(1.0, 1)
+        prof = WallProfile(1.0, np.zeros(2), np.zeros(2))
         blocks = element_mass(fl, fl.wall_samples(prof, 1.0)[0])
         M = np.zeros((fl.ndof, fl.ndof))
         for p in (0, 1):
@@ -258,7 +263,7 @@ class TestViscousAndPenalty:
         # discretely divergence-free fields from a dense eigensolve must
         # produce zero penalty residual
         fl, st, lay = spaces(nz, nr)
-        prof = WallProfile.zero(1.0, nz)
+        prof = WallProfile(1.0, np.zeros(nz + 1), np.zeros(nz + 1))
         P = lay.csr(lay.vector_data(
             element_penalty(fl, *fl.wall_samples(prof, 1.0)[2:]))).toarray()
         w, V = np.linalg.eigh(P)
@@ -484,12 +489,12 @@ def hs_norm(prof, R, s):
 
 class TestHsNorm:
     def test_constant_profiles(self):
-        prof = WallProfile.zero(1.0, 8)
+        prof = WallProfile(1.0, np.zeros(9), np.zeros(9))
         assert hs_norm(prof, 1.0, 1.75) == pytest.approx(1.0, abs=1e-12)
         assert hs_norm(prof, 2.0, 1.75) == pytest.approx(2.0, abs=1e-12)
 
     def test_s_out_of_range(self):
-        prof = WallProfile.zero(1.0, 4)
+        prof = WallProfile(1.0, np.zeros(5), np.zeros(5))
         with pytest.raises(ConfigError):
             hs_norm(prof, 1.0, 1.4)
         with pytest.raises(ConfigError):

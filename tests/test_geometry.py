@@ -55,11 +55,11 @@ def random_profile(rng, n_el=8, L=1.0, scale=0.2):
 
 class TestAleMap:
     def test_identity_height_channel(self):
-        prof = WallProfile.zero(1.0, 4)
+        prof = WallProfile(1.0, np.zeros(5), np.zeros(5))
         assert ale_map(prof, 1.0, (0.5, 0.5)) == (0.5, 0.5)
 
     def test_top_boundary_maps_to_R(self):
-        prof = WallProfile.zero(1.0, 4)
+        prof = WallProfile(1.0, np.zeros(5), np.zeros(5))
         assert ale_map(prof, 2.0, (0.3, 1.0)) == (0.3, 2.0)
 
     def test_hermite_bump_midpoint(self):
@@ -81,7 +81,7 @@ class TestAleJacobian:
     """The Jacobian R + eta(z), as ``FluidSpace.wall_samples`` evaluates it."""
 
     def test_flat(self):
-        prof = WallProfile.zero(1.0, 4)
+        prof = WallProfile(1.0, np.zeros(5), np.zeros(5))
         for z in (0.0, 0.37, 1.0):
             assert 1.0 + prof.value(z) == 1.0
 
@@ -105,14 +105,14 @@ class TestTransformedOperators:
 
     def test_flat_channel_r_shear(self):
         # u = (r, 0), R = 2: only d_r^eta u_z = 1/2 survives
-        prof = WallProfile.zero(1.0, 4)
+        prof = WallProfile(1.0, np.zeros(5), np.zeros(5))
         g = transformed_gradient([0.0, 0.0], [1.0, 0.0], prof, 2.0, (0.3, 0.5))
         assert np.allclose(g, [[0.0, 0.5], [0.0, 0.0]], atol=1e-15)
         d = transformed_sym_gradient([0.0, 0.0], [1.0, 0.0], prof, 2.0, (0.3, 0.5))
         assert np.allclose(d, [[0.0, 0.25], [0.25, 0.0]], atol=1e-15)
 
     def test_solenoidal_in_identity_geometry(self):
-        prof = WallProfile.zero(1.0, 4)
+        prof = WallProfile(1.0, np.zeros(5), np.zeros(5))
         div = transformed_divergence([1.0, 0.0], [0.0, -1.0], prof, 1.0, (0.2, 0.9))
         assert div == 0.0
 
@@ -210,7 +210,7 @@ class TestTransformedOperators:
 
 class TestFlatIsUntransformed:
     def test_all_operators_reduce(self, rng):
-        prof = WallProfile.zero(1.0, 8)
+        prof = WallProfile(1.0, np.zeros(9), np.zeros(9))
         for _ in range(30):
             du_dz = rng.normal(size=2)
             du_dr = rng.normal(size=2)
@@ -327,7 +327,7 @@ class TestMinValue:
             assert prof.min_value() >= dense_min - 1e-6
 
     def test_zero_profile(self):
-        assert WallProfile.zero(2.0, 3).min_value() == 0.0
+        assert WallProfile(2.0, np.zeros(4), np.zeros(4)).min_value() == 0.0
 
     @settings(max_examples=200, deadline=None)
     @given(

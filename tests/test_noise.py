@@ -207,7 +207,7 @@ class TestApplyG:
     def test_zero_state_zero_forcing(self, rng):
         dom = ReferenceDomain(L=1.0, R=1.0, nz=2, nr=2)
         fl, st, lay = build_spaces(dom)
-        prof = WallProfile.zero(1.0, 2)
+        prof = WallProfile(1.0, np.zeros(3), np.zeros(3))
         forms = assemble_all(fl, lay, prof)
         params = SchemeParams(nu=1.0, delta=0.1, epsilon=1e-3, dt=0.01)
         v_half = rng.normal(size=st.n_free)

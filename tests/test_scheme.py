@@ -282,22 +282,28 @@ class TestFluidStep:
         # sweep stops halving the backward error; each such iterate is
         # refactored and still solved to SOLVE_BERR
         factored = factored_matrices(monkeypatch)
-        stats = self._random_4x2_step(rng, SchemeParams(nu=1e-3, delta=0.1, epsilon=1e-3,
-                                                        dt=0.5, max_picard=200))
+        stats = self._random_4x2_step(rng, self._solve_case("stale", monkeypatch))
         assert 1 < stats.lu_factors == len(factored) < stats.iterations
         assert stats.solve_berr <= 1e-15
 
-    # the suite's 4x2 step, and the stale-factor case above
-    _SOLVE_CASES = {"suite": SchemeParams(nu=1.0, delta=0.1, epsilon=1e-3, dt=0.01),
-                    "stale": SchemeParams(nu=1e-3, delta=0.1, epsilon=1e-3, dt=0.5,
-                                          max_picard=200)}
+    # the suite's 4x2 step, and the stale-factor case above, with their
+    # Picard budgets
+    _SOLVE_CASES = {"suite": (SchemeParams(nu=1.0, delta=0.1, epsilon=1e-3, dt=0.01),
+                              scheme.MAX_PICARD),
+                    "stale": (SchemeParams(nu=1e-3, delta=0.1, epsilon=1e-3, dt=0.5), 200)}
+
+    def _solve_case(self, case, monkeypatch):
+        """The parameters of a _SOLVE_CASES case, with its budget set."""
+        params, budget = self._SOLVE_CASES[case]
+        monkeypatch.setattr(scheme, "MAX_PICARD", budget)
+        return params
 
     @pytest.mark.parametrize("case", sorted(_SOLVE_CASES))
     def test_one_coupled_matrix_per_step(self, case, rng, monkeypatch):
         # every solve of the step, a refinement or a factorization, uses one
         # matrix array, which each iterate writes in place
         matrices = solved_matrices(monkeypatch)
-        stats = self._random_4x2_step(rng, self._SOLVE_CASES[case])
+        stats = self._random_4x2_step(rng, self._solve_case(case, monkeypatch))
         assert stats.iterations > 2
         assert len(matrices) >= stats.iterations
         assert all(A is matrices[0] for A in matrices)
@@ -317,7 +323,7 @@ class TestFluidStep:
                 return self.lu.solve(b)
 
         monkeypatch.setattr(scheme.spla, "splu", lambda *a, **k: Counting(splu(*a, **k)))
-        stats = self._random_4x2_step(rng, self._SOLVE_CASES[case])
+        stats = self._random_4x2_step(rng, self._solve_case(case, monkeypatch))
         assert stats.iterations > 2
         assert len(solves) <= stats.iterations + 2
         assert stats.solve_berr <= 1e-15
@@ -334,7 +340,7 @@ class TestFluidStep:
         u_n = rng.normal(size=fl.n_free)
         v_n = rng.normal(size=st.n_free)
         u_n[lay.shared_free] = v_n[0::2]
-        stats = fluid_step(fl, lay, forms, forms.M_eta, self._SOLVE_CASES[case],
+        stats = fluid_step(fl, lay, forms, forms.M_eta, self._solve_case(case, monkeypatch),
                            u_n, v_n, v_n, 0.0, 1.0, 0.0)[2]
         assert stats.iterations > 2 and stats.lu_factors >= 1
         assert made == []
@@ -350,7 +356,8 @@ class TestFluidStep:
         u_n = rng.normal(size=fl.n_free)
         v_n = rng.normal(size=st.n_free)
         u_n[lay.shared_free] = v_n[0::2]
-        params = SchemeParams(nu=1.0, delta=0.1, epsilon=1e-3, dt=0.01, tol_picard=tol)
+        monkeypatch.setattr(scheme, "TOL_PICARD", tol)
+        params = SchemeParams(nu=1.0, delta=0.1, epsilon=1e-3, dt=0.01)
         u, v, stats, _, _ = fluid_step(fl, lay, forms, forms.M_eta, params, u_n, v_n, v_n,
                                        0.0, 1.0, 0.0)
         assert stats.iterations > 1
@@ -426,8 +433,8 @@ class TestFluidStep:
         # field, at the suite's dt/eps/nu and at the probe's dt 0.5, nu 1e-3
         prm = make_problem().params
         dt, nu = (prm.dt, prm.nu) if regime == "suite" else (0.5, 1e-3)
-        params = SchemeParams(nu=nu, delta=prm.delta, epsilon=prm.epsilon, dt=dt,
-                              max_picard=1)
+        params = SchemeParams(nu=nu, delta=prm.delta, epsilon=prm.epsilon, dt=dt)
+        monkeypatch.setattr(scheme, "MAX_PICARD", 1)
         fl, st, lay = tiny_spaces(nz, nr)
         forms = assemble_all(fl, lay, st.profile(0.05 * rng.uniform(-1, 1, st.n_free)))
         factored = factored_matrices(monkeypatch)
@@ -521,11 +528,12 @@ class TestFluidStep:
         with pytest.raises(SolverFailure, match="^trace-constant solve failed: "):
             trace_dissipation_constant(lay, forms, params)
 
-    def test_picard_divergence_raises(self, rng):
+    def test_picard_divergence_raises(self, rng, monkeypatch):
         fl, st, lay = tiny_spaces(4, 2)
         prof = st.profile(np.zeros(st.n_free))
         forms = assemble_all(fl, lay, prof)
-        params = SchemeParams(nu=1e-4, delta=0.1, epsilon=1.0, dt=0.5, max_picard=1)
+        params = SchemeParams(nu=1e-4, delta=0.1, epsilon=1.0, dt=0.5)
+        monkeypatch.setattr(scheme, "MAX_PICARD", 1)
         u_n = 50.0 * rng.normal(size=fl.n_free)
         with pytest.raises(PicardDivergence):
             fluid_step(fl, lay, forms, forms.M_eta, params, u_n, np.zeros(st.n_free),
@@ -563,7 +571,7 @@ class TestRunPath:
         for n in range(1, traj.n_steps + 1):
             shared = traj.u[n][prob.layout.shared_free]
             assert np.array_equal(shared, traj.v[n][0::2])
-        assert np.all(traj.ledger.picard_rel <= prob.params.tol_picard)
+        assert np.all(traj.ledger.picard_rel <= scheme.TOL_PICARD)
 
     def test_every_fluid_solve_to_backward_error(self):
         led = run_path(make_problem(), 0).ledger
