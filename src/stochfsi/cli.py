@@ -58,7 +58,7 @@ _DEFAULTS = {
         "q": [],
         "amplitude": [],
         "seed": None,
-        "sampling": "auto",
+        "sampling": "dyadic",
     },
     "run": {
         "mode": "path",
@@ -160,7 +160,7 @@ def _numbers(value, field: str, want: str = "a number") -> list:
 
 def _noise_spec(noise: dict) -> NoiseSpec:
     return NoiseSpec(K=noise["K"], q=noise["q"], amplitude=noise["amplitude"],
-                     seed=noise["seed"], sampling=noise["sampling"])
+                     seed=noise["seed"])
 
 
 # the fields besides "kind" that each kind of an open section takes
@@ -227,12 +227,14 @@ def parse_config(data: dict) -> RunConfig:
     if nz["seed"] is None:
         nz["seed"] = merged["run"]["master_seed"]
     nz["seed"] = _number(nz["seed"], "noise.seed", "an integer in [0, 2^64)")
-    spec = _noise_spec(nz)  # checks the lengths against K and the sampling mode
+    _noise_spec(nz)  # checks the lengths against K
+    # the Brownian tree is the one sampler; the key stays for configs that name it
+    _require(nz["sampling"] == "dyadic",
+             f"noise.sampling: must be 'dyadic', got {nz['sampling']!r}")
 
     r = merged["run"]
     _require(r["mode"] in ("path", "ensemble", "sweep"),
              f"run.mode: unknown mode {r['mode']!r}")
-    Ns = [merged["time"]["N"]]
     # checked whenever set, so another mode never runs with junk sweep fields
     if r["mode"] == "sweep" or r["sweep_axis"] is not None or r["sweep_values"] != []:
         _require(r["sweep_axis"] in ("N", "epsilon"),
@@ -242,9 +244,6 @@ def parse_config(data: dict) -> RunConfig:
         _require(values, "run.sweep_values: need at least one value")
         _require(_strictly_increasing(values) or _strictly_increasing(values[::-1]),
                  f"run.sweep_values: must be sorted with no value repeated, got {values!r}")
-        Ns += values if r["sweep_axis"] == "N" else []
-    for N in Ns:  # dyadic sampling needs every N a power of two
-        spec.resolve_sampling(N)
     _require(isinstance(r["halt_at_stop"], bool),
              f"run.halt_at_stop: must be true or false, got {r['halt_at_stop']!r}")
     _require(isinstance(merged["output"]["directory"], str),

@@ -14,14 +14,17 @@ Cameron-Martin space, the increment norm there is
 ||dW||^2 = sum_k dW_k^2 / q_k, and xi <= ||Phi|| * ||dW|| is sharp
 Cauchy-Schwarz -- the pairing used by the per-step energy checks.
 
-Sampling is counter-based (Philox) and keyed by (seed, path, step) or by
-(seed, path, dyadic cell); a path moves one bit generator from counter
-block to counter block (``_Stream``).  So ensembles are reproducible
-under any parallel schedule and a path's increments never depend on how
-many other paths exist.  The dyadic mode builds the whole Wiener path as
-a Brownian tree over [0, T]; runs with N and 2N steps then see couplings
-of the same realization, which is what the time-refinement studies
-compare.
+Every path is a Brownian tree: with d = ceil(log2 N), the increment over
+[0, 2^d dt] is drawn first and each cell is split in two by a Brownian
+bridge, d levels down; the path keeps the first N leaves (Levy's midpoint
+construction, so its increments are i.i.d. N(0, dt*q) for every N).  Runs
+with N and 2N steps over the same T then see couplings of one Wiener path,
+which is what the time-refinement studies compare, and ``NoisePath.refine``
+descends the same tree below a step.  Sampling is counter-based (Philox)
+and keyed by (seed, path, tree cell); a path moves one bit generator from
+counter block to counter block (``_Stream``).  So ensembles are
+reproducible under any parallel schedule and a path's increments never
+depend on how many other paths exist.
 """
 
 from __future__ import annotations
@@ -39,44 +42,36 @@ from .errors import ConfigError
 _KEY_STREAM = 0x9E3779B97F4A8000
 _MASK64 = 2**64 - 1
 
-_PURPOSE_STEP = 1
-_PURPOSE_DYADIC = 2
-_PURPOSE_BRIDGE = 3
-
 
 class _Stream:
     """One Philox bit generator under the key (seed, _KEY_STREAM), moved to
     a counter block for each draw.  ``normal`` sets the counter to
-    (0, b, a, purpose) with an empty buffer, so it draws what a fresh
+    (0, b, a, 2) with an empty buffer, so it draws what a fresh
     ``Generator(Philox(counter=..., key=...))`` at that block draws, without
-    building one per step or cell."""
+    building one per cell.  The last word stays 2 so that a tree draws the
+    same bits in every version."""
 
     def __init__(self, seed: int):
         self._bitgen = Philox(key=np.array([seed, _KEY_STREAM], dtype=np.uint64))
         self._gen = Generator(self._bitgen)
         self._state = self._bitgen.state  # counter 0, empty buffer
 
-    def normal(self, purpose: int, a: int, b: int, size: int) -> np.ndarray:
-        """``size`` standard normals from counter block (0, b, a, purpose)."""
+    def normal(self, a: int, b: int, size: int) -> np.ndarray:
+        """``size`` standard normals from counter block (0, b, a, 2)."""
         self._state["state"]["counter"] = np.array(
-            [0, int(b) & _MASK64, int(a) & _MASK64, purpose], dtype=np.uint64)
+            [0, int(b) & _MASK64, int(a) & _MASK64, 2], dtype=np.uint64)
         self._bitgen.state = self._state
         return self._gen.standard_normal(size)
 
 
-def _is_pow2(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
-
-
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Truncated covariance, coefficient functional, and sampling contract."""
+    """Truncated covariance, coefficient functional and seed."""
 
     K: int
     q: np.ndarray
     amplitude: np.ndarray
     seed: int
-    sampling: str = "auto"  # auto | per-step | dyadic
 
     def __post_init__(self):
         q = np.asarray(self.q, dtype=float)
@@ -91,33 +86,22 @@ class NoiseSpec:
             raise ConfigError(f"noise.seed: must be an integer in [0, 2^64), got {self.seed!r}")
         if np.any(q <= 0):
             raise ConfigError("noise.q: covariance eigenvalues must be > 0")
-        if self.sampling not in ("auto", "per-step", "dyadic"):
-            raise ConfigError(f"noise.sampling: unknown mode {self.sampling!r}")
 
     @property
     def phi_hs_sq(self) -> float:
         """||Phi||^2 in the Hilbert-Schmidt sense (against the q-weighted basis)."""
         return float((self.q * self.amplitude**2).sum())
 
-    def resolve_sampling(self, N: int) -> str:
-        if self.sampling == "auto":
-            return "dyadic" if _is_pow2(N) else "per-step"
-        if self.sampling == "dyadic" and not _is_pow2(N):
-            raise ConfigError(f"noise.sampling: dyadic sampling requires N to be a power of two, got {N}")
-        return self.sampling
-
 
 @dataclass
 class NoisePath:
-    """One realization's increments, (N, K), plus enough keying context to
-    refine any step consistently with Brownian bridges."""
+    """One realization's increments, (N, K): the first N leaves of its
+    Brownian tree, whose depth is ceil(log2 N)."""
 
     increments: np.ndarray
     dt: float
     spec: NoiseSpec
     path_index: int
-    mode: str
-    depth: int  # dyadic tree depth for mode == "dyadic" (N = 2**depth)
 
     @property
     def N(self) -> int:
@@ -128,51 +112,42 @@ class NoisePath:
 
     def u0_norm_sq(self, n: int) -> float:
         """Squared Cameron-Martin norm of the n-th increment."""
-        if self.spec.K == 0:
-            return 0.0
         return float((self.increments[n] ** 2 / self.spec.q).sum())
 
     def refine(self, n: int, refinement: int) -> np.ndarray:
         """Split step n's increment into `refinement` sub-increments.
 
-        The sub-increments sum exactly to the stored increment and are a
-        conditional (Brownian-bridge) sample keyed by the same seed, so
-        coarse and fine views are couplings of one Wiener path.
+        They are the cells of the path's tree below step n, so they sum to
+        the stored increment up to roundoff and equal the increments of the
+        path with `refinement` times as many steps over the same horizon.
         """
-        if refinement < 2:
-            raise ConfigError(f"refinement: must be >= 2, got {refinement}")
-        if not _is_pow2(refinement):
-            raise ConfigError(f"refinement: must be a power of two, got {refinement}")
-        stream, p, K = _Stream(self.spec.seed), self.path_index, self.spec.K
-        arr = self.increments[n][None, :]
-        length = self.dt
-        for level in range(1, int(refinement).bit_length()):
-            if self.mode == "dyadic":
-                # the cells of the tree below step n, keyed as sample_path keys them
-                lev, first = self.depth + level, n << (level - 1)
-                normals = lambda i: stream.normal(_PURPOSE_DYADIC, p, (lev << 48) | (first + i), K)
-            else:
-                normals = lambda i: stream.normal(_PURPOSE_BRIDGE, p,
-                                                  (level << 56) | (n << 28) | i, K)
-            arr = _halve(arr, length, self.spec.q, normals)
-            length /= 2
-        return arr
+        if refinement < 2 or refinement & (refinement - 1):
+            raise ConfigError(f"refinement: must be a power of two >= 2, got {refinement}")
+        depth = (self.N - 1).bit_length()
+        return _descend(_Stream(self.spec.seed), self.path_index, self.spec.q,
+                        self.increments[n], depth, n, self.dt, refinement)
 
 
-def _halve(arr: np.ndarray, length: float, q: np.ndarray, normals) -> np.ndarray:
-    """Split each row of ``arr``, an increment over an interval of ``length``,
-    into the increments over its two halves by a Brownian bridge: half of it
-    plus and minus zeta ~ N(0, q*length/4), with zeta of row i scaled from
-    the standard normals ``normals(i)``.  The two halves sum to the row up
-    to roundoff."""
-    half = arr / 2
-    scale = np.sqrt(q * length / 4)
-    new = np.empty((2 * arr.shape[0], arr.shape[1]))
-    for i in range(arr.shape[0]):
-        zeta = normals(i) * scale
-        new[2 * i] = half[i] + zeta
-        new[2 * i + 1] = half[i] - zeta
-    return new
+def _descend(stream: _Stream, path: int, q: np.ndarray, row: np.ndarray,
+             level: int, cell: int, length: float, leaves: int) -> np.ndarray:
+    """The first ``leaves`` cells of the tree of ``path`` below cell
+    ``cell`` of ``level``, an interval of ``length`` whose increment is
+    ``row``.  Each level splits its cells by a Brownian bridge: half the
+    increment plus and minus zeta ~ N(0, q*length/4), with zeta from the
+    normals at counter (child level << 48) | parent cell.  A level keeps
+    only the cells the leaves below need, and the two halves of a cell sum
+    to it up to roundoff."""
+    arr = row[None, :]
+    for below in range((leaves - 1).bit_length() - 1, -1, -1):
+        level += 1
+        zeta = np.stack([stream.normal(path, (level << 48) | (cell + i), q.size)
+                         for i in range(arr.shape[0])]) * np.sqrt(q * length / 4)
+        half, new = arr / 2, np.empty((2 * arr.shape[0], q.size))
+        new[0::2] = half + zeta
+        new[1::2] = half - zeta
+        arr = new[:((leaves - 1) >> below) + 1]
+        cell, length = 2 * cell, length / 2
+    return arr
 
 
 def sample_path(spec: NoiseSpec, N: int, dt: float, path_index: int = 0) -> NoisePath:
@@ -181,29 +156,13 @@ def sample_path(spec: NoiseSpec, N: int, dt: float, path_index: int = 0) -> Nois
         raise ConfigError(f"time.N: must be >= 1, got {N}")
     if not dt > 0:
         raise ConfigError(f"time step: must be > 0, got {dt}")
-    mode = spec.resolve_sampling(N)
-    K = spec.K
-    if K == 0:
-        return NoisePath(np.zeros((N, 0)), dt, spec, path_index, mode, 0)
-
+    if spec.K == 0:
+        return NoisePath(np.zeros((N, 0)), dt, spec, path_index)
     stream = _Stream(spec.seed)
-    if mode == "per-step":
-        out = np.empty((N, K))
-        scale = np.sqrt(dt * spec.q)
-        for n in range(N):
-            out[n] = stream.normal(_PURPOSE_STEP, path_index, n, K) * scale
-        return NoisePath(out, dt, spec, path_index, mode, 0)
-
-    depth = int(N).bit_length() - 1
-    T = N * dt
-    root = stream.normal(_PURPOSE_DYADIC, path_index, 0, K) * np.sqrt(T * spec.q)
-    arr = root[None, :]
-    length = T
-    for lev in range(1, depth + 1):
-        arr = _halve(arr, length, spec.q,
-                     lambda i: stream.normal(_PURPOSE_DYADIC, path_index, (lev << 48) | i, K))
-        length /= 2
-    return NoisePath(arr, dt, spec, path_index, mode, depth)
+    T = (1 << (N - 1).bit_length()) * dt  # the tree's horizon, 2^depth steps
+    root = stream.normal(path_index, 0, spec.K) * np.sqrt(T * spec.q)
+    return NoisePath(_descend(stream, path_index, spec.q, root, 0, 0, T, N),
+                     dt, spec, path_index)
 
 
 def state_l2_sq(layout, M_sq: np.ndarray, u_free: np.ndarray, v_beam: np.ndarray) -> float:

@@ -40,7 +40,7 @@ def _report(num, name, ok, detail=""):
     return ok
 
 
-# shared noisy ensemble for criteria 1-3 and 9b --------------------------------
+# shared noisy ensemble for criteria 1-3, 9b and the invariants ----------------
 
 _NOISY_KW = dict(
     domain={"nz": 4, "nr": 2},
@@ -57,19 +57,18 @@ _cache = {}
 
 
 def noisy_trajectories(M=64):
-    key = ("noisy", M)
-    if key not in _cache:
+    """Paths 0..M-1 of the noisy scenario; its first 256 paths, the most any
+    test reads, run once per session."""
+    if "noisy" not in _cache:
         prob = make_problem(**_NOISY_KW)
-        _cache[key] = [run_path(prob, i) for i in range(M)]
-    return _cache[key]
+        _cache["noisy"] = [run_path(prob, i) for i in range(256)]
+    return _cache["noisy"][:M]
 
 
 def test_criterion_01_structure_energy_identity():
     """E^{n+1/2} + C1 = E^n to 1e-11 relative, every step of 100 paths."""
-    prob = make_problem(**_NOISY_KW)
     worst = 0.0
-    for p in range(100):
-        traj = run_path(prob, p)
+    for traj in noisy_trajectories(100):
         worst = max(worst, float(structure_identity_residuals(traj).max()))
     ok = worst <= 1e-11
     assert _report(1, "structure energy identity", ok, f"max rel residual {worst:.3e}")
@@ -161,7 +160,7 @@ def test_criterion_05_uniform_in_N_energy_bound():
                  "v0": {"kind": "zero"},
                  "u0": {"kind": "parabolic", "amplitude": 0.5}},
         noise={"K": 3, "q": [1.0, 0.25, 1.0 / 9.0], "amplitude": [1.0, 0.5, 0.3],
-               "seed": 99, "sampling": "dyadic"},
+               "seed": 99},
     )
     means = []
     for N in (32, 64, 128, 256):
@@ -184,7 +183,7 @@ def test_criterion_06_stochastic_error_first_order():
                  "v0": {"kind": "zero"},
                  "u0": {"kind": "parabolic", "amplitude": 0.5}},
         noise={"K": 3, "q": [1.0, 0.25, 1.0 / 9.0], "amplitude": [1.0, 0.5, 0.3],
-               "seed": 7, "sampling": "dyadic"},
+               "seed": 7},
     )
     Ns = (16, 32, 64, 128)
     means = []
@@ -393,11 +392,7 @@ def test_extra_martingale_increment_surrogate():
     """Across M=256 paths, per-step sample means of the stochastic work
     stay within 3 standard errors of zero (with a tiny absolute floor for
     the early steps where the work is nearly deterministic-zero)."""
-    prob = make_problem(**_NOISY_KW)
-    works = []
-    for p in range(256):
-        works.append(run_path(prob, p).ledger.stoch_work)
-    W = np.vstack(works)
+    W = np.vstack([traj.ledger.stoch_work for traj in noisy_trajectories(256)])
     M = W.shape[0]
     means = W.mean(axis=0)
     sems = W.std(axis=0, ddof=1) / np.sqrt(M)

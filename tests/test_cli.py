@@ -316,10 +316,9 @@ class TestMain:
     @pytest.mark.parametrize("data,field", [
         ({"run": {"mode": "sweep", "sweep_axis": "epsilon",
                   "sweep_values": [1e-3, 1e-2, 1e-4]}}, "run.sweep_values"),
-        ({"time": {"T": 0.25, "N": 6}, "noise": {"sampling": "dyadic"}}, "noise.sampling"),
-        ({"noise": {"sampling": "dyadic"},
-          "run": {"mode": "sweep", "sweep_axis": "N", "sweep_values": [4, 6]}},
-         "noise.sampling"),
+        # the Brownian tree is the one sampler, so the key takes one value
+        ({"noise": {"sampling": "per-step"}}, "noise.sampling"),
+        ({"noise": {"sampling": "auto"}}, "noise.sampling"),
         # a repeated value would fit a slope to equal x values or run one
         # ensemble twice
         ({"run": {"mode": "sweep", "sweep_axis": "epsilon",
@@ -328,8 +327,8 @@ class TestMain:
          "run.sweep_values"),
     ])
     def test_run_time_faults_exit_2_at_load(self, tmp_path, capsys, data, field):
-        # unsorted sweep values and dyadic sampling at an N that is not a
-        # power of two fail before anything is written, not inside the run
+        # unsorted sweep values and a sampler other than the tree fail
+        # before anything is written, not inside the run
         path = write_cfg(tmp_path, {**MINIMAL, **data})
         out = tmp_path / "out"
         for command in (["validate"], ["run", "--out", str(out)]):
@@ -410,6 +409,18 @@ class TestMain:
         table = (tmp_path / "sweepout" / "table.csv").read_text().splitlines()
         assert table[0].startswith("value,")
         assert len([l for l in table if not l.startswith("#")]) == 3
+
+    def test_sweep_over_N_that_is_not_a_power_of_two(self, tmp_path):
+        # N = 6 and 12 keep the first leaves of one noisy tree per path
+        path = write_cfg(tmp_path, {
+            **MINIMAL,
+            "noise": {"K": 2, "q": [1.0, 0.25], "amplitude": [0.5, 0.2], "seed": 3},
+            "run": {"M": 2},
+        })
+        out = tmp_path / "sweepout"
+        assert main(["sweep", "--config", path, "--axis", "N",
+                     "--values", "6,12", "--out", str(out)]) == 0
+        assert len((out / "table.csv").read_text().splitlines()) == 3
 
     def test_sweep_failures_exit_1(self, tmp_path, capsys):
         path = write_cfg(tmp_path, DIVERGING)

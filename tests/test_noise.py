@@ -6,58 +6,55 @@ from stochfsi.errors import ConfigError
 from stochfsi.geometry import ReferenceDomain, WallProfile
 from numpy.random import Generator, Philox
 
-from stochfsi.noise import (_KEY_STREAM, _PURPOSE_BRIDGE, _PURPOSE_DYADIC, _PURPOSE_STEP,
-                            NoisePath, NoiseSpec, sample_path, state_l2_sq)
+from stochfsi.noise import _KEY_STREAM, NoisePath, NoiseSpec, sample_path, state_l2_sq
 from stochfsi.scheme import SchemeParams, fluid_step
 
 
-def spec4(seed=42, sampling="auto", amp=None):
+def spec4(seed=42, amp=None):
     q = np.array([1.0, 0.25, 1.0 / 9.0, 0.0625])
     amp = np.array([1.0, 0.5, 0.3, 0.2]) if amp is None else np.asarray(amp)
-    return NoiseSpec(K=4, q=q, amplitude=amp, seed=seed, sampling=sampling)
+    return NoiseSpec(K=4, q=q, amplitude=amp, seed=seed)
 
 
-def fresh_generator(seed, purpose, a, b):
-    """A new Generator at counter block (0, b, a, purpose) under the key
-    (seed, _KEY_STREAM): the per-step, per-cell construction."""
+def fresh_generator(seed, a, b):
+    """A new Generator at counter block (0, b, a, 2) under the key
+    (seed, _KEY_STREAM): the per-cell construction."""
     key = np.array([seed, _KEY_STREAM], dtype=np.uint64)
-    return Generator(Philox(counter=[0, b, a, purpose], key=key))
+    return Generator(Philox(counter=[0, b, a, 2], key=key))
 
 
 def reference_path(spec, N, dt, index):
-    """sample_path with a fresh generator per step (per-step mode) or per
-    cell (dyadic mode): the root increment over [0, N dt], refined N-fold."""
-    if spec.resolve_sampling(N) == "per-step":
-        return np.stack([fresh_generator(spec.seed, _PURPOSE_STEP, index, n)
-                         .standard_normal(spec.K) * np.sqrt(dt * spec.q) for n in range(N)])
-    T = N * dt
-    root = fresh_generator(spec.seed, _PURPOSE_DYADIC, index, 0).standard_normal(spec.K)
-    tree = NoisePath(root[None, :] * np.sqrt(T * spec.q), T, spec, index, "dyadic", 0)
-    return tree.increments if N == 1 else reference_refine(tree, 0, N)
+    """sample_path with a fresh generator per cell: the root increment over
+    [0, 2^d dt], d = ceil(log2 N), refined 2^d-fold, first N leaves."""
+    leaves = 2 ** int(np.ceil(np.log2(N)))
+    T = leaves * dt
+    root = fresh_generator(spec.seed, index, 0).standard_normal(spec.K)
+    tree = NoisePath(root[None, :] * np.sqrt(T * spec.q), T, spec, index)
+    return tree.increments if N == 1 else reference_refine(tree, 0, leaves)[:N]
 
 
 def reference_refine(path, n, refinement):
-    """NoisePath.refine written as one loop over levels and cells, with the
-    keys spelled out: the dyadic tree's cell (depth + level, idx >> 1), or
-    the bridge counter of (level, step, cell).  Refining the one-step
-    dyadic path of [0, T] N-fold gives the dyadic path with N steps."""
-    spec = path.spec
+    """NoisePath.refine written as one loop over levels and every cell,
+    with the keys spelled out: the tree's cell (depth + level, idx >> 1),
+    depth = ceil(log2 N).  Refining the one-step path of [0, T] 2^d-fold
+    gives the whole tree's leaves."""
+    spec, depth = path.spec, int(np.ceil(np.log2(path.N)))
     arr, length, level = path.increments[n][None, :], path.dt, 0
     while arr.shape[0] < refinement:
         level += 1
         new = np.empty((2 * arr.shape[0], spec.K))
         for i in range(arr.shape[0]):
-            if path.mode == "dyadic":
-                idx = n * (1 << level) + 2 * i
-                g = fresh_generator(spec.seed, _PURPOSE_DYADIC, path.path_index,
-                                    ((path.depth + level) << 48) | (idx >> 1))
-            else:
-                g = fresh_generator(spec.seed, _PURPOSE_BRIDGE, path.path_index,
-                                    (level << 56) | (n << 28) | i)
+            idx = n * (1 << level) + 2 * i
+            g = fresh_generator(spec.seed, path.path_index, ((depth + level) << 48) | (idx >> 1))
             zeta = g.standard_normal(spec.K) * np.sqrt(spec.q * length / 4)
             new[2 * i], new[2 * i + 1] = arr[i] / 2 + zeta, arr[i] / 2 - zeta
         arr, length = new, length / 2
     return arr
+
+
+# the step counts each test samples: a whole tree (N a power of two) and a
+# truncated one (its first N leaves)
+TREES = {"dyadic": (1, 8, 16), "truncated": (3, 6, 12)}
 
 
 class TestSpecValidation:
@@ -75,11 +72,6 @@ class TestSpecValidation:
         with pytest.raises(ConfigError):
             NoiseSpec(K=2, q=np.array([1.0, 0.0]), amplitude=np.zeros(2), seed=1)
 
-    def test_dyadic_requires_power_of_two(self):
-        sp = spec4(sampling="dyadic")
-        with pytest.raises(ConfigError):
-            sample_path(sp, 12, 0.1)
-
 
 class TestDeterminism:
     def test_same_seed_bit_identical(self):
@@ -93,29 +85,30 @@ class TestDeterminism:
         assert not np.array_equal(a.increments, b.increments)
 
     def test_both_sampling_modes_reproducible(self):
-        for mode in ("per-step", "dyadic"):
+        # the two ways a path samples its tree: whole (N = 16) or its first
+        # N leaves (N = 12)
+        for N in (16, 12):
             for seed, index in ((42, 0), (7, 3), (2**40 + 1, 17)):
-                a = sample_path(spec4(seed=seed, sampling=mode), 16, 0.01, index)
-                b = sample_path(spec4(seed=seed, sampling=mode), 16, 0.01, index)
+                a = sample_path(spec4(seed=seed), N, 0.01, index)
+                b = sample_path(spec4(seed=seed), N, 0.01, index)
                 assert np.array_equal(a.increments, b.increments)
-                if mode == "dyadic":
-                    tree = sample_path(spec4(seed=seed, sampling=mode), 1, 16 * 0.01, index)
-                    assert np.array_equal(a.increments, reference_refine(tree, 0, 16))
-                for n in (0, 9, 15):
+                tree = sample_path(spec4(seed=seed), 1, 16 * 0.01, index)
+                assert np.array_equal(a.increments, reference_refine(tree, 0, 16)[:N])
+                for n in (0, 9, N - 1):
                     for r in (2, 8):
                         assert np.array_equal(a.refine(n, r), reference_refine(a, n, r))
 
 
 class TestOneGeneratorPerPath:
     """sample_path moves one Philox bit generator per path from counter
-    block to counter block; it must draw what a fresh generator per step
-    or cell draws."""
+    block to counter block; it must draw what a fresh generator per cell
+    draws."""
 
-    @pytest.mark.parametrize("mode", ["per-step", "dyadic"])
-    def test_same_as_a_generator_per_cell(self, mode):
+    @pytest.mark.parametrize("tree", TREES)
+    def test_same_as_a_generator_per_cell(self, tree):
         for seed, index in ((0, 0), (42, 3), (2**40 + 1, 17), (2**63 + 5, 1)):
-            spec = spec4(seed=seed, sampling=mode)
-            for N in (1, 8, 16):
+            spec = spec4(seed=seed)
+            for N in TREES[tree]:
                 path = sample_path(spec, N, 0.01, index)
                 assert np.array_equal(path.increments, reference_path(spec, N, 0.01, index))
                 for n in {0, N // 2, N - 1}:
@@ -123,46 +116,62 @@ class TestOneGeneratorPerPath:
 
     def test_pinned_seed_zero_draw(self):
         # the first increment of path 0 at seed 0, as every earlier version drew it
-        want = {"per-step": [0.0926491857641095, 0.010090416272247093,
-                             -0.041352886852776376, -0.02618842424587782],
-                "dyadic": [-0.08270624472515019, 0.020538058702966523,
-                           0.010923945675041423, -0.00807517566408219]}
-        for mode, row in want.items():
-            path = sample_path(spec4(seed=0, sampling=mode), 4, 0.01, 0)
-            assert path.increments[0].tolist() == row
+        path = sample_path(spec4(seed=0), 4, 0.01, 0)
+        assert path.increments[0].tolist() == [-0.08270624472515019, 0.020538058702966523,
+                                               0.010923945675041423, -0.00807517566408219]
 
-    @pytest.mark.parametrize("mode", ["per-step", "dyadic"])
-    def test_seeds_above_2_53_keep_their_low_bits(self, mode):
+    @pytest.mark.parametrize("tree", TREES)
+    def test_seeds_above_2_53_keep_their_low_bits(self, tree):
         # the key holds the seed as a 64-bit word, so seeds that differ
         # below float64's precision draw different noise
-        a = sample_path(spec4(seed=2**60, sampling=mode), 8, 0.01, 0)
-        b = sample_path(spec4(seed=2**60 + 1, sampling=mode), 8, 0.01, 0)
+        N = TREES[tree][1]
+        a = sample_path(spec4(seed=2**60), N, 0.01, 0)
+        b = sample_path(spec4(seed=2**60 + 1), N, 0.01, 0)
         assert not np.array_equal(a.increments, b.increments)
 
 
 class TestDyadicCoupling:
     def test_halved_steps_refine_the_same_path(self):
-        # the N and 2N dyadic paths are couplings of one Wiener path:
-        # adjacent fine increments sum to the coarse ones, bitwise through
-        # the shared bridge samples
-        sp = spec4(sampling="dyadic")
+        # the N and 2N paths are couplings of one Wiener path: adjacent
+        # fine increments sum to the coarse ones, bitwise through the
+        # shared bridge samples
+        sp = spec4()
         coarse = sample_path(sp, 8, 0.125)
         fine = sample_path(sp, 16, 0.0625)
         paired = fine.increments[0::2] + fine.increments[1::2]
         assert np.allclose(paired, coarse.increments, rtol=0, atol=1e-15)
 
     def test_refine_matches_deeper_path_exactly(self):
-        sp = spec4(sampling="dyadic")
+        sp = spec4()
         coarse = sample_path(sp, 8, 0.125)
         fine = sample_path(sp, 16, 0.0625)
         for n in range(8):
             sub = coarse.refine(n, 2)
             assert np.array_equal(sub, fine.increments[2 * n:2 * n + 2])
 
+    @pytest.mark.parametrize("N", [3, 6, 12, 100])
+    def test_every_N_couples_with_2N(self, N):
+        # a step count that is not a power of two keeps the first N leaves
+        # of the tree of depth ceil(log2 N), so N and 2N over one horizon
+        # share the Wiener path too
+        sp, T = spec4(), 1.0
+        coarse = sample_path(sp, N, T / N)
+        fine = sample_path(sp, 2 * N, T / (2 * N))
+        paired = fine.increments[0::2] + fine.increments[1::2]
+        assert np.allclose(paired, coarse.increments, rtol=0, atol=1e-15)
+        for n in range(N):
+            assert np.array_equal(coarse.refine(n, 2), fine.increments[2 * n:2 * n + 2])
+
+    def test_truncated_tree_is_a_prefix(self):
+        # at one dt, N = 6 and N = 8 draw one tree of depth 3
+        sp = spec4()
+        assert np.array_equal(sample_path(sp, 6, 0.01).increments,
+                              sample_path(sp, 8, 0.01).increments[:6])
+
     def test_refinement_sums_to_increment(self):
-        for mode in ("per-step", "dyadic"):
-            path = sample_path(spec4(sampling=mode), 8, 0.125)
-            for n in (0, 3, 7):
+        for N in (8, 6):
+            path = sample_path(spec4(), N, 0.125)
+            for n in (0, 3, N - 1):
                 sub = path.refine(n, 8)
                 assert np.allclose(sub.sum(axis=0), path.increments[n],
                                    rtol=0, atol=1e-15)
@@ -182,8 +191,7 @@ class TestMoments:
         sp = NoiseSpec(K=4, q=np.array([1.0, 1 / 4, 1 / 9, 1 / 16]),
                        amplitude=np.zeros(4), seed=2024)
         N, dt = 10_000, 0.01
-        path = sample_path(sp, N, dt)
-        assert path.mode == "per-step"
+        path = sample_path(sp, N, dt)  # the first 10^4 leaves of a depth-14 tree
         var = path.increments.var(axis=0, ddof=1)
         mean = path.increments.mean(axis=0)
         target = dt * sp.q
@@ -192,7 +200,7 @@ class TestMoments:
 
     def test_dyadic_variance_matches_too(self):
         sp = NoiseSpec(K=2, q=np.array([1.0, 0.5]), amplitude=np.zeros(2),
-                       seed=99, sampling="dyadic")
+                       seed=99)
         N, dt = 8192, 1.0 / 8192
         path = sample_path(sp, N, dt)
         var = path.increments.var(axis=0, ddof=1)
@@ -220,7 +228,7 @@ class TestApplyG:
         assert np.array_equal(quiet[0], forced[0]) and np.array_equal(quiet[1], forced[1])
 
     def test_zero_increment_zero_forcing(self):
-        path = NoisePath(np.zeros((3, 4)), 0.1, spec4(), 0, "per-step", 0)
+        path = NoisePath(np.zeros((3, 4)), 0.1, spec4(), 0)
         assert all(path.xi(n) == 0.0 for n in range(3))
 
 
