@@ -252,10 +252,12 @@ def parse_config(data: dict) -> RunConfig:
 
 
 def _read_json(path: str):
+    """The JSON value in the file at ``path``; text that is not UTF-8 or
+    not JSON, or JSON nested too deep to parse, raises ConfigError."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # ValueError: JSON and UTF-8 errors
             raise ConfigError(f"config: invalid JSON ({exc})") from exc
 
 
@@ -361,18 +363,12 @@ def problem_at_axis_value(cfg: RunConfig, problem: PathProblem, value) -> PathPr
     return dataclasses.replace(problem, params=params, N=N, P_in=P_in, P_out=P_out)
 
 
-@dataclass
-class SweepResult:
-    rows: list
-    slope: float | None
-
-
-def sweep(config: RunConfig, problem: PathProblem) -> SweepResult:
+def sweep(config: RunConfig, problem: PathProblem) -> tuple[list, float | None]:
     """Re-run the ensemble for each value of N or epsilon with common
-    per-path seeds, and fit the log-log slope of the monitored statistic.
-    The axis and its values are ``config.run``'s, which ``parse_config``
-    validates whenever either is set; a mode other than sweep is a
-    ``ConfigError``.
+    per-path seeds, and fit the log-log slope of the monitored statistic;
+    returns (rows, slope), one row per value.  The axis and its values are
+    ``config.run``'s, which ``parse_config`` validates whenever either is
+    set; a mode other than sweep is a ``ConfigError``.
 
     For the epsilon axis the monitored statistic is the ensemble mean of
     ||div^{eta*} u||_{L^2(0,T;L^2)} (target slope 1/2); for the N axis it
@@ -405,7 +401,7 @@ def sweep(config: RunConfig, problem: PathProblem) -> SweepResult:
     if len(values) >= 2 and all(v is not None and v > 0 for v in y):
         x = np.log(np.asarray(values, dtype=float))
         slope = float(np.polyfit(x, np.log(np.asarray(y, dtype=float)), 1)[0])
-    return SweepResult(rows=rows, slope=slope)
+    return rows, slope
 
 
 # ----------------------------------------------------------------------
@@ -431,16 +427,16 @@ def write_manifest(path: str, cfg: RunConfig):
         fh.write("\n")
 
 
-def write_sweep_csv(path: str, result):
+def write_sweep_csv(path: str, rows: list, slope: float | None):
     """One row per value; a statistic that is None (every path at that
     value failed) is an empty cell."""
     cols = ["value", "div_l2t", "max_E_mean", "sum_D_mean", "frac_stopped", "failed"]
     lines = [",".join(cols)]
-    for row in result.rows:
+    for row in rows:
         lines.append(",".join("" if row[c] is None else repr(row[c]) if c in ("value", "failed")
                               else _fmt(row[c]) for c in cols))
-    if result.slope is not None:
-        lines.append(f"# fitted log-log slope: {_fmt(result.slope)}")
+    if slope is not None:
+        lines.append(f"# fitted log-log slope: {_fmt(slope)}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -475,15 +471,15 @@ def run(cfg: RunConfig, problem: PathProblem, out_dir: str | None = None) -> int
         print(f"ensemble complete: {M} paths")
         return 0
 
-    result = sweep(cfg, problem)
-    write_sweep_csv(os.path.join(out, "table.csv"), result)
-    failed = sum(row["failed"] for row in result.rows)
+    rows, slope = sweep(cfg, problem)
+    write_sweep_csv(os.path.join(out, "table.csv"), rows, slope)
+    failed = sum(row["failed"] for row in rows)
     if failed:
-        total = len(result.rows) * cfg.run["M"]
+        total = len(rows) * cfg.run["M"]
         print(f"sweep failed: {failed} of {total} paths", file=sys.stderr)
         return 1
-    slope = "n/a" if result.slope is None else f"{result.slope:.4f}"
-    print(f"sweep complete over {cfg.run['sweep_axis']}: slope {slope}")
+    fitted = "n/a" if slope is None else f"{slope:.4f}"
+    print(f"sweep complete over {cfg.run['sweep_axis']}: slope {fitted}")
     return 0
 
 

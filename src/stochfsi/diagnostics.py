@@ -124,34 +124,27 @@ def write_ledger_csv(path: str, traj: Trajectory):
 # time-shift norms (tightness diagnostic)
 
 
-def time_shift_norm(dt: float, values: np.ndarray, gram, h: float, T: float | None = None) -> float:
-    """Exact Int_h^T || X(t-h) - X(t) ||^2 dt for a piecewise-constant X.
+def time_shift_norm(dt: float, values: np.ndarray, gram, h: float) -> float:
+    """Exact Int_h^T || X(t-h) - X(t) ||^2 dt, T = n dt, for a
+    piecewise-constant X.
 
-    ``values`` holds X's value on each subinterval [n dt, (n+1) dt);
-    ``gram`` is the spatial Gram matrix of the norm.  The integrand is
-    piecewise constant between the merged breakpoints {n dt} u {n dt + h},
-    so the integral is a finite sum of overlap lengths times squared
-    differences; no quadrature error.
+    ``values`` holds X's value X_k on each subinterval [k dt, (k+1) dt);
+    ``gram`` is the spatial Gram matrix of the norm (dense or scipy
+    sparse).  With h = m dt + r, 0 <= r < dt, a point of step k sees
+    X_{k-m} for a length dt - r and X_{k-m-1} for a length r, so the
+    integral is  (dt - r) S_m + r S_{m+1},  S_j = sum_{j <= k < n}
+    ||X_k - X_{k-j}||^2; no quadrature error.
     """
     n = values.shape[0]
-    if T is None:
-        T = n * dt
-    if not 0 < h < T:
+    if not 0 < h < n * dt:
         raise ConfigError(f"time shift h must lie in (0, T), got {h}")
-    breaks = np.concatenate([np.arange(n + 1) * dt, np.arange(n + 1) * dt + h])
-    breaks = np.unique(np.clip(breaks, h, T))
-    total = 0.0
-    for a, b in zip(breaks[:-1], breaks[1:]):
-        if b - a <= 0:
-            continue
-        tm = 0.5 * (a + b)
-        i1 = min(int(tm / dt), n - 1)
-        i0 = min(int((tm - h) / dt), n - 1)
-        if i0 == i1:
-            continue
-        d = values[i1] - values[i0]
-        total += (b - a) * float(d @ (gram @ d))
-    return total
+    m, r = divmod(h, dt)
+
+    def shifted(j: int) -> float:
+        d = (values[j:] - values[:n - j]).T
+        return float(np.sum(d * (gram @ d)))
+
+    return (dt - r) * shifted(int(m)) + r * shifted(int(m) + 1)
 
 
 def tightness_diagnostic(traj: Trajectory, gram_u, gram_v, k_max: int = 8) -> dict:
@@ -165,8 +158,8 @@ def tightness_diagnostic(traj: Trajectory, gram_u, gram_v, k_max: int = 8) -> di
         h = T * 0.5**k
         if h <= 0 or h >= T:
             continue
-        iu = time_shift_norm(traj.dt, traj.u[1:], gram_u, h, T)
-        iv = time_shift_norm(traj.dt, traj.v[1:], gram_v, h, T)
+        iu = time_shift_norm(traj.dt, traj.u[1:], gram_u, h)
+        iv = time_shift_norm(traj.dt, traj.v[1:], gram_v, h)
         out["h"].append(h)
         out["integral"].append(iu + iv)
         out["scaled"].append((iu + iv) * h ** (-1.0 / 32.0))
@@ -221,7 +214,7 @@ def path_statistics(traj: Trajectory) -> dict:
         "sum_C2": float(led.C2.sum()),
         "div_sq_int": float(traj.dt * np.sum(led.div_residual**2)),
         "stopped": bool(traj.stopped),
-        "tau_time": float(traj.tau_time),
+        "tau_time": float(traj.tau_idx * traj.dt),
         "tau_idx": int(traj.tau_idx),
     }
 

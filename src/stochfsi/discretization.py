@@ -155,16 +155,9 @@ class FluidSpace:
         self.node_z = (IZ * self.hz).ravel()
         self.node_r = (IR * self.hr).ravel()
 
-        masked = np.zeros(self.ndof, dtype=bool)
-        for node in range(self.n_nodes):
-            niz = node % (nz + 1)
-            nir = node // (nz + 1)
-            if nir == nr:
-                masked[2 * node + 0] = True          # u_z = 0 on top
-            if niz == 0 or niz == nz or nir == 0:
-                masked[2 * node + 1] = True          # u_r = 0 on sides/bottom
-        self.masked = masked
-        self.free = np.flatnonzero(~masked)
+        # per node (u_z, u_r): u_z = 0 on top, u_r = 0 on the sides and bottom
+        self.masked = np.stack([IR == nr, (IZ == 0) | (IZ == nz) | (IR == 0)], axis=-1).ravel()
+        self.free = np.flatnonzero(~self.masked)
         self.n_free = self.free.size
         self.full_to_free = -np.ones(self.ndof, dtype=int)
         self.full_to_free[self.free] = np.arange(self.n_free)
@@ -268,13 +261,12 @@ def element_penalty(fs: FluidSpace, w1_q, s1_q) -> np.ndarray:
 
 def assemble_flux_vectors_full(fs: FluidSpace):
     """Load vectors of Int_0^1 q_z|_{z=0} dr and Int_0^1 q_z|_{z=L} dr."""
-    f_in = np.zeros(fs.ndof)
-    f_out = np.zeros(fs.ndof)
-    nz, nr, hr = fs.nz, fs.nr, fs.hr
-    for ir in range(nr + 1):
-        w = hr if 0 < ir < nr else hr / 2
-        f_in[2 * (ir * (nz + 1) + 0)] += w
-        f_out[2 * (ir * (nz + 1) + nz)] += w
+    inlet = np.arange(fs.nr + 1) * (fs.nz + 1)  # the nodes at z = 0, bottom to top
+    w = np.full(fs.nr + 1, fs.hr)
+    w[[0, -1]] = fs.hr / 2
+    f_in, f_out = np.zeros((2, fs.ndof))
+    f_in[2 * inlet] = w
+    f_out[2 * (inlet + fs.nz)] = w
     return f_in, f_out
 
 

@@ -64,7 +64,7 @@ from .discretization import (
 )
 from .errors import InitialDataError, PicardDivergence, SolverFailure
 from .geometry import WallProfile
-from .noise import NoisePath, NoiseSpec, sample_path, state_l2_sq
+from .noise import NoisePath, NoiseSpec, sample_path
 
 
 @dataclass
@@ -79,14 +79,6 @@ class SchemeParams:
 SOLVE_BERR = 1e-15
 TOL_PICARD = 1e-10  # fluid_step's Picard tolerance on the relative update
 MAX_PICARD = 50     # and its budget of iterates
-
-
-@dataclass
-class PicardStats:
-    iterations: int
-    rel_update: float
-    lu_factors: int      # factorizations in the step's fluid solve
-    solve_berr: float    # backward error of the returned iterate's solve
 
 
 def band(problem: PathProblem, eta: np.ndarray, profile: WallProfile) -> tuple[float, float]:
@@ -233,12 +225,14 @@ def fluid_step(
     sweep too, and a stale factor refactors by the same rule.  Once the
     update is below TOL_PICARD, the returned iterate is refined
     (refactoring if a sweep stalls) to a backward error of at most
-    SOLVE_BERR; the stats carry it and the step's factorizations, which
-    are 0 on a step that reused its factor throughout.
+    SOLVE_BERR.
 
     Returns (u, v, stats, advection, factor): the free fluid DOFs and the
-    wall velocity at level n+1, the step's PicardStats, its advection map
-    and the factor it ended with.
+    wall velocity at level n+1, the step's solver numbers keyed by their
+    ``EnergyLedger`` fields (``picard_iters``, ``picard_rel``, the step's
+    factorizations ``lu_factors``, which are 0 on a step that reused its
+    factor throughout, and the returned solve's ``solve_berr``), its
+    advection map and the factor it ended with.
     """
     dt = params.dt
     n_free, n_x = fluid.n_free, layout.n_x
@@ -296,8 +290,8 @@ def fluid_step(
         if rel <= TOL_PICARD:
             if berr is None or berr > SOLVE_BERR:
                 x, berr = solve(x, np.inf)
-            return (x[:n_free].copy(), x[layout.beam_to_x],
-                    PicardStats(it, rel, factors, berr), adv, lu)
+            stats = dict(picard_iters=it, picard_rel=rel, lu_factors=factors, solve_berr=berr)
+            return x[:n_free].copy(), x[layout.beam_to_x], stats, adv, lu
     raise PicardDivergence(
         f"fluid Picard iteration did not converge: rel update {rel:.3e} "
         f"after {MAX_PICARD} iterations"
@@ -420,10 +414,6 @@ class Trajectory:
         dropped = np.flatnonzero(self.ledger.theta == 0)
         return int(dropped[0]) + 1 if dropped.size else self.n_steps
 
-    @property
-    def tau_time(self) -> float:
-        return self.tau_idx * self.dt
-
 
 @dataclass
 class PathProblem:
@@ -538,8 +528,8 @@ def step(problem: PathProblem, state: State, n: int, noise_path: NoisePath):
     dv, deta, du, dvf = vh - v, eh - eta, u_new - u, v_new - vh
     vhalf_gap = float(dv @ (M_s @ dv))
     div_sq = u_new @ lay.matvec(forms.P, u_new)
-    g_state = state_l2_sq(lay, forms.M_sq, u, v)
     u_sq, v_sq = u @ lay.matvec(forms.M_eta, u), v @ (M_s @ v)
+    g_state = float(u @ lay.matvec(forms.M_sq, u) + v_sq)  # ||(R+eta*) u||^2 + ||v||^2
     row = dict(
         E_half=energy(lay, forms.M_eta, u, vh, eh),
         D=dt * (prm.nu * float(u_new @ lay.matvec(forms.K, u_new))
@@ -553,8 +543,7 @@ def step(problem: PathProblem, state: State, n: int, noise_path: NoisePath):
         g_hs_sq=problem.noise.phi_hs_sq * g_state, g_state_sq=g_state,
         pressure_work=P_in * float(fl.flux_in @ u_new) - P_out * float(fl.flux_out @ u_new),
         P_in=P_in, P_out=P_out, vhalf_gap_sq=vhalf_gap, trace_const=state.trace_const,
-        picard_iters=stats.iterations, picard_rel=stats.rel_update,
-        lu_factors=stats.lu_factors, solve_berr=stats.solve_berr,
+        **stats,
         E_next=energy(lay, forms_next.M_eta, u_new, v_new, eh),
     )
     frozen = (advection, factor) if theta == 0 else ()

@@ -119,8 +119,8 @@ def _epsilon_sweep():
 def test_criterion_04_companion_divergence_uniformly_bounded():
     """The substance behind criterion 4: (1/sqrt(eps)) ||div u|| stays
     bounded (here: decreasing) as eps drops, uniformly over the sweep."""
-    res = _epsilon_sweep()
-    scaled = [row["div_l2t"] / np.sqrt(row["value"]) for row in res.rows]
+    rows, _ = _epsilon_sweep()
+    scaled = [row["div_l2t"] / np.sqrt(row["value"]) for row in rows]
     ok = bool(all(np.isfinite(scaled))
               and all(b <= a * (1 + 1e-6) for a, b in zip(scaled[:-1], scaled[1:])))
     assert _report(4, "penalty residual uniformly bounded (lemma substance)", ok,
@@ -138,8 +138,7 @@ def test_criterion_04_penalty_scaling_slope():
     upper bound and is verified with margin by the companion test.  See
     the decisions ledger for the full analysis.
     """
-    res = _epsilon_sweep()
-    slope = res.slope
+    _, slope = _epsilon_sweep()
     ok = slope is not None and 0.35 <= slope <= 0.65
     _report(4, "penalty scaling slope in [0.35, 0.65] (literal)", ok,
             f"measured slope {slope:.3f}")

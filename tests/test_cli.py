@@ -120,9 +120,15 @@ class TestLoadConfig:
         cfg = parse_config({**MINIMAL, "time": {"T": 0.25, "N": 4.0}})
         assert cfg.time["N"] == 4 and isinstance(cfg.time["N"], int)
 
-    def test_bad_json_reported(self, tmp_path, capsys):
+    @pytest.mark.parametrize("text", [
+        b"{not json",
+        b'{"time": {"T": 0.25, "N": 4}, "output": {"directory": "\xff"}}',
+        b"[" * 100_000 + b"]" * 100_000,
+        b'{"time": {"N": 1' + b"0" * 5000 + b"}}",
+    ], ids=["syntax", "not-utf8", "nested", "long-int"])
+    def test_bad_json_reported(self, tmp_path, capsys, text):
         p = tmp_path / "broken.json"
-        p.write_text("{not json")
+        p.write_bytes(text)
         assert main(["validate", "--config", str(p)]) == 2
         assert capsys.readouterr().err.startswith("config error: config: invalid JSON (")
 

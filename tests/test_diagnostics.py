@@ -3,6 +3,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
@@ -69,7 +70,61 @@ class TestEnergy:
         assert ours == pytest.approx(mirror, rel=1e-12)
 
 
+def time_shift_norm_oracle(dt, values, gram, h):
+    """time_shift_norm as it was before its closed form: the integrand is
+    piecewise constant between the merged breakpoints {k dt} u {k dt + h},
+    clipped to [h, T], T = n dt, and each piece adds its length times the
+    squared difference at its midpoint."""
+    n = values.shape[0]
+    T = n * dt
+    breaks = np.concatenate([np.arange(n + 1) * dt, np.arange(n + 1) * dt + h])
+    breaks = np.unique(np.clip(breaks, h, T))
+    total = 0.0
+    for a, b in zip(breaks[:-1], breaks[1:]):
+        if b - a <= 0:
+            continue
+        tm = 0.5 * (a + b)
+        i1 = min(int(tm / dt), n - 1)
+        i0 = min(int((tm - h) / dt), n - 1)
+        if i0 == i1:
+            continue
+        d = values[i1] - values[i0]
+        total += (b - a) * float(d @ (gram @ d))
+    return total
+
+
 class TestTimeShiftNorm:
+    def test_closed_form_matches_breakpoint_oracle(self):
+        # random n, dt and h, a quarter each with h uniform in (0, T), h an
+        # integer multiple of dt, h in the last step (the sum S_n is empty)
+        # and n of 1 or 2; the Gram matrix is dense or scipy sparse.  h stays
+        # at least dt/20 below T: the oracle clips at the rounded T = n dt,
+        # which moves its integral by O(eps T), not small against T - h < dt.
+        rng = np.random.default_rng(29)
+        kinds = np.zeros(4, dtype=int)
+        for k in range(2000):
+            kind = k % 4
+            n = int(rng.integers(1, 3)) if kind == 3 else int(rng.integers(2, 17))
+            dt = float(rng.uniform(1e-3, 2.0))
+            dim = int(rng.integers(1, 5))
+            values = rng.normal(size=(n, dim))
+            A = rng.normal(size=(dim, dim))
+            gram = A @ A.T + np.eye(dim)
+            T = n * dt
+            if kind == 1:
+                h = int(rng.integers(1, n)) * dt
+            elif kind == 2:
+                h = T - rng.uniform(0.05, 0.5) * dt
+            else:
+                h = rng.uniform(0.0, T)
+            if not 0 < h < T:
+                continue
+            kinds[kind] += 1
+            got = time_shift_norm(dt, values, sp.csr_matrix(gram) if k % 2 else gram, h)
+            want = time_shift_norm_oracle(dt, values, gram, h)
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0), (k, n, dt, h)
+        assert kinds.min() >= 490
+
     def test_constant_trajectory_is_zero(self):
         vals = np.tile(np.array([1.0, 2.0]), (10, 1))
         G = np.eye(2)
@@ -93,7 +148,7 @@ class TestTimeShiftNorm:
         G = np.eye(dim)
         h = 1.5 * dt
         T = n * dt
-        exact = time_shift_norm(dt, vals, G, h, T)
+        exact = time_shift_norm(dt, vals, G, h)
         # brute-force midpoint rule on a grid of dt/100
         m = int(round(T / (dt / 100)))
         ts = (np.arange(m) + 0.5) * (dt / 100)
@@ -252,13 +307,13 @@ class TestSweep:
                           run={"M": 4, "mode": "sweep", "sweep_axis": "epsilon",
                                "sweep_values": [1e-3]})
         prob = build_problem(cfg)
-        res = sweep(cfg, prob)
-        assert len(res.rows) == 1
-        assert res.rows[0]["failed"] == 0
-        assert res.slope is None
+        rows, slope = sweep(cfg, prob)
+        assert len(rows) == 1
+        assert rows[0]["failed"] == 0
+        assert slope is None
         rep = ensemble_run(prob, 4)
-        assert res.rows[0]["max_E_mean"] == pytest.approx(rep.stats["max_E"]["mean"])
-        assert res.rows[0]["div_l2t"] == pytest.approx(
+        assert rows[0]["max_E_mean"] == pytest.approx(rep.stats["max_E"]["mean"])
+        assert rows[0]["div_l2t"] == pytest.approx(
             np.sqrt(rep.stats["div_sq_int"]["mean"]))
 
     def test_axis_validation(self):
@@ -300,9 +355,9 @@ class TestMoreCoverage:
         cfg = make_config(domain={"nz": 4, "nr": 2}, time={"T": 0.25, "N": 8},
                           run={"M": 2, "mode": "sweep", "sweep_axis": "N",
                                "sweep_values": [8, 16]})
-        res = sweep(cfg, build_problem(cfg))
-        assert len(res.rows) == 2
-        assert all(np.isfinite(row["max_E_mean"]) for row in res.rows)
+        rows, _ = sweep(cfg, build_problem(cfg))
+        assert len(rows) == 2
+        assert all(np.isfinite(row["max_E_mean"]) for row in rows)
 
     def test_thread_count_does_not_change_results(self, monkeypatch, tmp_path):
         prob = make_problem(domain={"nz": 4, "nr": 2}, time={"T": 0.25, "N": 8})
