@@ -20,6 +20,7 @@ only; results are keyed by path index and do not depend on scheduling).
 from __future__ import annotations
 
 import argparse
+import copy
 import dataclasses
 import json
 import math
@@ -43,32 +44,39 @@ from .diagnostics import write_ledger_csv
 
 _GAUSS5 = np.polynomial.legendre.leggauss(5)
 
-_DEFAULTS = {
-    "domain": {"L": 1.0, "R": 1.0, "nz": 8, "nr": 4},
-    "physics": {"nu": 1.0, "delta": 0.1, "epsilon": 1e-3, "s": 1.75},
-    "time": {"T": 1.0, "N": 32},
-    "pressure": {"kind": "constant", "P_in": 0.0, "P_out": 0.0},
-    "initial": {
-        "eta0": {"kind": "zero"},
-        "v0": {"kind": "zero"},
-        "u0": {"kind": "zero"},
-    },
-    "noise": {
-        "K": 0,
-        "q": [],
-        "amplitude": [],
-        "seed": None,
-        "sampling": "dyadic",
-    },
-    "run": {
-        "mode": "path",
-        "M": 1,
-        "master_seed": 12345,
-        "sweep_axis": None,
-        "sweep_values": [],
-        "halt_at_stop": False,
-    },
-    "output": {"directory": "out"},
+
+class _Kinds(dict):
+    """An open section of _SCHEMA: each kind's field schema, by name.  A
+    nonempty section names its kind; an empty one is the first kind's defaults."""
+
+
+# Every config field as (default, rule).  A rule is a key of _RANGES (a
+# number), a one-element list of one (a list of such numbers), a tuple of
+# the strings allowed, bool or str; None marks a field that parse_config
+# resolves itself.  A field whose default is None under a rule must be given.
+_NUM, _POS, _COUNT = "a number", "a number > 0", "an integer >= 1"
+_AMPLITUDE = {"amplitude": (None, _NUM)}
+_WALL = _Kinds({"zero": {}, "bump": _AMPLITUDE, "sine2": _AMPLITUDE})
+_SCHEMA = {
+    "domain": {"L": (1.0, _POS), "R": (1.0, _POS), "nz": (8, _COUNT), "nr": (4, _COUNT)},
+    "physics": {"nu": (1.0, _POS), "delta": (0.1, _POS), "epsilon": (1e-3, _POS),
+                "s": (1.75, "a number in (3/2, 2)")},
+    "time": {"T": (1.0, _POS), "N": (32, _COUNT)},
+    "pressure": _Kinds({
+        "constant": {"P_in": (0.0, _NUM), "P_out": (0.0, _NUM)},
+        "table": {"times": (None, [_NUM]), "P_in": (None, [_NUM]), "P_out": (None, [_NUM])},
+        # ... (no JSON value) marks an absent duration, which parse_config sets to time.T
+        "half-sine": {"amplitude": (1.0, _NUM), "duration": (..., None),
+                      "side": ("in", ("in", "out"))}}),
+    "initial": {"eta0": _WALL, "v0": _WALL, "u0": _Kinds({"zero": {}, "parabolic": _AMPLITUDE})},
+    # a seed of None is run.master_seed; the Brownian tree is the one
+    # sampler, and "sampling" stays for configs that name it
+    "noise": {"K": (0, "an integer >= 0"), "q": ([], [_POS]), "amplitude": ([], [_NUM]),
+              "seed": (None, None), "sampling": ("dyadic", ("dyadic",))},
+    "run": {"mode": ("path", ("path", "ensemble", "sweep")), "M": (1, _COUNT),
+            "master_seed": (12345, "an integer in [0, 2^64)"), "sweep_axis": (None, None),
+            "sweep_values": ([], None), "halt_at_stop": (False, bool)},
+    "output": {"directory": ("out", str)},
 }
 
 
@@ -91,28 +99,6 @@ class RunConfig:
         return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
 
 
-# sections whose field set depends on a "kind" discriminator; _merge takes
-# them as given and parse_config checks their fields per kind
-_OPEN_SECTIONS = {"pressure.", "initial.eta0.", "initial.v0.", "initial.u0."}
-
-
-def _merge(defaults: dict, user, path: str) -> dict:
-    if not isinstance(user, dict):
-        raise ConfigError(f"{path[:-1] or 'config'}: must be a JSON object, got {user!r}")
-    if path in _OPEN_SECTIONS:
-        return dict(user) if user else dict(defaults)
-    out = {}
-    for key, dval in defaults.items():
-        if isinstance(dval, dict):
-            out[key] = _merge(dval, user.get(key, {}), f"{path}{key}.")
-        else:
-            out[key] = user.get(key, dval)
-    for key in user:
-        if key not in defaults:
-            raise ConfigError(f"{path}{key}: unknown field")
-    return out
-
-
 def _require(cond: bool, msg: str):
     if not cond:
         raise ConfigError(msg)
@@ -126,17 +112,6 @@ _RANGES = {
     "an integer in [0, 2^64)": lambda x: 0 <= x < 2**64,
     "an integer >= 0": lambda x: x >= 0,
     "an integer >= 1": lambda x: x >= 1,
-}
-
-# the numeric fields of the fixed sections
-_NUMERIC = {
-    "domain": {"L": "a number > 0", "R": "a number > 0",
-               "nz": "an integer >= 1", "nr": "an integer >= 1"},
-    "physics": {"nu": "a number > 0", "delta": "a number > 0",
-                "epsilon": "a number > 0", "s": "a number in (3/2, 2)"},
-    "time": {"T": "a number > 0", "N": "an integer >= 1"},
-    "noise": {"K": "an integer >= 0"},
-    "run": {"M": "an integer >= 1", "master_seed": "an integer in [0, 2^64)"},
 }
 
 
@@ -158,96 +133,85 @@ def _numbers(value, field: str, want: str = "a number") -> list:
     return [_number(v, f"{field}[{i}]", want) for i, v in enumerate(value)]
 
 
+def _check(value, field: str, rule):
+    """``value`` held to a leaf ``rule`` of _SCHEMA."""
+    if isinstance(rule, str):
+        return _number(value, field, rule)
+    if isinstance(rule, list):
+        return _numbers(value, field, rule[0])
+    if isinstance(rule, tuple):
+        _require(value in rule,
+                 f"{field}: must be {' or '.join(map(repr, rule))}, got {value!r}")
+    elif rule is not None:
+        _require(isinstance(value, rule), f"{field}: must be "
+                 f"{'true or false' if rule is bool else 'a string'}, got {value!r}")
+    return value
+
+
+def _resolve(schema: dict, user, path: str) -> dict:
+    """``user`` with every default of ``schema`` filled in and every field
+    checked against its rule; ``path`` is the dotted prefix of its fields."""
+    if not isinstance(user, dict):
+        raise ConfigError(f"{path[:-1] or 'config'}: must be a JSON object, got {user!r}")
+    out = {}
+    if isinstance(schema, _Kinds):
+        kind = user.get("kind") if user else next(iter(schema))
+        if not isinstance(kind, str) or kind not in schema:
+            raise ConfigError(f"{path}kind: unknown kind {kind!r}")
+        out["kind"], schema = kind, schema[kind]
+    for key in user:
+        if key not in schema and key not in out:  # out holds at most "kind" here
+            raise ConfigError(f"{path}{key}: unknown field")
+    for key, entry in schema.items():
+        if isinstance(entry, dict):
+            out[key] = _resolve(entry, user.get(key, {}), f"{path}{key}.")
+        else:  # a copy of the default, which no config may share
+            out[key] = _check(user.get(key, copy.copy(entry[0])), path + key, entry[1])
+    return out
+
+
 def _noise_spec(noise: dict) -> NoiseSpec:
     return NoiseSpec(K=noise["K"], q=noise["q"], amplitude=noise["amplitude"],
                      seed=noise["seed"])
-
-
-# the fields besides "kind" that each kind of an open section takes
-_PRESSURE_KINDS = {"constant": ("P_in", "P_out"), "table": ("times", "P_in", "P_out"),
-                   "half-sine": ("amplitude", "duration", "side")}
-_WALL_KINDS = {"zero": (), "bump": ("amplitude",), "sine2": ("amplitude",)}
-_INITIAL_KINDS = {"eta0": _WALL_KINDS, "v0": _WALL_KINDS,
-                  "u0": {"zero": (), "parabolic": ("amplitude",)}}
 
 
 def _strictly_increasing(xs: list) -> bool:
     return all(a < b for a, b in zip(xs, xs[1:]))
 
 
-def _kind_fields(spec: dict, path: str, kinds: dict) -> str:
-    """The kind of an open section, after checking it and every field name."""
-    kind = spec.get("kind")
-    if not isinstance(kind, str) or kind not in kinds:
-        raise ConfigError(f"{path}.kind: unknown kind {kind!r}")
-    for key in spec:
-        if key != "kind" and key not in kinds[kind]:
-            raise ConfigError(f"{path}.{key}: unknown field")
-    return kind
-
-
 def parse_config(data: dict) -> RunConfig:
-    """Validate a raw dict against the schema; all defaults resolved.
-
-    Builds nothing: the admissibility of the initial wall needs the built
-    problem and is checked by ``build_problem``."""
-    merged = _merge(_DEFAULTS, data, "")
-    for section, fields in _NUMERIC.items():
-        for key, want in fields.items():
-            merged[section][key] = _number(merged[section][key], f"{section}.{key}", want)
+    """Validate a raw dict against _SCHEMA and the rules that tie fields
+    together; all defaults resolved.  Builds nothing: the admissibility of
+    the initial wall needs the built problem and is checked by ``build_problem``."""
+    merged = _resolve(_SCHEMA, data, "")
 
     pr = merged["pressure"]
-    kind = _kind_fields(pr, "pressure", _PRESSURE_KINDS)
-    if kind == "constant":
-        for key in ("P_in", "P_out"):
-            pr[key] = _number(pr.get(key, 0.0), f"pressure.{key}")
-    elif kind == "table":
+    if pr["kind"] == "table":
         for key in ("times", "P_in", "P_out"):
-            pr[key] = _numbers(pr.get(key), f"pressure.{key}")
             _require(pr[key], f"pressure.{key}: table kind needs a nonempty list")
         _require(len(pr["times"]) == len(pr["P_in"]) == len(pr["P_out"]),
                  "pressure.times/P_in/P_out: lengths must match")
         _require(pr["times"][0] == 0.0, "pressure.times: must start at 0")
         _require(_strictly_increasing(pr["times"]), "pressure.times: must be strictly increasing")
-    else:
-        pr["amplitude"] = _number(pr.get("amplitude", 1.0), "pressure.amplitude")
-        pr["duration"] = _number(pr.get("duration", merged["time"]["T"]),
-                                 "pressure.duration", "a number > 0")
-        pr.setdefault("side", "in")
-        _require(pr["side"] in ("in", "out"), "pressure.side: must be 'in' or 'out'")
-
-    for name, kinds in _INITIAL_KINDS.items():
-        spec = merged["initial"][name]
-        if _kind_fields(spec, f"initial.{name}", kinds) != "zero":
-            spec["amplitude"] = _number(spec.get("amplitude"), f"initial.{name}.amplitude")
+    elif pr["kind"] == "half-sine":
+        duration = merged["time"]["T"] if pr["duration"] is ... else pr["duration"]
+        pr["duration"] = _number(duration, "pressure.duration", _POS)
 
     nz = merged["noise"]
-    nz["q"] = _numbers(nz["q"], "noise.q", "a number > 0")
-    nz["amplitude"] = _numbers(nz["amplitude"], "noise.amplitude")
-    if nz["seed"] is None:
-        nz["seed"] = merged["run"]["master_seed"]
-    nz["seed"] = _number(nz["seed"], "noise.seed", "an integer in [0, 2^64)")
+    seed = merged["run"]["master_seed"] if nz["seed"] is None else nz["seed"]
+    nz["seed"] = _number(seed, "noise.seed", _SCHEMA["run"]["master_seed"][1])
     _noise_spec(nz)  # checks the lengths against K
-    # the Brownian tree is the one sampler; the key stays for configs that name it
-    _require(nz["sampling"] == "dyadic",
-             f"noise.sampling: must be 'dyadic', got {nz['sampling']!r}")
 
     r = merged["run"]
-    _require(r["mode"] in ("path", "ensemble", "sweep"),
-             f"run.mode: unknown mode {r['mode']!r}")
     # checked whenever set, so another mode never runs with junk sweep fields
     if r["mode"] == "sweep" or r["sweep_axis"] is not None or r["sweep_values"] != []:
-        _require(r["sweep_axis"] in ("N", "epsilon"),
-                 f"run.sweep_axis: must be 'N' or 'epsilon', got {r['sweep_axis']!r}")
-        want = "an integer >= 1" if r["sweep_axis"] == "N" else "a number > 0"
+        axis = _check(r["sweep_axis"], "run.sweep_axis", ("N", "epsilon"))
+        # a sweep value is held to the rule of the field it sets
+        want = _SCHEMA["time"]["N"][1] if axis == "N" else _SCHEMA["physics"]["epsilon"][1]
         values = r["sweep_values"] = _numbers(r["sweep_values"], "run.sweep_values", want)
         _require(values, "run.sweep_values: need at least one value")
         _require(_strictly_increasing(values) or _strictly_increasing(values[::-1]),
                  f"run.sweep_values: must be sorted with no value repeated, got {values!r}")
-    _require(isinstance(r["halt_at_stop"], bool),
-             f"run.halt_at_stop: must be true or false, got {r['halt_at_stop']!r}")
-    _require(isinstance(merged["output"]["directory"], str),
-             f"output.directory: must be a string, got {merged['output']['directory']!r}")
     return RunConfig(**merged)
 
 
@@ -354,10 +318,7 @@ def problem_at_axis_value(cfg: RunConfig, problem: PathProblem, value) -> PathPr
     epsilon, so only the parameters, N and the step pressures are set anew.
     ``parse_config`` has validated ``value`` as a sweep value."""
     T, N, eps = cfg.time["T"], cfg.time["N"], cfg.physics["epsilon"]
-    if cfg.run["sweep_axis"] == "N":
-        N = value
-    else:
-        eps = value
+    N, eps = (value, eps) if cfg.run["sweep_axis"] == "N" else (N, value)
     params = dataclasses.replace(problem.params, epsilon=eps, dt=T / N)
     P_in, P_out = step_pressures(cfg.pressure, T, N)
     return dataclasses.replace(problem, params=params, N=N, P_in=P_in, P_out=P_out)
@@ -408,10 +369,6 @@ def sweep(config: RunConfig, problem: PathProblem) -> tuple[list, float | None]:
 # artifacts
 
 
-def _fmt(x) -> str:
-    return repr(float(x))
-
-
 def write_manifest(path: str, cfg: RunConfig):
     manifest = {
         "version": __version__,
@@ -434,18 +391,27 @@ def write_sweep_csv(path: str, rows: list, slope: float | None):
     lines = [",".join(cols)]
     for row in rows:
         lines.append(",".join("" if row[c] is None else repr(row[c]) if c in ("value", "failed")
-                              else _fmt(row[c]) for c in cols))
+                              else repr(float(row[c])) for c in cols))
     if slope is not None:
-        lines.append(f"# fitted log-log slope: {_fmt(slope)}")
+        lines.append(f"# fitted log-log slope: {float(slope)!r}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def _output_dir(cfg: RunConfig, out_dir: str | None) -> str:
+    """``out_dir`` or the config's directory, made if missing (a ConfigError if it cannot be)."""
+    out = out_dir or cfg.output["directory"]
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"output.directory: {exc}") from None
+    return out
 
 
 def run(cfg: RunConfig, problem: PathProblem, out_dir: str | None = None) -> int:
     """Execute the configured run on ``build_problem(cfg)``; returns the
     process exit status."""
-    out = out_dir or cfg.output["directory"]
-    os.makedirs(out, exist_ok=True)
+    out = _output_dir(cfg, out_dir)
     write_manifest(os.path.join(out, "manifest.json"), cfg)
     mode = cfg.run["mode"]
 
@@ -498,7 +464,7 @@ def main(argv=None) -> int:
 
     p_run = sub.add_parser("run", help="run a path/ensemble/sweep per the config")
     p_run.add_argument("--config", required=True)
-    p_run.add_argument("--mode", choices=["path", "ensemble", "sweep"])
+    p_run.add_argument("--mode", choices=_SCHEMA["run"]["mode"][1])
     p_run.add_argument("--paths", type=int)
     p_run.add_argument("--seed", type=int)
     p_run.add_argument("--out")
@@ -530,6 +496,8 @@ def main(argv=None) -> int:
         cfg = parse_config(data)
         problem = build_problem(cfg)
         diagnostics.ensemble_workers()  # a bad STOCHFSI_THREADS fails here, not in the run
+        if args.command != "validate":
+            _output_dir(cfg, args.out)  # so does a directory that cannot be made
     except (ConfigError, InitialDataError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

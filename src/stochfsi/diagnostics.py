@@ -279,13 +279,13 @@ def ensemble_run(problem: PathProblem, M: int, ledger_dir: str | None = None) ->
 
     Per-path failures are recorded, never fatal, and a failed path writes
     no ledger.  The STOCHFSI_THREADS environment variable caps the worker
-    processes and can only change speed, not results, because paths are
-    keyed by index.
+    processes, of which there are never more than M, and can only change
+    speed, not results, because paths are keyed by index.
     """
     if M < 1:
         raise ConfigError(f"run.M: must be >= 1, got {M}")
     run_one = partial(_run_one, problem, ledger_dir)
-    if (workers := ensemble_workers()) > 1:
+    if (workers := min(ensemble_workers(), M)) > 1:
         with ProcessPoolExecutor(max_workers=workers) as ex:
             results = list(ex.map(run_one, range(M)))
     else:

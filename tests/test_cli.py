@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -47,6 +48,8 @@ class TestLoadConfig:
         assert cfg.physics["delta"] == 0.1
         assert cfg.noise["seed"] == cfg.run["master_seed"]
         assert cfg.pressure["kind"] == "constant"
+        cfg.run["sweep_values"].append(1e-2)  # no resolved config shares a default
+        assert parse_config(MINIMAL).run["sweep_values"] == []
 
     def test_zero_delta_names_field(self):
         with pytest.raises(ConfigError, match="physics.delta"):
@@ -110,11 +113,35 @@ class TestLoadConfig:
         ({"noise": {"seed": -1}}, "noise.seed"),
         ({"noise": {"seed": 2**64}}, "noise.seed"),
         ({"run": {"master_seed": -1}}, "run.master_seed"),
+        # an absent duration is time.T, but a null one is no number
+        ({"pressure": {"kind": "half-sine", "duration": None}}, "pressure.duration"),
+        ({"pressure": {"kind": "half-sine", "duration": 0}}, "pressure.duration"),
     ])
     def test_wrong_typed_value_exit_2(self, tmp_path, capsys, data, field):
         path = write_cfg(tmp_path, {**MINIMAL, **data})
         assert main(["validate", "--config", path]) == 2
         assert capsys.readouterr().err.startswith(f"config error: {field}: must be ")
+
+    @pytest.mark.parametrize("data,message", [
+        ({"run": {"mode": "x"}}, "run.mode: must be 'path' or 'ensemble' or 'sweep', got 'x'"),
+        ({"pressure": {"kind": "half-sine", "side": "left"}},
+         "pressure.side: must be 'in' or 'out', got 'left'"),
+    ])
+    def test_choice_message(self, data, message):
+        with pytest.raises(ConfigError) as exc:
+            parse_config({**MINIMAL, **data})
+        assert str(exc.value) == message
+
+    def test_open_section_defaults(self):
+        # an empty open section is its first kind with that kind's defaults
+        cfg = parse_config({**MINIMAL, "pressure": {}, "initial": {"eta0": {}}})
+        assert cfg.pressure == {"kind": "constant", "P_in": 0.0, "P_out": 0.0}
+        assert cfg.initial == {name: {"kind": "zero"} for name in ("eta0", "v0", "u0")}
+        cfg = parse_config({**MINIMAL, "pressure": {"kind": "half-sine"}})
+        assert cfg.pressure == {"kind": "half-sine", "amplitude": 1.0, "duration": 0.25,
+                                "side": "in"}
+        with pytest.raises(ConfigError, match="^pressure.kind: unknown kind None$"):
+            parse_config({**MINIMAL, "pressure": {"P_in": 1.0}})
 
     def test_integral_float_count_stored_as_int(self):
         cfg = parse_config({**MINIMAL, "time": {"T": 0.25, "N": 4.0}})
@@ -147,33 +174,84 @@ class TestLoadConfig:
             parse_config({**MINIMAL, "run": {"mode": "sweep"}})
 
 
-def _numeric_leaves(tree, path=""):
-    for key, value in tree.items():
-        if isinstance(value, dict):
-            yield from _numeric_leaves(value, f"{path}{key}.")
-        elif isinstance(value, (int, float)) and not isinstance(value, bool):
-            yield f"{path}{key}", isinstance(value, int)
+def _with(raw, path, value):
+    """A deep copy of the raw config ``raw`` with ``value`` at ``path``."""
+    out = copy.deepcopy(raw)
+    node = out
+    for key in path[:-1]:
+        node = node.setdefault(key, {})
+    node[path[-1]] = value
+    return out
 
 
-NUMERIC_LEAVES = sorted(_numeric_leaves(cli._DEFAULTS))
+def _schema_leaves(schema, path=(), base=None):
+    """(dotted field, rule, raw config) for every leaf of a config schema
+    that has a rule, each open section's "kind" included.  The raw config
+    sets every open section above the leaf to the leaf's kind, with a valid
+    value for each of that kind's fields that have no default."""
+    base = {} if base is None else base
+    if isinstance(schema, cli._Kinds):
+        yield ".".join(path + ("kind",)), tuple(schema), base
+        for kind, fields in schema.items():
+            required = {key: [1.0] if isinstance(rule, list) else 1.0
+                        for key, (default, rule) in fields.items()
+                        if default is None and rule is not None}
+            yield from _schema_leaves(fields, path, _with(base, path, {"kind": kind, **required}))
+        return
+    for key, entry in schema.items():
+        if isinstance(entry, dict):
+            yield from _schema_leaves(entry, path + (key,), base)
+        elif entry[1] is not None:
+            yield ".".join(path + (key,)), entry[1], base
+
+
+LEAVES = list(_schema_leaves(cli._SCHEMA))
 JUNK = st.one_of(st.text(max_size=4), st.none(), st.lists(st.integers(), max_size=2),
                  st.sampled_from([float("nan"), float("inf"), -float("inf"), True, False]))
 NON_INTEGRAL = st.floats(min_value=-1e6, max_value=1e6).filter(lambda x: not x.is_integer())
+OUT_OF_RANGE = {
+    "a number > 0": st.floats(max_value=0.0),
+    "a number in (3/2, 2)": st.one_of(st.floats(max_value=1.5), st.floats(min_value=2.0)),
+    "an integer >= 0": st.integers(max_value=-1),
+    "an integer >= 1": st.integers(max_value=0),
+    "an integer in [0, 2^64)": st.one_of(st.integers(max_value=-1), st.integers(min_value=2**64)),
+}
 
 
-@settings(max_examples=300, deadline=None)
+def junk_for(rule):
+    """Values that break a leaf rule of cli._SCHEMA."""
+    if isinstance(rule, str):  # a number
+        return st.one_of(JUNK, OUT_OF_RANGE.get(rule, st.nothing()),
+                         NON_INTEGRAL if rule.startswith("an integer") else st.nothing())
+    if isinstance(rule, list):  # a list of numbers
+        return st.one_of(JUNK.filter(lambda x: not isinstance(x, list)),
+                         st.lists(junk_for(rule[0]), min_size=1, max_size=2))
+    if isinstance(rule, tuple):  # one of these strings
+        return st.one_of(st.text(max_size=8).filter(lambda x: x not in rule), st.none(),
+                         st.integers(), st.booleans(), st.lists(st.sampled_from(rule), max_size=1))
+    return st.one_of(st.none(), st.integers(), st.floats(), st.lists(st.booleans(), max_size=1),
+                     st.text(max_size=4) if rule is bool else st.booleans())
+
+
+def test_schema_leaves_reach_every_section_and_kind():
+    fields = {field for field, _, _ in LEAVES}
+    assert set(cli._SCHEMA) == {field.split(".")[0] for field in fields}
+    assert {"pressure.kind", "pressure.times", "pressure.side", "initial.eta0.kind",
+            "initial.v0.amplitude", "initial.u0.amplitude", "noise.sampling",
+            "run.halt_at_stop", "output.directory"} <= fields
+
+
+@settings(max_examples=600, deadline=None)
 @given(data=st.data())
-def test_junk_numeric_leaf_names_its_field(data):
-    """Every numeric leaf of the defaults, set to junk, fails as a
-    ConfigError whose message starts with that leaf's dotted path."""
-    field, count = data.draw(st.sampled_from(NUMERIC_LEAVES))
-    junk = data.draw(st.one_of(JUNK, NON_INTEGRAL) if count else JUNK)
-    raw = copy.deepcopy(cli._DEFAULTS)
-    section, key = field.split(".")
-    raw[section][key] = junk
+def test_junk_leaf_names_its_field(data):
+    """Every leaf of the schema, an open section's kind and fields
+    included, set to junk, fails as a ConfigError whose message starts with
+    that leaf's dotted path (an element of a list adds its index)."""
+    field, rule, base = data.draw(st.sampled_from(LEAVES))
+    junk = data.draw(junk_for(rule))
     with pytest.raises(ConfigError) as exc:
-        parse_config(raw)
-    assert str(exc.value).startswith(f"{field}: ")
+        parse_config(_with(base, tuple(field.split(".")), junk))
+    assert re.match(rf"{re.escape(field)}(\[\d+\])?: ", str(exc.value)), str(exc.value)
 
 
 class TestStepPressures:
@@ -354,6 +432,17 @@ class TestMain:
                          "--out", str(out)]) == 2
             assert capsys.readouterr().err == f"config error: STOCHFSI_THREADS: {want}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("where", ["file", "file/sub"])
+    def test_output_directory_that_cannot_be_made_exit_2(self, tmp_path, capsys, where):
+        # refused as a config error before any path runs
+        (tmp_path / "file").write_text("not a directory")
+        out = tmp_path / where
+        assert main(["run", "--config", write_cfg(tmp_path, MINIMAL), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: output.directory: ")
+        assert captured.out == ""
+        assert (tmp_path / "file").read_text() == "not a directory"
 
     def test_unsorted_sweep_command_exit_2(self, tmp_path, capsys):
         out = tmp_path / "out"

@@ -9,7 +9,7 @@ from hypothesis import strategies as hst
 
 import oracle_dense as od
 from conftest import DIVERGING, make_config, make_problem
-from stochfsi import scheme
+from stochfsi import diagnostics, scheme
 from stochfsi.cli import build_problem, parse_config, sweep
 from stochfsi.diagnostics import (
     combined_step_violations,
@@ -389,6 +389,32 @@ class TestMoreCoverage:
         s = ensemble_run(prob, 3).stats["sum_D"]
         assert s["n"] == 3 and s["mean"] == xs.mean() and s["var"] == xs.var(ddof=1)
         assert s["ci95"] == 1.96 * np.sqrt(xs.var(ddof=1) / 3)
+
+    @pytest.mark.parametrize("M,want", [(3, [3]), (1, [])])
+    def test_workers_never_outnumber_paths(self, monkeypatch, M, want):
+        # a pool starts all its workers at once, so 64 threads for M paths
+        # ask for M workers, and one path starts no pool; the fake pool
+        # records the count and maps in this process
+        pools = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(diagnostics, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setenv("STOCHFSI_THREADS", "64")
+        prob = make_problem(domain={"nz": 4, "nr": 2}, time={"T": 0.25, "N": 4})
+        assert len(ensemble_run(prob, M).failures) == 0
+        assert pools == want
 
     def test_non_integer_thread_count_is_config_error(self, monkeypatch):
         monkeypatch.setenv("STOCHFSI_THREADS", "abc")
