@@ -38,9 +38,9 @@ from .errors import ConfigError, InitialDataError
 from .geometry import ReferenceDomain
 from .noise import NoiseSpec
 from .scheme import (MAX_PICARD, TOL_PICARD, PathProblem, SchemeParams,
-                     check_initial_admissibility, run_path)
+                     check_initial_admissibility)
 from . import diagnostics
-from .diagnostics import write_ledger_csv
+from .diagnostics import write_ledger_csv  # noqa: F401  (the benchmark calls cli.write_ledger_csv)
 
 _GAUSS5 = np.polynomial.legendre.leggauss(5)
 
@@ -324,18 +324,16 @@ def problem_at_axis_value(cfg: RunConfig, problem: PathProblem, value) -> PathPr
     return dataclasses.replace(problem, params=params, N=N, P_in=P_in, P_out=P_out)
 
 
-def sweep(config: RunConfig, problem: PathProblem) -> tuple[list, float | None]:
-    """Re-run the ensemble for each value of N or epsilon with common
-    per-path seeds, and fit the log-log slope of the monitored statistic;
-    returns (rows, slope), one row per value.  The axis and its values are
-    ``config.run``'s, which ``parse_config`` validates whenever either is
-    set; a mode other than sweep is a ``ConfigError``.
+def sweep(config: RunConfig, reports: list) -> tuple[list, float | None]:
+    """The table of a sweep from its ensemble ``reports``, one per value of
+    ``config``'s axis in order: (rows, slope), one row per value, with the
+    fitted log-log slope of the monitored statistic.  The axis and its
+    values are ``config.run``'s, which ``parse_config`` validates whenever
+    either is set; a mode other than sweep is a ``ConfigError``.
 
     For the epsilon axis the monitored statistic is the ensemble mean of
     ||div^{eta*} u||_{L^2(0,T;L^2)} (target slope 1/2); for the N axis it
-    is the estimated E[max_n E^n] (target: flat).  ``problem`` is the
-    build of ``config``, and each value's problem is derived from it;
-    each value runs ``config.run["M"]`` paths.  Each row counts its
+    is the estimated E[max_n E^n] (target: flat).  Each row counts its
     failed paths in ``failed``; the statistics cover the others only, and
     are None at a value where every path failed.  The slope is None
     unless every value has a positive statistic.
@@ -344,9 +342,7 @@ def sweep(config: RunConfig, problem: PathProblem) -> tuple[list, float | None]:
              f"run.mode: sweep needs mode 'sweep', got {config.run['mode']!r}")
     axis, values = config.run["sweep_axis"], config.run["sweep_values"]
     rows = []
-    for val in values:
-        report = diagnostics.ensemble_run(problem_at_axis_value(config, problem, val),
-                                          config.run["M"])
+    for val, report in zip(values, reports, strict=True):
         div_mean_sq = report.stats["div_sq_int"]["mean"]
         rows.append({
             "value": val,
@@ -369,19 +365,23 @@ def sweep(config: RunConfig, problem: PathProblem) -> tuple[list, float | None]:
 # artifacts
 
 
-def write_manifest(path: str, cfg: RunConfig):
-    manifest = {
+def _write_json(path: str, data: dict):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(data, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def write_manifest(path: str, cfg: RunConfig, M: int):
+    """The manifest of a run whose ensembles hold ``M`` paths each."""
+    _write_json(path, {
         "version": __version__,
         "numpy": np.__version__, "scipy": scipy.__version__,
-        "workers": diagnostics.ensemble_workers(),
+        "workers": min(diagnostics.ensemble_workers(), M),  # what ensemble_run starts
         "config": cfg.to_dict(),
         "solver": {"tol_picard": TOL_PICARD, "max_picard": MAX_PICARD},  # fixed, not config
         "dt": cfg.dt,
         "effective_seed": cfg.noise["seed"],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
 
 
 def write_sweep_csv(path: str, rows: list, slope: float | None):
@@ -408,44 +408,42 @@ def _output_dir(cfg: RunConfig, out_dir: str | None) -> str:
     return out
 
 
+def _ensembles(cfg: RunConfig, problem: PathProblem, out: str) -> list:
+    """(directory, problem, M) of each ensemble the configured mode runs: a
+    path run is an ensemble of one, a sweep one ensemble per axis value."""
+    mode, M = cfg.run["mode"], cfg.run["M"]
+    if mode == "sweep":
+        return [(os.path.join(out, f"value_{i}"), problem_at_axis_value(cfg, problem, v), M)
+                for i, v in enumerate(cfg.run["sweep_values"])]
+    return [(out, problem, 1 if mode == "path" else M)]
+
+
 def run(cfg: RunConfig, problem: PathProblem, out_dir: str | None = None) -> int:
     """Execute the configured run on ``build_problem(cfg)``; returns the
-    process exit status."""
+    process exit status.  Each ensemble's directory gets a ledger per path
+    that did not raise and a ``report.json``; a sweep adds ``table.csv``."""
     out = _output_dir(cfg, out_dir)
-    write_manifest(os.path.join(out, "manifest.json"), cfg)
-    mode = cfg.run["mode"]
+    ensembles = _ensembles(cfg, problem, out)
+    write_manifest(os.path.join(out, "manifest.json"), cfg, ensembles[0][2])  # one M for all
+    reports = []
+    for directory, ens_problem, M in ensembles:
+        os.makedirs(directory, exist_ok=True)
+        reports.append(diagnostics.ensemble_run(ens_problem, M, directory))
+        _write_json(os.path.join(directory, "report.json"), reports[-1].to_dict())
 
-    if mode == "path":
-        try:
-            traj = run_path(problem, 0)
-        except diagnostics.PATH_FAILURES + (InitialDataError,) as exc:
-            print(f"path failed: {exc}", file=sys.stderr)
-            return 1
-        write_ledger_csv(os.path.join(out, "ledger.csv"), traj)
-        print(f"path run complete: {traj.n_steps} steps, tau_idx={traj.tau_idx}")
-        return 0
-
-    if mode == "ensemble":
-        M = cfg.run["M"]
-        report = diagnostics.ensemble_run(problem, M, out)
-        with open(os.path.join(out, "report.json"), "w", encoding="utf-8") as fh:
-            json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        if report.failures:
-            print(f"ensemble failed: {len(report.failures)} of {M} paths", file=sys.stderr)
-            return 1
-        print(f"ensemble complete: {M} paths")
-        return 0
-
-    rows, slope = sweep(cfg, problem)
-    write_sweep_csv(os.path.join(out, "table.csv"), rows, slope)
-    failed = sum(row["failed"] for row in rows)
-    if failed:
-        total = len(rows) * cfg.run["M"]
-        print(f"sweep failed: {failed} of {total} paths", file=sys.stderr)
+    mode, total = cfg.run["mode"], sum(report.M for report in reports)
+    summary = f"{mode} run complete: {total} path{'s' if total > 1 else ''}"
+    if mode == "sweep":
+        rows, slope = sweep(cfg, reports)
+        write_sweep_csv(os.path.join(out, "table.csv"), rows, slope)
+        fitted = "n/a" if slope is None else f"{slope:.4f}"
+        summary += f" over {cfg.run['sweep_axis']}, slope {fitted}"
+    failures = [f["error"] for report in reports for f in report.failures]
+    if failures:
+        what = failures[0] if mode == "path" else f"{len(failures)} of {total} paths"
+        print(f"{mode} failed: {what}", file=sys.stderr)
         return 1
-    fitted = "n/a" if slope is None else f"{slope:.4f}"
-    print(f"sweep complete over {cfg.run['sweep_axis']}: slope {fitted}")
+    print(summary)
     return 0
 
 

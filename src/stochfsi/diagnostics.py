@@ -97,6 +97,24 @@ def summed_inequality_violations(traj: Trajectory, delta: float, sharp: bool = T
     return (lhs - rhs) / scale
 
 
+# a ledger check's worst value above this is a violation, not roundoff
+TOL_LEDGER = 1e-9
+
+
+def ledger_violations(traj: Trajectory, delta: float) -> dict:
+    """Worst value of each ledger check, by name: the structure identity,
+    and the one-step and summed estimates in sharp and classical form.
+    Each must be at most TOL_LEDGER."""
+    worst = lambda a: float(a.max())
+    return {
+        "structure_identity": worst(structure_identity_residuals(traj)),
+        "step_sharp": worst(combined_step_violations(traj, delta, sharp=True)),
+        "step_classical": worst(combined_step_violations(traj, delta, sharp=False)),
+        "summed_sharp": worst(summed_inequality_violations(traj, delta, sharp=True)),
+        "summed_classical": worst(summed_inequality_violations(traj, delta, sharp=False)),
+    }
+
+
 def ledger_positivity_min(traj: Trajectory) -> float:
     led = traj.ledger
     return float(min(led.E.min(), led.E_half.min(), led.D.min(),
@@ -250,13 +268,20 @@ PATH_FAILURES = (PicardDivergence, SolverFailure, DegenerateJacobian)
 
 def _run_one(problem: PathProblem, ledger_dir: str | None, idx: int):
     """Run path ``idx``, write its ledger into ``ledger_dir`` when one is
-    given, and return (index, statistics, error)."""
+    given, and return (index, statistics, error).  A path whose ledger
+    fails a check is a failed path; its ledger is still written, as the
+    evidence."""
     try:
         traj = run_path(problem, idx)
     except PATH_FAILURES as exc:
         return idx, None, f"{type(exc).__name__}: {exc}"
     if ledger_dir is not None:
         write_ledger_csv(os.path.join(ledger_dir, f"ledger_{idx:04d}.csv"), traj)
+    bad = {name: v for name, v in ledger_violations(traj, problem.params.delta).items()
+           if not v <= TOL_LEDGER}  # a NaN fails too
+    if bad:
+        return idx, None, "ledger check failed: " + ", ".join(
+            f"{name} {v:.3e}" for name, v in bad.items())
     return idx, path_statistics(traj), None
 
 
@@ -277,10 +302,11 @@ def ensemble_run(problem: PathProblem, M: int, ledger_dir: str | None = None) ->
     """Run M seeded paths and aggregate ledger statistics in path order;
     with ``ledger_dir`` each path also writes ``ledger_<index>.csv`` there.
 
-    Per-path failures are recorded, never fatal, and a failed path writes
-    no ledger.  The STOCHFSI_THREADS environment variable caps the worker
-    processes, of which there are never more than M, and can only change
-    speed, not results, because paths are keyed by index.
+    Per-path failures are recorded, never fatal.  A path that raises
+    writes no ledger; one that fails a ledger check writes its ledger.
+    The STOCHFSI_THREADS environment variable caps the worker processes,
+    of which there are never more than M, and can only change speed, not
+    results, because paths are keyed by index.
     """
     if M < 1:
         raise ConfigError(f"run.M: must be >= 1, got {M}")

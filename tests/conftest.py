@@ -6,7 +6,8 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from stochfsi.cli import build_problem, parse_config
+from stochfsi.cli import build_problem, parse_config, problem_at_axis_value, sweep
+from stochfsi.diagnostics import ensemble_run
 
 
 def make_config(**overrides):
@@ -43,6 +44,13 @@ def make_config(**overrides):
 
 def make_problem(**overrides):
     return build_problem(make_config(**overrides))
+
+
+def sweep_table(cfg, problem):
+    """A sweep config's (rows, slope), from one ensemble per axis value
+    derived from ``problem``, the build of ``cfg``, as ``cli.run`` runs it."""
+    return sweep(cfg, [ensemble_run(problem_at_axis_value(cfg, problem, v), cfg.run["M"])
+                       for v in cfg.run["sweep_values"]])
 
 
 # a config whose Picard iteration really diverges under the fixed tolerance

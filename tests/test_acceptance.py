@@ -14,9 +14,9 @@ import numpy as np
 import pytest
 
 import oracle_dense as od
-from conftest import make_config, make_problem
+from conftest import make_config, make_problem, sweep_table
 from stochfsi import scheme
-from stochfsi.cli import build_problem, sweep
+from stochfsi.cli import build_problem
 from stochfsi.diagnostics import (
     combined_step_violations,
     ensemble_run,
@@ -112,7 +112,7 @@ def _epsilon_sweep():
             run={"M": 1, "mode": "sweep", "sweep_axis": "epsilon",
                  "sweep_values": [1e-2, 1e-3, 1e-4]},
         )
-        _cache["eps_sweep"] = sweep(cfg, build_problem(cfg))
+        _cache["eps_sweep"] = sweep_table(cfg, build_problem(cfg))
     return _cache["eps_sweep"]
 
 

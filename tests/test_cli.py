@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve
 
 from conftest import DIVERGING
-from stochfsi import cli
+from stochfsi import cli, diagnostics
 from stochfsi.cli import (
     build_problem,
     main,
@@ -317,7 +317,7 @@ class TestRunArtifacts:
         problem = build_problem(cfg)
         assert run(cfg, problem) == 0
         traj = run_path(problem, 0)
-        assert_ledger_reads_back(tmp_path / "out" / "ledger.csv", traj)
+        assert_ledger_reads_back(tmp_path / "out" / "ledger_0000.csv", traj)
         led = traj.ledger
         for name in ("E", "E_half", "D", "C1", "C2", "div_residual", "stoch_work",
                      "incr_norm"):
@@ -343,9 +343,9 @@ class TestRunArtifacts:
         })
         run(cfg, build_problem(cfg), str(tmp_path / "a"))
         run(cfg, build_problem(cfg), str(tmp_path / "b"))
-        assert (tmp_path / "a" / "ledger.csv").read_bytes() == \
-            (tmp_path / "b" / "ledger.csv").read_bytes()
-        assert_ledger_reads_back(tmp_path / "a" / "ledger.csv",
+        assert (tmp_path / "a" / "ledger_0000.csv").read_bytes() == \
+            (tmp_path / "b" / "ledger_0000.csv").read_bytes()
+        assert_ledger_reads_back(tmp_path / "a" / "ledger_0000.csv",
                                  run_path(build_problem(cfg), 0))
 
     def test_ensemble_prefix_property(self, tmp_path):
@@ -378,6 +378,63 @@ class TestRunArtifacts:
         assert report["frac_stopped"] is None and report["mean_tau"] is None
         assert report["stats"]["max_E"] == {"mean": None, "var": None, "ci95": None, "n": 0}
         assert list(out.glob("ledger_*.csv")) == []
+
+    def test_ledger_check_failure_exit_1(self, tmp_path, capsys, monkeypatch):
+        # a path whose ledger breaks the structure identity by 1e-6 E is a
+        # failed path: its ledger is kept as the evidence, the report names
+        # the check, and the run exits 1
+        real = diagnostics.run_path
+
+        def perturbed(problem, index):
+            traj = real(problem, index)
+            traj.ledger.C1[3] += 1e-6 * max(1.0, traj.ledger.E[3])
+            return traj
+
+        monkeypatch.setattr(diagnostics, "run_path", perturbed)
+        monkeypatch.delenv("STOCHFSI_THREADS", raising=False)
+        out = tmp_path / "ens"
+        assert main(["run", "--config", write_cfg(tmp_path, MINIMAL), "--mode", "ensemble",
+                     "--paths", "2", "--out", str(out)]) == 1
+        assert "ensemble failed: 2 of 2 paths" in capsys.readouterr().err
+        report = json.loads((out / "report.json").read_text())
+        assert [f["path"] for f in report["failures"]] == [0, 1]
+        for failure in report["failures"]:
+            assert failure["error"].startswith("ledger check failed: structure_identity ")
+        assert report["stats"]["max_E"]["n"] == 0
+        assert sorted(p.name for p in out.glob("ledger_*.csv")) == [
+            "ledger_0000.csv", "ledger_0001.csv"]
+
+    def test_sweep_writes_an_ensemble_per_value(self, tmp_path):
+        # each value's directory holds the same layout as an ensemble run,
+        # and the table is re-derived from the reports in those directories
+        data = sweep_data("epsilon", [1e-2, 1e-3],
+                          noise={"K": 2, "q": [1.0, 0.25], "amplitude": [0.5, 0.2], "seed": 3},
+                          pressure={"kind": "constant", "P_in": 1.0, "P_out": 0.0})
+        data["run"]["M"] = 2
+        cfg = parse_config(data)
+        problem = build_problem(cfg)
+        out = tmp_path / "sweep"
+        assert run(cfg, problem, str(out)) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "manifest.json", "table.csv", "value_0", "value_1"]
+        header, *rows = (out / "table.csv").read_text().splitlines()
+        assert header == "value,div_l2t,max_E_mean,sum_D_mean,frac_stopped,failed"
+        rows = [row for row in rows if not row.startswith("#")]
+        assert len(rows) == 2
+        for i, value in enumerate(cfg.run["sweep_values"]):
+            directory = out / f"value_{i}"
+            assert sorted(p.name for p in directory.iterdir()) == [
+                "ledger_0000.csv", "ledger_0001.csv", "report.json"]
+            derived = problem_at_axis_value(cfg, problem, value)
+            for index in range(2):
+                assert_ledger_reads_back(directory / f"ledger_{index:04d}.csv",
+                                         run_path(derived, index))
+            report = json.loads((directory / "report.json").read_text())
+            assert report["M"] == 2 and report["failures"] == []
+            stats = report["stats"]
+            want = [value, float(np.sqrt(max(stats["div_sq_int"]["mean"], 0.0))),
+                    stats["max_E"]["mean"], stats["sum_D"]["mean"], report["frac_stopped"], 0]
+            assert [float(cell) for cell in rows[i].split(",")] == want
 
 
 class TestMain:
@@ -458,19 +515,23 @@ class TestMain:
         })
         out = str(tmp_path / "runout")
         assert main(["run", "--config", path, "--out", out]) == 0
-        assert os.path.exists(os.path.join(out, "ledger.csv"))
+        assert os.path.exists(os.path.join(out, "ledger_0000.csv"))
         assert os.path.exists(os.path.join(out, "manifest.json"))
+        report = json.loads((tmp_path / "runout" / "report.json").read_text())
+        assert report["M"] == 1 and report["failures"] == []
 
     def test_degenerate_jacobian_path_exit_1(self, tmp_path, capsys, monkeypatch):
-        from stochfsi import cli
-
+        # a path run is an ensemble of one, so its failure is in report.json too
         def sunk(problem, index):
             raise DegenerateJacobian("R + eta <= 0 at a quadrature point")
 
-        monkeypatch.setattr(cli, "run_path", sunk)
+        monkeypatch.setattr(diagnostics, "run_path", sunk)
         path = write_cfg(tmp_path, MINIMAL)
         assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 1
-        assert "path failed: R + eta <= 0" in capsys.readouterr().err
+        error = "DegenerateJacobian: R + eta <= 0 at a quadrature point"
+        assert f"path failed: {error}" in capsys.readouterr().err
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["failures"] == [{"path": 0, "error": error}]
 
     def test_seed_override_recorded(self, tmp_path):
         path = write_cfg(tmp_path, MINIMAL)
@@ -481,6 +542,7 @@ class TestMain:
 
     @pytest.mark.parametrize("threads", [None, "3"])
     def test_manifest_records_versions_and_workers(self, threads, tmp_path, monkeypatch):
+        # a path run starts no worker beyond itself, whatever the cap
         if threads is None:
             monkeypatch.delenv("STOCHFSI_THREADS", raising=False)
         else:
@@ -490,7 +552,15 @@ class TestMain:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["numpy"] == np.__version__
         assert manifest["scipy"] == scipy.__version__
-        assert manifest["workers"] == int(threads or 1)
+        assert manifest["workers"] == 1
+
+    def test_manifest_records_the_workers_an_ensemble_starts(self, tmp_path, monkeypatch):
+        # an ensemble of 2 paths under a cap of 3 starts 2 workers
+        monkeypatch.setenv("STOCHFSI_THREADS", "3")
+        out = tmp_path / "out"
+        assert main(["run", "--config", write_cfg(tmp_path, MINIMAL), "--mode", "ensemble",
+                     "--paths", "2", "--out", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["workers"] == 2
 
     def test_sweep_cli_writes_table(self, tmp_path):
         path = write_cfg(tmp_path, {
@@ -622,7 +692,7 @@ class TestAxisOverride:
         data = sweep_data("epsilon", [1e-2, 1e-3])
         cfg = parse_config({**data, "run": {**data["run"], "mode": "ensemble"}})
         with pytest.raises(ConfigError, match="^run.mode: "):
-            cli.sweep(cfg, build_problem(cfg))
+            cli.sweep(cfg, [])
 
     @pytest.mark.parametrize("mode", ["path", "ensemble"])
     @pytest.mark.parametrize("fields,field", [

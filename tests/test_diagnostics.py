@@ -8,13 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 import oracle_dense as od
-from conftest import DIVERGING, make_config, make_problem
+from conftest import DIVERGING, make_config, make_problem, sweep_table
 from stochfsi import diagnostics, scheme
-from stochfsi.cli import build_problem, parse_config, sweep
+from stochfsi.cli import build_problem, parse_config
 from stochfsi.diagnostics import (
+    TOL_LEDGER,
     combined_step_violations,
     ensemble_run,
     ledger_positivity_min,
+    ledger_violations,
     stochastic_error,
     structure_identity_residuals,
     summed_inequality_violations,
@@ -307,7 +309,7 @@ class TestSweep:
                           run={"M": 4, "mode": "sweep", "sweep_axis": "epsilon",
                                "sweep_values": [1e-3]})
         prob = build_problem(cfg)
-        rows, slope = sweep(cfg, prob)
+        rows, slope = sweep_table(cfg, prob)
         assert len(rows) == 1
         assert rows[0]["failed"] == 0
         assert slope is None
@@ -336,6 +338,20 @@ class TestLedgerChecks:
         traj = run_path(make_problem(), 0)
         assert structure_identity_residuals(traj).max() <= 1e-11
 
+    def test_ledger_violations_are_the_worst_of_each_check(self):
+        prob = make_problem(domain={"nz": 4, "nr": 2}, time={"T": 0.25, "N": 8})
+        traj, delta = run_path(prob, 0), prob.params.delta
+        checks = {"structure_identity": structure_identity_residuals(traj)}
+        for name, check in (("step", combined_step_violations),
+                            ("summed", summed_inequality_violations)):
+            checks[f"{name}_sharp"] = check(traj, delta, sharp=True)
+            checks[f"{name}_classical"] = check(traj, delta, sharp=False)
+        worst = ledger_violations(traj, delta)
+        assert worst == {name: float(a.max()) for name, a in checks.items()}
+        assert all(v <= TOL_LEDGER for v in worst.values())
+        traj.ledger.C1[3] += 1e-6 * max(1.0, traj.ledger.E[3])
+        assert ledger_violations(traj, delta)["structure_identity"] > TOL_LEDGER
+
 
 class TestMoreCoverage:
     def test_deterministic_summed_inequality(self):
@@ -355,7 +371,7 @@ class TestMoreCoverage:
         cfg = make_config(domain={"nz": 4, "nr": 2}, time={"T": 0.25, "N": 8},
                           run={"M": 2, "mode": "sweep", "sweep_axis": "N",
                                "sweep_values": [8, 16]})
-        rows, _ = sweep(cfg, build_problem(cfg))
+        rows, _ = sweep_table(cfg, build_problem(cfg))
         assert len(rows) == 2
         assert all(np.isfinite(row["max_E_mean"]) for row in rows)
 

@@ -604,6 +604,21 @@ class TestRunPath:
                 2 * (prob.structure.n_el // 2))] = -0.95
             run_path(prob, 0)
 
+    def test_xi_is_the_amplitude_against_the_step_increment(self):
+        # step n's forcing coefficient, re-derived from a fresh draw of the
+        # path's increments and never through NoisePath.xi: a scheme that
+        # read another step's increment would force with the wrong law
+        prob = make_problem(domain={"nz": 4, "nr": 2}, time={"T": 0.25, "N": 8},
+                            noise={"K": 3, "q": [1.0, 0.5, 0.25],
+                                   "amplitude": [0.6, -0.4, 0.3], "seed": 7})
+        spec = prob.noise
+        for i in range(4):
+            traj = run_path(prob, i)
+            increments = sample_path(spec, prob.N, prob.params.dt, i).increments
+            want = np.array([float(spec.amplitude @ increments[n]) for n in range(prob.N)])
+            assert traj.n_steps == prob.N
+            assert traj.ledger.xi.tobytes() == want.tobytes()
+
     def test_interpolant_time_derivatives(self):
         # the slope of the linear interpolant of eta on step n is v_half[n]
         traj = run_path(make_problem(), 0)
