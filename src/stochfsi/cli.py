@@ -52,7 +52,7 @@ class _Kinds(dict):
 
 # Every config field as (default, rule).  A rule is a key of _RANGES (a
 # number), a one-element list of one (a list of such numbers), a tuple of
-# the strings allowed, bool or str; None marks a field that parse_config
+# the values allowed, bool or str; None marks a field that parse_config
 # resolves itself.  A field whose default is None under a rule must be given.
 _NUM, _POS, _COUNT = "a number", "a number > 0", "an integer >= 1"
 _AMPLITUDE = {"amplitude": (None, _NUM)}
@@ -70,12 +70,13 @@ _SCHEMA = {
                       "side": ("in", ("in", "out"))}}),
     "initial": {"eta0": _WALL, "v0": _WALL, "u0": _Kinds({"zero": {}, "parabolic": _AMPLITUDE})},
     # a seed of None is run.master_seed; the Brownian tree is the one
-    # sampler, and "sampling" stays for configs that name it
+    # sampler, every path runs N steps, and "sampling" and "halt_at_stop"
+    # stay for configs that name their one value
     "noise": {"K": (0, "an integer >= 0"), "q": ([], [_POS]), "amplitude": ([], [_NUM]),
               "seed": (None, None), "sampling": ("dyadic", ("dyadic",))},
     "run": {"mode": ("path", ("path", "ensemble", "sweep")), "M": (1, _COUNT),
             "master_seed": (12345, "an integer in [0, 2^64)"), "sweep_axis": (None, None),
-            "sweep_values": ([], None), "halt_at_stop": (False, bool)},
+            "sweep_values": ([], None), "halt_at_stop": (False, (False,))},
     "output": {"directory": ("out", str)},
 }
 
@@ -139,9 +140,10 @@ def _check(value, field: str, rule):
         return _number(value, field, rule)
     if isinstance(rule, list):
         return _numbers(value, field, rule[0])
-    if isinstance(rule, tuple):
-        _require(value in rule,
-                 f"{field}: must be {' or '.join(map(repr, rule))}, got {value!r}")
+    if isinstance(rule, tuple):  # equal and of the same type: 0 == False, but is no false
+        allowed = (json.dumps(r) if isinstance(r, bool) else repr(r) for r in rule)
+        _require(any(type(value) is type(r) and value == r for r in rule),
+                 f"{field}: must be {' or '.join(allowed)}, got {value!r}")
     elif rule is not None:
         _require(isinstance(value, rule), f"{field}: must be "
                  f"{'true or false' if rule is bool else 'a string'}, got {value!r}")
@@ -301,7 +303,6 @@ def build_problem(cfg: RunConfig) -> PathProblem:
         N=cfg.time["N"], P_in=P_in, P_out=P_out, u0=u0,
         v0=_initial_wall(structure, cfg.initial["v0"], "v0"),
         eta0=_initial_wall(structure, cfg.initial["eta0"], "eta0"),
-        halt_at_stop=cfg.run["halt_at_stop"],
     )
     check_initial_admissibility(problem)
     return problem

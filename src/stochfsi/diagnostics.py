@@ -174,8 +174,6 @@ def tightness_diagnostic(traj: Trajectory, gram_u, gram_v, k_max: int = 8) -> di
     out = {"h": [], "integral": [], "scaled": []}
     for k in range(1, k_max + 1):
         h = T * 0.5**k
-        if h <= 0 or h >= T:
-            continue
         iu = time_shift_norm(traj.dt, traj.u[1:], gram_u, h)
         iv = time_shift_norm(traj.dt, traj.v[1:], gram_v, h)
         out["h"].append(h)
@@ -226,7 +224,7 @@ _STAT_NAMES = ("max_E", "sum_D", "sum_C1", "sum_C2", "div_sq_int")
 def path_statistics(traj: Trajectory) -> dict:
     led = traj.ledger
     return {
-        "max_E": float(led.E[1:].max()) if traj.n_steps else float(led.E[0]),
+        "max_E": float(led.E[1:].max()),
         "sum_D": float(led.D.sum()),
         "sum_C1": float(led.C1.sum()),
         "sum_C2": float(led.C2.sum()),

@@ -27,8 +27,9 @@ solve.  Only the returned iterate enters the balance, so a step factors
 once, at its first iterate; each later one is one refinement sweep with
 that factor, and a sweep that neither halves the normwise backward error
 nor brings it to SOLVE_BERR (1e-15, what a direct sparse solve reaches
-here) refactors.  The returned iterate is refined until it solves its
-own frozen-transport system to SOLVE_BERR.  Once theta has dropped, the
+here) refactors.  The returned iterate is refined toward SOLVE_BERR in
+its own frozen-transport system (``fluid_step`` says when it stops
+short).  Once theta has dropped, the
 geometry is frozen and a step's matrix differs from the last step's only
 in its transport field, so the step carries the last step's advection
 map and factor and factors only if a sweep stalls.  Every matrix of the
@@ -75,7 +76,7 @@ class SchemeParams:
     dt: float
 
 
-# normwise backward error fluid_step refines the returned Picard iterate to
+# normwise backward error fluid_step refines the returned Picard iterate toward
 SOLVE_BERR = 1e-15
 TOL_PICARD = 1e-10  # fluid_step's Picard tolerance on the relative update
 MAX_PICARD = 50     # and its budget of iterates
@@ -223,9 +224,11 @@ def fluid_step(
     are those a step on the same geometry ended with (``step`` hands them
     over once the cutoff has frozen eta*): the first iterate is then a
     sweep too, and a stale factor refactors by the same rule.  Once the
-    update is below TOL_PICARD, the returned iterate is refined
-    (refactoring if a sweep stalls) to a backward error of at most
-    SOLVE_BERR.
+    update is below TOL_PICARD, the returned iterate is refined toward a
+    backward error of at most SOLVE_BERR.  A sweep that stalls there
+    refactors, and the step returns that factor's direct solve with the
+    backward error it has, which may exceed SOLVE_BERR (seen on data near
+    underflow, see notes/decisions.md).
 
     Returns (u, v, stats, advection, factor): the free fluid DOFs and the
     wall velocity at level n+1, the step's solver numbers keyed by their
@@ -382,10 +385,11 @@ class EnergyLedger:
 class Trajectory:
     """One path of the splitting scheme plus its energy ledger.
 
-    Arrays hold n_steps+1 integer levels (index 0 = initial data), and
-    v_half the n_steps half-level wall velocities; wall displacement and
-    both velocities are beam vectors.  The fluid substep leaves the wall
-    where it is, so the half-level displacement of step n is eta[n+1].
+    Arrays hold n_steps+1 integer levels (index 0 = initial data); wall
+    displacement and velocity are beam vectors.  The fluid substep leaves
+    the wall where it is, so the half-level displacement of step n is
+    eta[n+1], and the half-level wall velocity is (eta[n+1] - eta[n]) / dt
+    up to roundoff.
     The cutoff is recorded once, in ledger.theta; stopped and tau_idx are
     read from it.  The shared-DOF layout makes u[n][shared] and the nodal
     values of v[n] the same numbers by construction.
@@ -396,7 +400,6 @@ class Trajectory:
     u: np.ndarray
     v: np.ndarray
     eta: np.ndarray
-    v_half: np.ndarray
     eta_star: np.ndarray
     ledger: EnergyLedger
     noise: NoisePath
@@ -431,7 +434,6 @@ class PathProblem:
     u0: np.ndarray
     v0: np.ndarray     # beam vector
     eta0: np.ndarray   # beam vector
-    halt_at_stop: bool = False
 
     @property
     def R(self) -> float:
@@ -496,7 +498,7 @@ def step(problem: PathProblem, state: State, n: int, noise_path: NoisePath):
     """One Lie step from level n: the structure substep, the cutoff fold,
     then the fluid substep on the frozen geometry eta*_n.
 
-    Returns (state at level n+1, v^{n+1/2}, row), where row holds the
+    Returns (state at level n+1, row), where row holds the
     step's entry of every EnergyLedger field but E, plus E_next.  Level
     n's forms measure the row but E_next, which takes level n+1's M_eta,
     the matrix the next step measures with: the energies telescope
@@ -547,19 +549,18 @@ def step(problem: PathProblem, state: State, n: int, noise_path: NoisePath):
         E_next=energy(lay, forms_next.M_eta, u_new, v_new, eh),
     )
     frozen = (advection, factor) if theta == 0 else ()
-    return State(u_new, v_new, eh, eta_star, theta, forms_next, trace_next, *frozen), vh, row
+    return State(u_new, v_new, eh, eta_star, theta, forms_next, trace_next, *frozen), row
 
 
 def run_path(problem: PathProblem, path_index: int = 0) -> Trajectory:
-    """Integrate one seeded path of the splitting scheme, step by step.
+    """Integrate one seeded path of the splitting scheme, all N steps.
 
     E[0] is measured with level 0's forms, assembled before the loop, and
     every later E[n+1] is step n's E_next, so the energies telescope
-    exactly (see ``step``).  The loop keeps marching on the frozen
-    artificial geometry after the cutoff engages (halt_at_stop stops after
-    the step that drops theta).  Each level's arrays are written into
-    (N+1)-row arrays, never kept as a state, so only the current level's
-    forms stay alive; a halted path returns their leading rows.
+    exactly (see ``step``).  The cutoff ends no path: once it engages, the
+    loop keeps marching on the frozen artificial geometry to T.  Each
+    level's arrays are written into (N+1)-row arrays, never kept as a
+    state, so only the current level's forms stay alive.
     """
     check_initial_admissibility(problem)
     noise_path = sample_path(problem.noise, problem.N, problem.params.dt, path_index)
@@ -569,18 +570,14 @@ def run_path(problem: PathProblem, path_index: int = 0) -> Trajectory:
                   *level_forms(problem, problem.structure.profile(problem.eta0)))
     E0 = energy(problem.layout, state.forms.M_eta, u0, problem.v0, problem.eta0)
     levels = [np.empty((problem.N + 1, a.size)) for a in state[:4]]  # u, v, eta, eta_star
-    v_half, rows = np.empty((problem.N, problem.v0.size)), []
+    rows = []
     for level, a in zip(levels, state[:4]):
         level[0] = a
     for n in range(problem.N):
-        state, v_half[n], row = step(problem, state, n, noise_path)
+        state, row = step(problem, state, n, noise_path)
         for level, a in zip(levels, state[:4]):
             level[n + 1] = a
         rows.append(row)
-        if problem.halt_at_stop and state.theta == 0:
-            break
 
-    u, v, eta, eta_star = (level[:len(rows) + 1] for level in levels)
-    return Trajectory(dt=problem.params.dt, n_steps=len(rows), u=u, v=v, eta=eta,
-                      v_half=v_half[:len(rows)], eta_star=eta_star,
+    return Trajectory(problem.params.dt, problem.N, *levels,
                       ledger=EnergyLedger.from_rows(E0, rows), noise=noise_path)

@@ -116,6 +116,9 @@ class TestLoadConfig:
         # an absent duration is time.T, but a null one is no number
         ({"pressure": {"kind": "half-sine", "duration": None}}, "pressure.duration"),
         ({"pressure": {"kind": "half-sine", "duration": 0}}, "pressure.duration"),
+        # every path runs N steps: false is the one value, and 0 == False is no false
+        ({"run": {"halt_at_stop": True}}, "run.halt_at_stop"),
+        ({"run": {"halt_at_stop": 0}}, "run.halt_at_stop"),
     ])
     def test_wrong_typed_value_exit_2(self, tmp_path, capsys, data, field):
         path = write_cfg(tmp_path, {**MINIMAL, **data})
@@ -226,9 +229,10 @@ def junk_for(rule):
     if isinstance(rule, list):  # a list of numbers
         return st.one_of(JUNK.filter(lambda x: not isinstance(x, list)),
                          st.lists(junk_for(rule[0]), min_size=1, max_size=2))
-    if isinstance(rule, tuple):  # one of these strings
-        return st.one_of(st.text(max_size=8).filter(lambda x: x not in rule), st.none(),
-                         st.integers(), st.booleans(), st.lists(st.sampled_from(rule), max_size=1))
+    if isinstance(rule, tuple):  # one of these values, each of its own type
+        return st.one_of(st.text(max_size=8), st.none(), st.integers(), st.booleans(),
+                         st.lists(st.sampled_from(rule), max_size=1)).filter(
+            lambda x: not any(type(x) is type(r) and x == r for r in rule))
     return st.one_of(st.none(), st.integers(), st.floats(), st.lists(st.booleans(), max_size=1),
                      st.text(max_size=4) if rule is bool else st.booleans())
 

@@ -202,8 +202,7 @@ def synthetic_one_step_trajectory(spec, dt, state_sq, path_index):
                xi=float(spec.amplitude @ path.increments[0]))
     led = EnergyLedger.from_rows(0.0, [row])
     z = np.zeros((2, 1))
-    return Trajectory(dt=dt, n_steps=1, u=z, v=z, eta=z,
-                      v_half=z[:1], eta_star=z, ledger=led, noise=path)
+    return Trajectory(dt=dt, n_steps=1, u=z, v=z, eta=z, eta_star=z, ledger=led, noise=path)
 
 
 class TestStochasticError:
@@ -518,9 +517,5 @@ class TestProbeRanges:
                 traj = run_path(problem, 0)
             except self.NAMED:
                 return
-            delta = problem.params.delta
-            worst = max(structure_identity_residuals(traj).max(),
-                        *(check(traj, delta, sharp).max()
-                          for check in (combined_step_violations, summed_inequality_violations)
-                          for sharp in (True, False)))
-        assert worst <= 1e-9
+            worst = ledger_violations(traj, problem.params.delta)
+        assert all(v <= TOL_LEDGER for v in worst.values()), worst
