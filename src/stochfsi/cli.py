@@ -8,13 +8,14 @@ step averages are exact for the table kind and 5-point Gauss otherwise.
 
 Commands:
 
-    stochfsi run      --config cfg.json [--mode path|ensemble|sweep]
-                      [--paths M] [--seed S] [--out DIR]
+    stochfsi run      --config cfg.json [--paths M] [--seed S]
+                      [--axis N|epsilon --values v1,v2,...] [--out DIR]
     stochfsi validate --config cfg.json
-    stochfsi sweep    --config cfg.json --axis {N|epsilon} --values v1,v2,...
 
-STOCHFSI_THREADS caps the worker processes of ensembles and sweeps (speed
-only; results are keyed by path index and do not depend on scheduling).
+A run is one ensemble of run.M paths, or, when the sweep block
+(run.sweep_axis, run.sweep_values) is set, one such ensemble per value.
+STOCHFSI_THREADS caps the worker processes of an ensemble (speed only;
+results are keyed by path index and do not depend on scheduling).
 """
 
 from __future__ import annotations
@@ -74,9 +75,9 @@ _SCHEMA = {
     # stay for configs that name their one value
     "noise": {"K": (0, "an integer >= 0"), "q": ([], [_POS]), "amplitude": ([], [_NUM]),
               "seed": (None, None), "sampling": ("dyadic", ("dyadic",))},
-    "run": {"mode": ("path", ("path", "ensemble", "sweep")), "M": (1, _COUNT),
-            "master_seed": (12345, "an integer in [0, 2^64)"), "sweep_axis": (None, None),
-            "sweep_values": ([], None), "halt_at_stop": (False, (False,))},
+    "run": {"M": (1, _COUNT), "master_seed": (12345, "an integer in [0, 2^64)"),
+            "sweep_axis": (None, None), "sweep_values": ([], None),
+            "halt_at_stop": (False, (False,))},
     "output": {"directory": ("out", str)},
 }
 
@@ -204,9 +205,9 @@ def parse_config(data: dict) -> RunConfig:
     nz["seed"] = _number(seed, "noise.seed", _SCHEMA["run"]["master_seed"][1])
     _noise_spec(nz)  # checks the lengths against K
 
-    r = merged["run"]
-    # checked whenever set, so another mode never runs with junk sweep fields
-    if r["mode"] == "sweep" or r["sweep_axis"] is not None or r["sweep_values"] != []:
+    r, steps = merged["run"], {"time.T/N": merged["time"]["N"]}
+    # either sweep field makes the run a sweep, which needs both
+    if r["sweep_axis"] is not None or r["sweep_values"] != []:
         axis = _check(r["sweep_axis"], "run.sweep_axis", ("N", "epsilon"))
         # a sweep value is held to the rule of the field it sets
         want = _SCHEMA["time"]["N"][1] if axis == "N" else _SCHEMA["physics"]["epsilon"][1]
@@ -214,6 +215,11 @@ def parse_config(data: dict) -> RunConfig:
         _require(values, "run.sweep_values: need at least one value")
         _require(_strictly_increasing(values) or _strictly_increasing(values[::-1]),
                  f"run.sweep_values: must be sorted with no value repeated, got {values!r}")
+        if axis == "N":
+            steps.update((f"run.sweep_values[{i}]", N) for i, N in enumerate(values))
+    T = merged["time"]["T"]
+    for field, N in steps.items():  # a step that rounds to 0 fails only once a path runs
+        _require(T / N > 0, f"{field}: time step must be > 0, got {T!r} / {N!r}")
     return RunConfig(**merged)
 
 
@@ -330,7 +336,7 @@ def sweep(config: RunConfig, reports: list) -> tuple[list, float | None]:
     ``config``'s axis in order: (rows, slope), one row per value, with the
     fitted log-log slope of the monitored statistic.  The axis and its
     values are ``config.run``'s, which ``parse_config`` validates whenever
-    either is set; a mode other than sweep is a ``ConfigError``.
+    either is set.
 
     For the epsilon axis the monitored statistic is the ensemble mean of
     ||div^{eta*} u||_{L^2(0,T;L^2)} (target slope 1/2); for the N axis it
@@ -339,8 +345,6 @@ def sweep(config: RunConfig, reports: list) -> tuple[list, float | None]:
     are None at a value where every path failed.  The slope is None
     unless every value has a positive statistic.
     """
-    _require(config.run["mode"] == "sweep",
-             f"run.mode: sweep needs mode 'sweep', got {config.run['mode']!r}")
     axis, values = config.run["sweep_axis"], config.run["sweep_values"]
     rows = []
     for val, report in zip(values, reports, strict=True):
@@ -372,12 +376,12 @@ def _write_json(path: str, data: dict):
         fh.write("\n")
 
 
-def write_manifest(path: str, cfg: RunConfig, M: int):
-    """The manifest of a run whose ensembles hold ``M`` paths each."""
+def write_manifest(path: str, cfg: RunConfig):
+    """The manifest of a run, whose ensembles hold ``run.M`` paths each."""
     _write_json(path, {
         "version": __version__,
         "numpy": np.__version__, "scipy": scipy.__version__,
-        "workers": min(diagnostics.ensemble_workers(), M),  # what ensemble_run starts
+        "workers": min(diagnostics.ensemble_workers(), cfg.run["M"]),  # what ensemble_run starts
         "config": cfg.to_dict(),
         "solver": {"tol_picard": TOL_PICARD, "max_picard": MAX_PICARD},  # fixed, not config
         "dt": cfg.dt,
@@ -399,50 +403,47 @@ def write_sweep_csv(path: str, rows: list, slope: float | None):
         fh.write("\n".join(lines) + "\n")
 
 
-def _output_dir(cfg: RunConfig, out_dir: str | None) -> str:
-    """``out_dir`` or the config's directory, made if missing (a ConfigError if it cannot be)."""
+def _output_dirs(cfg: RunConfig, out_dir: str | None) -> list:
+    """The run's directory (``out_dir`` or the config's), then its ensembles'
+    (a sweep's ``value_<i>``, else its own), made before anything is written."""
     out = out_dir or cfg.output["directory"]
+    n_values = len(cfg.run["sweep_values"])
+    dirs = [out] + ([os.path.join(out, f"value_{i}") for i in range(n_values)] or [out])
     try:
-        os.makedirs(out, exist_ok=True)
+        for directory in dirs:
+            os.makedirs(directory, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"output.directory: {exc}") from None
-    return out
-
-
-def _ensembles(cfg: RunConfig, problem: PathProblem, out: str) -> list:
-    """(directory, problem, M) of each ensemble the configured mode runs: a
-    path run is an ensemble of one, a sweep one ensemble per axis value."""
-    mode, M = cfg.run["mode"], cfg.run["M"]
-    if mode == "sweep":
-        return [(os.path.join(out, f"value_{i}"), problem_at_axis_value(cfg, problem, v), M)
-                for i, v in enumerate(cfg.run["sweep_values"])]
-    return [(out, problem, 1 if mode == "path" else M)]
+    return dirs
 
 
 def run(cfg: RunConfig, problem: PathProblem, out_dir: str | None = None) -> int:
     """Execute the configured run on ``build_problem(cfg)``; returns the
     process exit status.  Each ensemble's directory gets a ledger per path
     that did not raise and a ``report.json``; a sweep adds ``table.csv``."""
-    out = _output_dir(cfg, out_dir)
-    ensembles = _ensembles(cfg, problem, out)
-    write_manifest(os.path.join(out, "manifest.json"), cfg, ensembles[0][2])  # one M for all
+    out, *directories = _output_dirs(cfg, out_dir)
+    axis, values = cfg.run["sweep_axis"], cfg.run["sweep_values"]
+    # one ensemble of run.M paths, or one per sweep value
+    problems = [problem_at_axis_value(cfg, problem, v) for v in values] if axis else [problem]
+    write_manifest(os.path.join(out, "manifest.json"), cfg)
     reports = []
-    for directory, ens_problem, M in ensembles:
-        os.makedirs(directory, exist_ok=True)
-        reports.append(diagnostics.ensemble_run(ens_problem, M, directory))
+    for directory, ens_problem in zip(directories, problems, strict=True):
+        reports.append(diagnostics.ensemble_run(ens_problem, cfg.run["M"], directory))
         _write_json(os.path.join(directory, "report.json"), reports[-1].to_dict())
 
-    mode, total = cfg.run["mode"], sum(report.M for report in reports)
-    summary = f"{mode} run complete: {total} path{'s' if total > 1 else ''}"
-    if mode == "sweep":
+    total = sum(report.M for report in reports)
+    paths = f"{total} path{'s' if total > 1 else ''}"
+    summary = f"run complete: {paths}"
+    if axis:
         rows, slope = sweep(cfg, reports)
         write_sweep_csv(os.path.join(out, "table.csv"), rows, slope)
-        fitted = "n/a" if slope is None else f"{slope:.4f}"
-        summary += f" over {cfg.run['sweep_axis']}, slope {fitted}"
-    failures = [f["error"] for report in reports for f in report.failures]
+        summary += f" over {axis}, slope {'n/a' if slope is None else f'{slope:.4f}'}"
+    where = [f" at {axis} = {v!r}" for v in values] or [""]
+    failures = [(at, f) for at, report in zip(where, reports) for f in report.failures]
     if failures:
-        what = failures[0] if mode == "path" else f"{len(failures)} of {total} paths"
-        print(f"{mode} failed: {what}", file=sys.stderr)
+        at, first = failures[0]
+        print(f"run failed: {len(failures)} of {paths}; path {first['path']}{at}: "
+              f"{first['error']}", file=sys.stderr)
         return 1
     print(summary)
     return 0
@@ -461,29 +462,23 @@ def main(argv=None) -> int:
                                      description="stochastic FSI splitting-scheme runner")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="run a path/ensemble/sweep per the config")
+    p_run = sub.add_parser("run", help="run run.M paths, one ensemble per sweep value if any")
     p_run.add_argument("--config", required=True)
-    p_run.add_argument("--mode", choices=_SCHEMA["run"]["mode"][1])
     p_run.add_argument("--paths", type=int)
     p_run.add_argument("--seed", type=int)
+    # no choices: parse_config names a bad axis, as it does in a config
+    p_run.add_argument("--axis")
+    p_run.add_argument("--values", type=_number_list)
     p_run.add_argument("--out")
 
     p_val = sub.add_parser("validate", help="validate a config and exit")
     p_val.add_argument("--config", required=True)
 
-    p_sw = sub.add_parser("sweep", help="sweep N or epsilon over a value list")
-    p_sw.add_argument("--config", required=True)
-    p_sw.add_argument("--axis", required=True, choices=["N", "epsilon"])
-    p_sw.add_argument("--values", required=True, type=_number_list)
-    p_sw.add_argument("--out")
-
     args = parser.parse_args(argv)
     overrides = {}
     if args.command == "run":
-        overrides = {("run", "mode"): args.mode, ("run", "M"): args.paths,
-                     ("run", "master_seed"): args.seed, ("noise", "seed"): args.seed}
-    elif args.command == "sweep":
-        overrides = {("run", "mode"): "sweep", ("run", "sweep_axis"): args.axis,
+        overrides = {("run", "M"): args.paths, ("run", "master_seed"): args.seed,
+                     ("noise", "seed"): args.seed, ("run", "sweep_axis"): args.axis,
                      ("run", "sweep_values"): args.values}
     try:
         data = _read_json(args.config)
@@ -496,7 +491,7 @@ def main(argv=None) -> int:
         problem = build_problem(cfg)
         diagnostics.ensemble_workers()  # a bad STOCHFSI_THREADS fails here, not in the run
         if args.command != "validate":
-            _output_dir(cfg, args.out)  # so does a directory that cannot be made
+            _output_dirs(cfg, args.out)  # so does a directory that cannot be made
     except (ConfigError, InitialDataError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -231,7 +231,6 @@ def path_statistics(traj: Trajectory) -> dict:
         "div_sq_int": float(traj.dt * np.sum(led.div_residual**2)),
         "stopped": bool(traj.stopped),
         "tau_time": float(traj.tau_idx * traj.dt),
-        "tau_idx": int(traj.tau_idx),
     }
 
 

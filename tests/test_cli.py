@@ -126,7 +126,8 @@ class TestLoadConfig:
         assert capsys.readouterr().err.startswith(f"config error: {field}: must be ")
 
     @pytest.mark.parametrize("data,message", [
-        ({"run": {"mode": "x"}}, "run.mode: must be 'path' or 'ensemble' or 'sweep', got 'x'"),
+        ({"run": {"sweep_axis": "x", "sweep_values": [1.0]}},
+         "run.sweep_axis: must be 'N' or 'epsilon', got 'x'"),
         ({"pressure": {"kind": "half-sine", "side": "left"}},
          "pressure.side: must be 'in' or 'out', got 'left'"),
     ])
@@ -172,9 +173,20 @@ class TestLoadConfig:
         cfg2 = parse_config(json.loads(json.dumps(cfg1.to_dict())))
         assert cfg1.to_dict() == cfg2.to_dict()
 
-    def test_sweep_mode_requires_axis(self):
-        with pytest.raises(ConfigError, match="sweep_axis"):
-            parse_config({**MINIMAL, "run": {"mode": "sweep"}})
+    def test_sweep_mode_requires_axis(self, tmp_path, capsys):
+        # --values alone makes a sweep, which needs its axis
+        out = tmp_path / "out"
+        assert main(["run", "--config", write_cfg(tmp_path, MINIMAL), "--values", "1e-2",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error: run.sweep_axis: must be ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode", ["path", "ensemble", "sweep"])
+    def test_run_mode_is_unknown_field(self, tmp_path, capsys, mode):
+        # run.M and the sweep block say what runs; no field names a mode
+        path = write_cfg(tmp_path, {**MINIMAL, "run": {"mode": mode}})
+        assert main(["validate", "--config", path]) == 2
+        assert capsys.readouterr().err == "config error: run.mode: unknown field\n"
 
 
 def _with(raw, path, value):
@@ -307,6 +319,23 @@ def assert_ledger_reads_back(path, traj):
         assert np.array_equal(columns[name].astype(want.dtype), want), name
 
 
+def assert_ensemble_run_reads_back(directory, problem, M, reference):
+    """The ledgers and ``report.json`` in ``directory`` are bit for bit what
+    ``diagnostics.ensemble_run`` gives for ``problem`` and ``M``, written
+    into the new directory ``reference``."""
+    reference.mkdir()
+    report = diagnostics.ensemble_run(problem, M, str(reference))
+    cli._write_json(str(reference / "report.json"), report.to_dict())
+    names = sorted(p.name for p in reference.iterdir())
+    assert names == [f"ledger_{i:04d}.csv" for i in range(M)] + ["report.json"]
+    assert sorted(p.name for p in directory.iterdir() if p.name in names) == names
+    for name in names:
+        assert (directory / name).read_bytes() == (reference / name).read_bytes(), name
+
+
+NOISY = {"K": 2, "q": [1.0, 0.25], "amplitude": [0.5, 0.2], "seed": 3}
+
+
 class TestRunArtifacts:
     def _zero_cfg(self, outdir):
         return parse_config({
@@ -357,7 +386,7 @@ class TestRunArtifacts:
             "time": {"T": 0.25, "N": 4}, "domain": {"nz": 4, "nr": 2},
             "pressure": {"kind": "constant", "P_in": 1.0, "P_out": 0.0},
             "noise": {"K": 2, "q": [1.0, 0.25], "amplitude": [0.5, 0.2], "seed": 3},
-            "run": {"mode": "ensemble", "M": 4},
+            "run": {"M": 4},
         }
         for M in (4, 8):
             base["run"]["M"] = M
@@ -374,10 +403,11 @@ class TestRunArtifacts:
     def test_ensemble_failures_exit_1(self, tmp_path, capsys):
         path = write_cfg(tmp_path, DIVERGING)
         out = tmp_path / "ens"
-        assert main(["run", "--config", path, "--mode", "ensemble", "--paths", "3",
-                     "--out", str(out)]) == 1
-        assert "ensemble failed: 3 of 3 paths" in capsys.readouterr().err
+        assert main(["run", "--config", path, "--paths", "3", "--out", str(out)]) == 1
         report = json.loads((out / "report.json").read_text())
+        # the failure line names the first failed path and its error
+        first = report["failures"][0]["error"]
+        assert capsys.readouterr().err == f"run failed: 3 of 3 paths; path 0: {first}\n"
         assert [f["path"] for f in report["failures"]] == [0, 1, 2]
         assert report["frac_stopped"] is None and report["mean_tau"] is None
         assert report["stats"]["max_E"] == {"mean": None, "var": None, "ci95": None, "n": 0}
@@ -397,9 +427,10 @@ class TestRunArtifacts:
         monkeypatch.setattr(diagnostics, "run_path", perturbed)
         monkeypatch.delenv("STOCHFSI_THREADS", raising=False)
         out = tmp_path / "ens"
-        assert main(["run", "--config", write_cfg(tmp_path, MINIMAL), "--mode", "ensemble",
-                     "--paths", "2", "--out", str(out)]) == 1
-        assert "ensemble failed: 2 of 2 paths" in capsys.readouterr().err
+        assert main(["run", "--config", write_cfg(tmp_path, MINIMAL), "--paths", "2",
+                     "--out", str(out)]) == 1
+        assert ("run failed: 2 of 2 paths; path 0: ledger check failed: structure_identity "
+                in capsys.readouterr().err)
         report = json.loads((out / "report.json").read_text())
         assert [f["path"] for f in report["failures"]] == [0, 1]
         for failure in report["failures"]:
@@ -407,6 +438,33 @@ class TestRunArtifacts:
         assert report["stats"]["max_E"]["n"] == 0
         assert sorted(p.name for p in out.glob("ledger_*.csv")) == [
             "ledger_0000.csv", "ledger_0001.csv"]
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_M_paths_read_back_as_ensemble_run(self, tmp_path, capsys, source):
+        # a run is one ensemble of run.M paths, whether --paths or the
+        # config sets M; no mode makes a config's M > 1 run one path
+        data = {**MINIMAL, "noise": NOISY, "run": {"M": 3 if source == "config" else 1}}
+        flags = ["--paths", "3"] if source == "flag" else []
+        out = tmp_path / "out"
+        assert main(["run", "--config", write_cfg(tmp_path, data), *flags,
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr().out == "run complete: 3 paths\n"
+        assert json.loads((out / "manifest.json").read_text())["config"]["run"]["M"] == 3
+        problem = build_problem(parse_config({**data, "run": {"M": 3}}))
+        assert_ensemble_run_reads_back(out, problem, 3, tmp_path / "reference")
+
+    def test_axis_flags_read_back_as_ensemble_run_per_value(self, tmp_path, capsys):
+        data = {**MINIMAL, "noise": NOISY, "run": {"M": 2}}
+        out = tmp_path / "out"
+        assert main(["run", "--config", write_cfg(tmp_path, data), "--axis", "N",
+                     "--values", "4,8", "--out", str(out)]) == 0
+        assert capsys.readouterr().out.startswith("run complete: 4 paths over N, slope ")
+        cfg = parse_config({**data, "run": {"M": 2, "sweep_axis": "N", "sweep_values": [4, 8]}})
+        problem = build_problem(cfg)
+        for i, value in enumerate([4, 8]):
+            assert_ensemble_run_reads_back(out / f"value_{i}",
+                                           problem_at_axis_value(cfg, problem, value), 2,
+                                           tmp_path / f"reference_{i}")
 
     def test_sweep_writes_an_ensemble_per_value(self, tmp_path):
         # each value's directory holds the same layout as an ensemble run,
@@ -459,17 +517,20 @@ class TestMain:
         assert capsys.readouterr().err == "config error: solver: unknown field\n"
 
     @pytest.mark.parametrize("data,field", [
-        ({"run": {"mode": "sweep", "sweep_axis": "epsilon",
-                  "sweep_values": [1e-3, 1e-2, 1e-4]}}, "run.sweep_values"),
+        ({"run": {"sweep_axis": "epsilon", "sweep_values": [1e-3, 1e-2, 1e-4]}},
+         "run.sweep_values"),
         # the Brownian tree is the one sampler, so the key takes one value
         ({"noise": {"sampling": "per-step"}}, "noise.sampling"),
         ({"noise": {"sampling": "auto"}}, "noise.sampling"),
         # a repeated value would fit a slope to equal x values or run one
         # ensemble twice
-        ({"run": {"mode": "sweep", "sweep_axis": "epsilon",
-                  "sweep_values": [1e-2, 1e-2]}}, "run.sweep_values"),
-        ({"run": {"mode": "sweep", "sweep_axis": "N", "sweep_values": [4, 4, 8]}},
+        ({"run": {"sweep_axis": "epsilon", "sweep_values": [1e-2, 1e-2]}},
          "run.sweep_values"),
+        ({"run": {"sweep_axis": "N", "sweep_values": [4, 4, 8]}}, "run.sweep_values"),
+        # a time step that rounds to 0 would fail only when a path samples its noise
+        ({"time": {"T": 5e-324, "N": 2}}, "time.T/N"),
+        ({"time": {"T": 5e-324, "N": 1}, "run": {"sweep_axis": "N", "sweep_values": [1, 2]}},
+         "run.sweep_values[1]"),
     ])
     def test_run_time_faults_exit_2_at_load(self, tmp_path, capsys, data, field):
         # unsorted sweep values and a sampler other than the tree fail
@@ -488,26 +549,31 @@ class TestMain:
         want = f"must be an integer{'' if raw == 'abc' else ' >= 1'}, got '{raw}'"
         path = write_cfg(tmp_path, MINIMAL)
         out = tmp_path / "out"
-        for mode in ("path", "ensemble"):
-            assert main(["run", "--config", path, "--mode", mode, "--paths", "2",
-                         "--out", str(out)]) == 2
+        for paths in ("1", "2"):
+            assert main(["run", "--config", path, "--paths", paths, "--out", str(out)]) == 2
             assert capsys.readouterr().err == f"config error: STOCHFSI_THREADS: {want}\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("where", ["file", "file/sub"])
+    @pytest.mark.parametrize("where", ["file", "file/sub", "value_0"])
     def test_output_directory_that_cannot_be_made_exit_2(self, tmp_path, capsys, where):
-        # refused as a config error before any path runs
-        (tmp_path / "file").write_text("not a directory")
-        out = tmp_path / where
-        assert main(["run", "--config", write_cfg(tmp_path, MINIMAL), "--out", str(out)]) == 2
+        # refused as a config error before anything is written; a sweep
+        # makes every value's directory then too, so a file value_0 stops it
+        for name in ("file", "value_0"):
+            (tmp_path / name).write_text("not a directory")
+        out = tmp_path if where == "value_0" else tmp_path / where
+        sweep = ["--axis", "epsilon", "--values", "1e-2,1e-3"] if where == "value_0" else []
+        assert main(["run", "--config", write_cfg(tmp_path, MINIMAL), "--out", str(out),
+                     *sweep]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("config error: output.directory: ")
         assert captured.out == ""
-        assert (tmp_path / "file").read_text() == "not a directory"
+        assert not (out / "manifest.json").exists()
+        for name in ("file", "value_0"):
+            assert (tmp_path / name).read_text() == "not a directory"
 
     def test_unsorted_sweep_command_exit_2(self, tmp_path, capsys):
         out = tmp_path / "out"
-        assert main(["sweep", "--config", write_cfg(tmp_path, MINIMAL), "--axis", "epsilon",
+        assert main(["run", "--config", write_cfg(tmp_path, MINIMAL), "--axis", "epsilon",
                      "--values", "1e-3,1e-2,1e-4", "--out", str(out)]) == 2
         assert "config error: run.sweep_values: must be sorted" in capsys.readouterr().err
         assert not out.exists()
@@ -533,7 +599,7 @@ class TestMain:
         path = write_cfg(tmp_path, MINIMAL)
         assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 1
         error = "DegenerateJacobian: R + eta <= 0 at a quadrature point"
-        assert f"path failed: {error}" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"run failed: 1 of 1 path; path 0: {error}\n"
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["failures"] == [{"path": 0, "error": error}]
 
@@ -562,22 +628,25 @@ class TestMain:
         # an ensemble of 2 paths under a cap of 3 starts 2 workers
         monkeypatch.setenv("STOCHFSI_THREADS", "3")
         out = tmp_path / "out"
-        assert main(["run", "--config", write_cfg(tmp_path, MINIMAL), "--mode", "ensemble",
-                     "--paths", "2", "--out", str(out)]) == 0
+        assert main(["run", "--config", write_cfg(tmp_path, MINIMAL), "--paths", "2",
+                     "--out", str(out)]) == 0
         assert json.loads((out / "manifest.json").read_text())["workers"] == 2
 
-    def test_sweep_cli_writes_table(self, tmp_path):
+    def test_sweep_cli_writes_table(self, tmp_path, capsys):
         path = write_cfg(tmp_path, {
             **MINIMAL,
             "pressure": {"kind": "constant", "P_in": 1.0, "P_out": 0.0},
             "run": {"M": 2},
         })
         out = str(tmp_path / "sweepout")
-        assert main(["sweep", "--config", path, "--axis", "epsilon",
+        assert main(["run", "--config", path, "--axis", "epsilon",
                      "--values", "1e-2,1e-3", "--out", out]) == 0
         table = (tmp_path / "sweepout" / "table.csv").read_text().splitlines()
         assert table[0].startswith("value,")
         assert len([l for l in table if not l.startswith("#")]) == 3
+        slope = float(table[-1].removeprefix("# fitted log-log slope: "))
+        summary = f"run complete: 4 paths over epsilon, slope {slope:.4f}\n"
+        assert capsys.readouterr().out == summary
 
     def test_sweep_over_N_that_is_not_a_power_of_two(self, tmp_path):
         # N = 6 and 12 keep the first leaves of one noisy tree per path
@@ -587,16 +656,18 @@ class TestMain:
             "run": {"M": 2},
         })
         out = tmp_path / "sweepout"
-        assert main(["sweep", "--config", path, "--axis", "N",
+        assert main(["run", "--config", path, "--axis", "N",
                      "--values", "6,12", "--out", str(out)]) == 0
         assert len((out / "table.csv").read_text().splitlines()) == 3
 
     def test_sweep_failures_exit_1(self, tmp_path, capsys):
         path = write_cfg(tmp_path, DIVERGING)
         out = tmp_path / "sweepout"
-        assert main(["sweep", "--config", path, "--axis", "epsilon",
+        assert main(["run", "--config", path, "--axis", "epsilon",
                      "--values", "1e-2,1e-3", "--out", str(out)]) == 1
-        assert "sweep failed: 2 of 2 paths" in capsys.readouterr().err
+        first = json.loads((out / "value_0" / "report.json").read_text())["failures"][0]
+        assert capsys.readouterr().err == (
+            f"run failed: 2 of 2 paths; path 0 at epsilon = 0.01: {first['error']}\n")
         header, *rows = (out / "table.csv").read_text().splitlines()
         assert header.split(",")[-1] == "failed"
         assert [row.split(",")[1:] for row in rows] == [["", "", "", "", "1"]] * 2
@@ -623,8 +694,8 @@ class TestMain:
         path = write_cfg(tmp_path, data)
         for command, extra in (("run", ["--out", str(tmp_path / "run")]),
                                ("validate", []),
-                               ("sweep", ["--axis", "epsilon", "--values", "1e-2,1e-3",
-                                          "--out", str(tmp_path / "sweep")])):
+                               ("run", ["--axis", "epsilon", "--values", "1e-2,1e-3",
+                                        "--out", str(tmp_path / "sweep")])):
             calls.clear()
             assert main([command, "--config", path, *extra]) == 0
             assert sorted(calls) == ["build_problem", "parse_config"], command
@@ -639,7 +710,7 @@ SWEEP_PRESSURES = {
 
 def sweep_data(axis, values, **sections):
     return {**MINIMAL, **sections,
-            "run": {"mode": "sweep", "sweep_axis": axis, "sweep_values": values}}
+            "run": {"sweep_axis": axis, "sweep_values": values}}
 
 
 class TestAxisOverride:
@@ -691,14 +762,7 @@ class TestAxisOverride:
             parse_config(sweep_data(axis, [value]))
         assert str(swept.value) == f"run.sweep_values[0]: {rule}"
 
-    def test_sweep_needs_sweep_mode(self):
-        # a valid sweep block parses in another mode, where sweep refuses it
-        data = sweep_data("epsilon", [1e-2, 1e-3])
-        cfg = parse_config({**data, "run": {**data["run"], "mode": "ensemble"}})
-        with pytest.raises(ConfigError, match="^run.mode: "):
-            cli.sweep(cfg, [])
-
-    @pytest.mark.parametrize("mode", ["path", "ensemble"])
+    @pytest.mark.parametrize("M", [1, 3], ids=["path", "ensemble"])
     @pytest.mark.parametrize("fields,field", [
         ({"sweep_axis": "nu", "sweep_values": [0.0]}, "run.sweep_axis"),
         ({"sweep_axis": "epsilon"}, "run.sweep_values"),
@@ -706,17 +770,20 @@ class TestAxisOverride:
         ({"sweep_axis": "epsilon", "sweep_values": [1e-2, -1e-3]}, "run.sweep_values[1]"),
         ({"sweep_axis": "N", "sweep_values": [4, 4]}, "run.sweep_values"),
     ])
-    def test_sweep_fields_checked_in_every_mode(self, mode, fields, field):
-        # a set sweep field is checked outside sweep mode too, so a run
+    def test_sweep_fields_checked_in_every_mode(self, M, fields, field):
+        # either sweep field makes a sweep, whatever run.M is, so a run
         # never echoes junk sweep fields into its manifest
         with pytest.raises(ConfigError) as err:
-            parse_config({**MINIMAL, "run": {"mode": mode, **fields}})
+            parse_config({**MINIMAL, "run": {"M": M, **fields}})
         assert str(err.value).startswith(f"{field}: ")
 
     def test_valid_sweep_block_runs_as_ensemble(self, tmp_path):
+        # the config's sweep block alone makes a sweep: an ensemble per value
         data = sweep_data("epsilon", [1e-2, 1e-3])
         out = tmp_path / "ens"
-        assert main(["run", "--config", write_cfg(tmp_path, data), "--mode", "ensemble",
-                     "--paths", "2", "--out", str(out)]) == 0
+        assert main(["run", "--config", write_cfg(tmp_path, data), "--paths", "2",
+                     "--out", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["run"]["sweep_values"] == [1e-2, 1e-3]
+        for i in range(2):
+            assert json.loads((out / f"value_{i}" / "report.json").read_text())["M"] == 2

@@ -305,8 +305,7 @@ class TestEnsemble:
 class TestSweep:
     def test_single_value_sweep_equals_ensemble(self):
         cfg = make_config(domain={"nz": 4, "nr": 2}, time={"T": 0.25, "N": 8},
-                          run={"M": 4, "mode": "sweep", "sweep_axis": "epsilon",
-                               "sweep_values": [1e-3]})
+                          run={"M": 4, "sweep_axis": "epsilon", "sweep_values": [1e-3]})
         prob = build_problem(cfg)
         rows, slope = sweep_table(cfg, prob)
         assert len(rows) == 1
@@ -323,7 +322,7 @@ class TestSweep:
                            ({"sweep_axis": "N", "sweep_values": [32, 16, 64]},
                             "run.sweep_values")):
             with pytest.raises(ConfigError, match=f"^{field}: "):
-                make_config(run={"mode": "sweep", **run})
+                make_config(run=run)
 
 
 class TestLedgerChecks:
@@ -368,8 +367,7 @@ class TestMoreCoverage:
 
     def test_sweep_over_N_axis(self):
         cfg = make_config(domain={"nz": 4, "nr": 2}, time={"T": 0.25, "N": 8},
-                          run={"M": 2, "mode": "sweep", "sweep_axis": "N",
-                               "sweep_values": [8, 16]})
+                          run={"M": 2, "sweep_axis": "N", "sweep_values": [8, 16]})
         rows, _ = sweep_table(cfg, build_problem(cfg))
         assert len(rows) == 2
         assert all(np.isfinite(row["max_E_mean"]) for row in rows)
